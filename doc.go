@@ -15,6 +15,6 @@
 //
 // See DESIGN.md for the system inventory and the experiment index, and
 // EXPERIMENTS.md for paper-claim-versus-measured results. The top-level
-// bench_test.go holds one benchmark family per experiment (E1–E9); the
-// cmd/bench harness additionally runs E2b, E7b, E10, and E11.
+// bench_test.go and bench_dist_test.go hold one benchmark family per
+// experiment (E1–E15) and per ablation: go test -run '^$' -bench E4_ .
 package repro

@@ -1,14 +1,17 @@
 package repro
 
-// Docs-link checker: every relative link in the repository's markdown must
-// point at a file that exists, and every same-file `#anchor` link must
-// match a heading. The doc set is navigable from the README's docs map,
-// so a renamed file or section breaks CI, not a reader.
+// Docs checkers. Links: every relative link in the repository's markdown
+// must point at a file that exists, and every same-file `#anchor` link
+// must match a heading. The doc set is navigable from the README's docs
+// map, so a renamed file or section breaks CI, not a reader. Bench
+// targets: every "Bench target" cell of DESIGN.md §3's experiment index
+// must name Benchmark functions that exist.
 
 import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -18,6 +21,9 @@ var (
 	// used in this repo. The target is cut at the first ')'.
 	mdLink = regexp.MustCompile(`\]\(([^)\s]+)\)`)
 	mdHead = regexp.MustCompile(`(?m)^#{1,6}\s+(.+)$`)
+
+	benchFunc = regexp.MustCompile(`(?m)^func (Benchmark\w+)\(b \*testing\.B\)`)
+	mdCode    = regexp.MustCompile("`([^`]*)`")
 )
 
 // githubSlug mimics GitHub's heading-anchor algorithm closely enough for
@@ -105,6 +111,58 @@ func TestDocsRelativeLinks(t *testing.T) {
 					t.Errorf("%s: link %q: no heading in %s matches #%s", path, target, dest, frag)
 				}
 			}
+		}
+	}
+}
+
+// TestDesignBenchTargetsExist holds DESIGN.md §3's experiment index to the
+// harness: each row E1–E15 (E2b and E7b included) must name, in its last
+// column, at least one root-package Benchmark function, by its exact
+// name, and nothing that is not one.
+func TestDesignBenchTargetsExist(t *testing.T) {
+	files, err := filepath.Glob("*_test.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	benchmarks := map[string]bool{}
+	for _, path := range files {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range benchFunc.FindAllStringSubmatch(string(src), -1) {
+			benchmarks[m[1]] = true
+		}
+	}
+
+	src, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]bool{"E2b": false, "E7b": false}
+	for i := 1; i <= 15; i++ {
+		want["E"+strconv.Itoa(i)] = false
+	}
+	for _, line := range strings.Split(string(src), "\n") {
+		cells := strings.Split(strings.Trim(strings.TrimSpace(line), "|"), "|")
+		id := strings.TrimSpace(cells[0])
+		if _, ok := want[id]; !ok || len(cells) != 5 {
+			continue
+		}
+		want[id] = true
+		targets := mdCode.FindAllStringSubmatch(cells[4], -1)
+		if len(targets) == 0 {
+			t.Errorf("DESIGN.md §3 row %s: no bench target", id)
+		}
+		for _, m := range targets {
+			if !benchmarks[m[1]] {
+				t.Errorf("DESIGN.md §3 row %s: bench target %q is not a Benchmark function in the root package", id, m[1])
+			}
+		}
+	}
+	for id, seen := range want {
+		if !seen {
+			t.Errorf("DESIGN.md §3 has no index row for %s", id)
 		}
 	}
 }

@@ -13,6 +13,6 @@
 // cross-process plan exchange decodes from the wire — are what the
 // collective-port planner intersects into message schedules. Experiment
 // E4 exercises them in-process and experiment E11 across processes
-// (cmd/bench -run e4,e11); the N-d array and complex types are exercised
+// (go test -bench 'E4_|E11_' .); the N-d array and complex types are exercised
 // by the SIDL toolchain experiments (E1, E7).
 package array

@@ -24,12 +24,12 @@
 //
 // The same Plan serves two movers. In one address space the Transfer
 // mover executes the schedule over mpi point-to-point messages —
-// experiment E4 (cmd/bench -run e4, examples/collective) measures it,
+// experiment E4 (BenchmarkE4_Redistribution, examples/collective) measures it,
 // including the matched-map fast path the paper predicts. Across
 // processes, the PairStream face (stream.go) exposes each (source,
 // destination) pair's packed message as a byte-addressable stream so
 // repro/internal/dist/collective can carry the redistribution over the
-// ORB in chunks — experiment E11 (cmd/bench -run e11,
+// ORB in chunks — experiment E11 (BenchmarkE11_CollectivePull,
 // examples/distviz) measures that path; DESIGN.md §9 documents the
 // protocol.
 package collective

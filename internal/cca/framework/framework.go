@@ -34,7 +34,7 @@ import (
 // no per-call instrumentation at all: its acquisition count rides in the
 // high half of the inUse word it already maintains (see usesEntry) and is
 // sampled at obs snapshot time as cca.getport_calls, so the instrumented
-// path is byte-for-byte the bare path (cmd/bench experiment E10). The
+// path is byte-for-byte the bare path (experiment E10). The
 // health gauges are fed from the same transitions that drive the PR 3
 // connection-event stream (SetPortHealth).
 var (

@@ -63,7 +63,7 @@
 // sentinels above. DESIGN.md §11 documents the tier; experiment E13
 // prices it at 1000 standing supervised subscribers.
 //
-// Experiment E11 (cmd/bench, EXPERIMENTS.md) measures the chunked path
+// Experiment E11 (BenchmarkE11_CollectivePull, EXPERIMENTS.md) measures the chunked path
 // against a single-memcpy lower bound; the examples/distviz demo runs the
 // full two-process scenario including an injected sever.
 package collective

@@ -13,7 +13,7 @@
 // selection into a single instruction; and the whole metrics layer sits
 // behind one atomic gate so a run can measure its own overhead.
 //
-// Experiment E10 (cmd/bench -run e10) is the guard: it measures the
+// Experiment E10 (BenchmarkE10_Observability) is the guard: it measures the
 // remote hot path and the GetPort/ReleasePort pair dark vs metrics vs
 // metrics+tracing, and EXPERIMENTS.md E10 records the budget (<5%) and
 // the techniques that meet it. Consumers emit under layer-prefixed names

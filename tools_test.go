@@ -204,15 +204,6 @@ func TestChadExampleRuns(t *testing.T) {
 	}
 }
 
-func TestBenchHarnessQuick(t *testing.T) {
-	out := runTool(t, "cmd/bench", "", "-quick", "-run", "e1")
-	for _, want := range []string{"direct Go call", "SIDL stub", "reflection DMI"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("bench output missing %q:\n%s", want, out)
-		}
-	}
-}
-
 func TestSolverswapExample(t *testing.T) {
 	out := runTool(t, "examples/solverswap", "", "-n", "16")
 	for _, want := range []string{
