@@ -37,14 +37,18 @@
 //	ports <instance>              list an instance's ports
 //	solve <solver-instance> [tol] run the solver against a manufactured RHS
 //	export <instance> <port> [addr]
-//	                              serve a provides port over TCP for remote
-//	                              frameworks (addr default 127.0.0.1:0)
+//	                              serve a provides port over the ORB for
+//	                              remote frameworks (addr default
+//	                              tcp://127.0.0.1:0; tcp://, shm://, inproc://
+//	                              or a bare host:port)
 //	remote <instance> <addr> <key> [type]
 //	                              install a supervised proxy component for a
 //	                              remotely exported port (type default
-//	                              esi.MatrixData); the connection redials
-//	                              with backoff, retries idempotent calls,
-//	                              and circuit-breaks per the flags above
+//	                              esi.MatrixData; addr as for export, or the
+//	                              comma-separated list a sharded export
+//	                              prints); the connection redials with
+//	                              backoff, retries idempotent calls, and
+//	                              circuit-breaks per the flags above
 //	health <instance> <port>      show a provides port's connection health
 //	checkpoint <instance> <file>  save a Checkpointable instance's state to
 //	                              a checkpoint file (atomic temp+rename)
@@ -71,6 +75,17 @@
 //	                              DistArray uses port and print a summary
 //	events                        dump configuration events observed so far
 //	quit
+//
+// The session is one ccl.Assembly. Each assembling verb is shorthand for
+// the CCL declaration beside it and is applied to that assembly exactly as
+// `load` applies a whole document, so there is one lowering onto
+// repo.Builder and quitting closes everything through Assembly.Close:
+//
+//	create I T             component I { type T }
+//	matrix I K N [VX VY]   component I { provider K config { n N vx VX vy VY } }
+//	connect U UP P PP      connect U.UP -> P.PP
+//	export I P [ADDR]      export I.P { address ADDR }
+//	remote I ADDR KEY [T]  remote I { address ADDR key KEY type T }
 package main
 
 import (
@@ -87,13 +102,10 @@ import (
 	"repro/internal/cca/framework"
 	"repro/internal/ccl"
 	"repro/internal/ckpt"
-	"repro/internal/core"
-	"repro/internal/dist"
 	"repro/internal/esi"
 	"repro/internal/linalg"
 	"repro/internal/obs"
 	"repro/internal/orb"
-	"repro/internal/transport"
 )
 
 func main() {
@@ -120,25 +132,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "ccafe: metrics at http://%s/\n", bound)
 	}
 
-	// FlavorDistributed: the shell hosts supervised proxy components for
-	// remotely exported ports (the `remote` command).
-	app, err := core.NewApp(core.Options{
-		Flavor:  cca.FlavorInProcess | cca.FlavorDistributed,
-		WithESI: true,
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "ccafe:", err)
-		os.Exit(1)
-	}
-	// The ccl consumer type, so `load`ed assemblies (and `create`) can
-	// declare generic DistArray consumers by repository type.
-	if err := ccl.DepositConsumer(app.Repo); err != nil {
-		fmt.Fprintln(os.Stderr, "ccafe:", err)
-		os.Exit(1)
-	}
-
 	in := os.Stdin
-	interactive := true
+	src, interactive := "<stdin>", true
 	if *script != "" {
 		f, err := os.Open(*script)
 		if err != nil {
@@ -147,20 +142,28 @@ func main() {
 		}
 		defer f.Close()
 		in = f
-		interactive = false
+		src, interactive = *script, false
 	}
 
-	sh := &shell{app: app, supOpts: orb.SupervisorOptions{
+	// The default container: ESI and consumer deposits, and
+	// FlavorDistributed for the supervised proxies `remote` installs.
+	asm, err := ccl.New(ccl.Options{DefaultSupervisor: orb.SupervisorOptions{
 		ConnectTimeout:   *connectTimeout,
 		MaxAttempts:      *retry,
 		BreakerThreshold: *breakerThreshold,
-	}}
-	defer sh.shutdown()
+	}})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "ccafe:", err)
+		os.Exit(1)
+	}
+	defer asm.Close()
+	sh := &shell{asm: asm, src: src}
 	scanner := bufio.NewScanner(in)
 	if interactive {
 		fmt.Print("ccafe> ")
 	}
 	for scanner.Scan() {
+		sh.line++
 		line := strings.TrimSpace(scanner.Text())
 		if line != "" && !strings.HasPrefix(line, "#") {
 			if done := sh.exec(line); done {
@@ -173,48 +176,35 @@ func main() {
 	}
 }
 
+// shell is one session: a live assembly plus the input position its
+// declarations' diagnostics carry.
 type shell struct {
-	app        *core.App
-	supOpts    orb.SupervisorOptions
-	exports    []*dist.Exporter
-	remotes    []*dist.RemotePort
-	assemblies []*ccl.Assembly
-}
-
-// shutdown releases every exporter, supervised connection, and compiled
-// assembly the session opened.
-func (sh *shell) shutdown() {
-	for _, a := range sh.assemblies {
-		a.Close()
-	}
-	for _, r := range sh.remotes {
-		r.Close()
-	}
-	for _, e := range sh.exports {
-		e.Close()
-	}
+	asm  *ccl.Assembly
+	src  string
+	line int
 }
 
 // exec runs one command line; returns true on quit.
 func (sh *shell) exec(line string) bool {
 	fields := strings.Fields(line)
 	cmd, args := fields[0], fields[1:]
+	app := sh.asm.App
 	var err error
 	switch cmd {
 	case "quit", "exit":
 		return true
 	case "repository":
-		for _, n := range sh.app.Repo.List() {
+		for _, n := range app.Repo.List() {
 			fmt.Println(" ", n)
 		}
 	case "describe":
-		fmt.Print(sh.app.Repo.Describe())
+		fmt.Print(app.Repo.Describe())
 	case "sidl":
 		if len(args) != 1 {
 			err = fmt.Errorf("usage: sidl <qualified-type>")
 			break
 		}
-		tbl := sh.app.Repo.Table()
+		tbl := app.Repo.Table()
 		kind := tbl.Lookup(args[0])
 		if kind == "" {
 			err = fmt.Errorf("no SIDL type %q", args[0])
@@ -226,31 +216,15 @@ func (sh *shell) exec(line string) bool {
 				fmt.Printf("  %s %s  (from %s)\n", m.Decl.Name, m.Decl.Signature(), m.Owner)
 			}
 		}
-	case "create":
-		if len(args) != 2 {
-			err = fmt.Errorf("usage: create <instance> <type>")
-			break
-		}
-		err = sh.app.Create(args[0], args[1])
-	case "matrix":
-		err = sh.matrix(args)
-	case "connect":
-		if len(args) != 4 {
-			err = fmt.Errorf("usage: connect <user> <uses> <provider> <provides>")
-			break
-		}
-		var id cca.ConnectionID
-		id, err = sh.app.Connect(args[0], args[1], args[2], args[3])
-		if err == nil {
-			fmt.Println(" ", id)
-		}
+	case "create", "matrix", "connect", "export", "remote":
+		err = sh.assemble(cmd, args)
 	case "autoconnect":
 		if len(args) != 2 {
 			err = fmt.Errorf("usage: autoconnect <user> <provider>")
 			break
 		}
 		var id cca.ConnectionID
-		id, err = sh.app.Builder.AutoConnect(args[0], args[1])
+		id, err = app.AutoConnect(args[0], args[1])
 		if err == nil {
 			fmt.Println(" ", id)
 		}
@@ -259,15 +233,15 @@ func (sh *shell) exec(line string) bool {
 			err = fmt.Errorf("usage: disconnect <user> <uses> <provider> <provides>")
 			break
 		}
-		err = sh.app.Fw.Disconnect(cca.ConnectionID{
+		err = app.Fw.Disconnect(cca.ConnectionID{
 			User: args[0], UsesPort: args[1], Provider: args[2], ProvidesPort: args[3],
 		})
 	case "components":
-		for _, n := range sh.app.Fw.ComponentNames() {
+		for _, n := range app.Fw.ComponentNames() {
 			fmt.Println(" ", n)
 		}
 	case "connections":
-		for _, id := range sh.app.Fw.Connections() {
+		for _, id := range app.Fw.Connections() {
 			fmt.Println(" ", id)
 		}
 	case "ports":
@@ -275,7 +249,7 @@ func (sh *shell) exec(line string) bool {
 			err = fmt.Errorf("usage: ports <instance>")
 			break
 		}
-		svc, ok := sh.app.Fw.Services(args[0])
+		svc, ok := app.Fw.Services(args[0])
 		if !ok {
 			err = fmt.Errorf("no instance %q", args[0])
 			break
@@ -290,17 +264,13 @@ func (sh *shell) exec(line string) bool {
 		}
 	case "solve":
 		err = sh.solve(args)
-	case "export":
-		err = sh.export(args)
-	case "remote":
-		err = sh.remote(args)
 	case "health":
 		if len(args) != 2 {
 			err = fmt.Errorf("usage: health <instance> <port>")
 			break
 		}
 		var h cca.Health
-		if h, err = sh.app.Fw.PortHealth(args[0], args[1]); err == nil {
+		if h, err = app.Fw.PortHealth(args[0], args[1]); err == nil {
 			fmt.Printf("  %s.%s: %s\n", args[0], args[1], h)
 		}
 	case "checkpoint":
@@ -318,7 +288,7 @@ func (sh *shell) exec(line string) bool {
 			err = fmt.Errorf("usage: remove <instance>")
 			break
 		}
-		err = sh.app.Fw.Remove(args[0])
+		err = app.Fw.Remove(args[0])
 	case "save":
 		if len(args) != 1 {
 			err = fmt.Errorf("usage: save <file>")
@@ -328,7 +298,7 @@ func (sh *shell) exec(line string) bool {
 		if f, err = os.Create(args[0]); err != nil {
 			break
 		}
-		err = sh.app.Repo.Save(f)
+		err = app.Repo.Save(f)
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}
@@ -349,12 +319,12 @@ func (sh *shell) exec(line string) bool {
 		if f, err = os.Open(args[0]); err != nil {
 			break
 		}
-		err = sh.app.Repo.Load(f)
+		err = app.Repo.Load(f)
 		f.Close()
 	case "pull":
 		err = sh.pull(args)
 	case "events":
-		for _, e := range sh.app.Builder.Events() {
+		for _, e := range app.Events() {
 			switch {
 			case e.Connection != (cca.ConnectionID{}):
 				fmt.Printf("  %-18s %s\n", e.Kind, e.Connection)
@@ -371,37 +341,92 @@ func (sh *shell) exec(line string) bool {
 	return false
 }
 
-// matrix installs an OperatorComponent wrapping a built-in model problem.
-func (sh *shell) matrix(args []string) error {
-	if len(args) < 3 {
-		return fmt.Errorf("usage: matrix <instance> poisson|advdiff|laplace1d <n> [vx vy]")
-	}
-	n, err := strconv.Atoi(args[2])
-	if err != nil || n < 1 {
-		return fmt.Errorf("bad size %q", args[2])
-	}
-	var m *linalg.CSR
-	switch args[1] {
-	case "poisson":
-		m = linalg.Poisson2D(n, n)
-	case "advdiff":
-		vx, vy := 8.0, 4.0
-		if len(args) >= 5 {
-			if vx, err = strconv.ParseFloat(args[3], 64); err != nil {
-				return err
-			}
-			if vy, err = strconv.ParseFloat(args[4], 64); err != nil {
-				return err
-			}
+// declaration builds the CCL declaration an assembling verb is shorthand
+// for (the table in the package comment), positioned at input line `line`.
+func declaration(cmd string, args []string, line int) (*ccl.Document, error) {
+	d := &ccl.Document{Version: ccl.LanguageVersion}
+	switch cmd {
+	case "create":
+		if len(args) != 2 {
+			return nil, fmt.Errorf("usage: create <instance> <type>")
 		}
-		m = linalg.AdvDiff2D(n, n, vx, vy)
-	case "laplace1d":
-		m = linalg.Laplace1D(n)
-	default:
-		return fmt.Errorf("unknown matrix kind %q", args[1])
+		d.Components = []*ccl.ComponentDecl{{Name: args[0], Type: args[1], Line: line}}
+	case "matrix":
+		if len(args) != 3 && len(args) != 5 {
+			return nil, fmt.Errorf("usage: matrix <instance> poisson|advdiff|laplace1d <n> [vx vy]")
+		}
+		cfg := ccl.Config{{Key: "n", Value: args[2], Line: line}}
+		if len(args) == 5 {
+			cfg = append(cfg, ccl.KV{Key: "vx", Value: args[3], Line: line}, ccl.KV{Key: "vy", Value: args[4], Line: line})
+		}
+		d.Components = []*ccl.ComponentDecl{{Name: args[0], Provider: args[1], Config: cfg, Line: line}}
+	case "connect":
+		if len(args) != 4 {
+			return nil, fmt.Errorf("usage: connect <user> <uses> <provider> <provides>")
+		}
+		d.Connects = []*ccl.ConnectDecl{{User: args[0], UsesPort: args[1], Provider: args[2], ProvidesPort: args[3], Line: line}}
+	case "export":
+		if len(args) < 2 || len(args) > 3 {
+			return nil, fmt.Errorf("usage: export <instance> <port> [addr]")
+		}
+		e := &ccl.ExportDecl{Instance: args[0], Port: args[1], Line: line}
+		if len(args) == 3 {
+			e.Address = args[2]
+		}
+		d.Exports = []*ccl.ExportDecl{e}
+	case "remote":
+		if len(args) < 3 || len(args) > 4 {
+			return nil, fmt.Errorf("usage: remote <instance> <addr> <key> [type]")
+		}
+		r := &ccl.RemoteDecl{Name: args[0], Address: args[1], Key: args[2], Line: line}
+		if len(args) == 4 {
+			r.Type = args[3]
+		}
+		d.Remotes = []*ccl.RemoteDecl{r}
 	}
-	fmt.Printf("  %s: %dx%d, %d nonzeros\n", args[0], m.NRows, m.NCols, m.NNZ())
-	return sh.app.Install(args[0], esi.NewOperatorComponent(m))
+	return d, nil
+}
+
+// assemble runs an assembling verb: its declaration is applied to the
+// session's assembly, then the verb's own confirmation line is printed.
+// Supervision health transitions of a `remote` surface in `events` and
+// `health`.
+func (sh *shell) assemble(cmd string, args []string) error {
+	d, err := declaration(cmd, args, sh.line)
+	if err != nil {
+		return err
+	}
+	d.Path = sh.src
+	if err := sh.apply(d, ""); err != nil {
+		return err
+	}
+	switch cmd {
+	case "matrix":
+		comp, _ := sh.asm.App.Component(args[0])
+		if m, ok := comp.(esi.EsiMatrixData); ok {
+			fmt.Printf("  %s: %dx%d, %d nonzeros\n", args[0], m.Rows(), m.Rows(), m.Nonzeros())
+		}
+	case "connect":
+		c := d.Connects[0]
+		fmt.Println(" ", cca.ConnectionID{User: c.User, UsesPort: c.UsesPort, Provider: c.Provider, ProvidesPort: c.ProvidesPort})
+	case "remote":
+		r := d.Remotes[0]
+		fmt.Printf("  %s: supervised connection to %s (%s)\n", r.Name, r.Address, r.Type)
+	}
+	return nil
+}
+
+// apply applies a document — a verb's one declaration or a loaded file —
+// to the session's assembly and prints the ports it published.
+func (sh *shell) apply(d *ccl.Document, lockPath string) error {
+	published := len(sh.asm.Exports)
+	if err := sh.asm.Apply(d, lockPath); err != nil {
+		return err
+	}
+	for _, e := range sh.asm.Exports[published:] {
+		fmt.Printf("  exported %s at %s\n", e.Key, e.Addr)
+	}
+	return nil
 }
 
 // solve drives a solver instance with b = A·1.
@@ -409,7 +434,7 @@ func (sh *shell) solve(args []string) error {
 	if len(args) < 1 {
 		return fmt.Errorf("usage: solve <solver-instance> [tol]")
 	}
-	comp, ok := sh.app.Component(args[0])
+	comp, ok := sh.asm.App.Component(args[0])
 	if !ok {
 		return fmt.Errorf("no instance %q", args[0])
 	}
@@ -424,7 +449,7 @@ func (sh *shell) solve(args []string) error {
 		}
 		solver.SetTolerance(tol)
 	}
-	aport, err := sh.app.Port(args[0], "A")
+	aport, err := sh.asm.App.Port(args[0], "A")
 	if err != nil {
 		return fmt.Errorf("solver has no connected operator: %w", err)
 	}
@@ -456,7 +481,7 @@ func (sh *shell) solve(args []string) error {
 // checkpointable fetches an instance that implements the optional
 // cca.Checkpointable port interface.
 func (sh *shell) checkpointable(instance string) (cca.Checkpointable, error) {
-	comp, ok := sh.app.Component(instance)
+	comp, ok := sh.asm.App.Component(instance)
 	if !ok {
 		return nil, fmt.Errorf("no instance %q", instance)
 	}
@@ -508,11 +533,11 @@ func (sh *shell) swap(args []string) error {
 	if len(args) != 2 {
 		return fmt.Errorf("usage: swap <instance> <type>")
 	}
-	repl, err := sh.app.Repo.Instantiate(args[1])
+	repl, err := sh.asm.App.Repo.Instantiate(args[1])
 	if err != nil {
 		return err
 	}
-	if err := sh.app.Fw.Swap(args[0], repl, framework.SwapOptions{}); err != nil {
+	if err := sh.asm.App.Fw.Swap(args[0], repl, framework.SwapOptions{}); err != nil {
 		return err
 	}
 	fmt.Printf("  swapped %s to a fresh %s\n", args[0], args[1])
@@ -581,10 +606,10 @@ func (sh *shell) trace(args []string) error {
 	return nil
 }
 
-// loadCCL compiles a declarative assembly into the shell's framework:
-// parse, validate, resolve (against the document's repository stanza or
-// the local repository), verify or create the lockfile, and lower the
-// whole application. Trailing K=V arguments bind ${VAR} interpolations.
+// loadCCL applies a declarative assembly to the session: parse, validate,
+// resolve (against the document's repository stanza or the local
+// repository), verify or create the lockfile, and lower the whole
+// application. Trailing K=V arguments bind ${VAR} interpolations.
 func (sh *shell) loadCCL(args []string) error {
 	vars := map[string]string{}
 	for _, kv := range args[1:] {
@@ -598,15 +623,10 @@ func (sh *shell) loadCCL(args []string) error {
 	if err != nil {
 		return err
 	}
-	asm, err := ccl.Compile(doc, ccl.Options{
-		App:               sh.app,
-		LockPath:          ccl.DefaultLockPath(args[0]),
-		DefaultSupervisor: sh.supOpts,
-	})
-	if err != nil {
+	resolved := len(sh.asm.Resolutions)
+	if err := sh.apply(doc, ccl.DefaultLockPath(args[0])); err != nil {
 		return err
 	}
-	sh.assemblies = append(sh.assemblies, asm)
 
 	name := doc.Name
 	if name == "" {
@@ -614,17 +634,13 @@ func (sh *shell) loadCCL(args []string) error {
 	}
 	fmt.Printf("  assembled %s: %d component(s), %d remote(s), %d export(s), %d connection(s)\n",
 		name, len(doc.Components), len(doc.Remotes), len(doc.Exports), len(doc.Connects))
-	for _, r := range asm.Resolutions {
+	for _, r := range sh.asm.Resolutions[resolved:] {
 		fmt.Printf("  resolved %s = %s %s (%s)\n", r.Instance, r.Type, r.Version, r.Source)
 	}
-	switch {
-	case asm.LockCreated:
-		fmt.Printf("  lockfile created: %s\n", asm.LockPath)
-	default:
-		fmt.Printf("  lockfile verified: %s\n", asm.LockPath)
-	}
-	for _, e := range asm.Exports {
-		fmt.Printf("  exported %s at %s\n", e.Key, e.Addr)
+	if sh.asm.LockCreated {
+		fmt.Printf("  lockfile created: %s\n", sh.asm.LockPath)
+	} else {
+		fmt.Printf("  lockfile verified: %s\n", sh.asm.LockPath)
 	}
 	return nil
 }
@@ -635,7 +651,7 @@ func (sh *shell) pull(args []string) error {
 	if len(args) != 2 {
 		return fmt.Errorf("usage: pull <instance> <port>")
 	}
-	port, err := sh.app.Port(args[0], args[1])
+	port, err := sh.asm.App.Port(args[0], args[1])
 	if err != nil {
 		return err
 	}
@@ -656,51 +672,5 @@ func (sh *shell) pull(args []string) error {
 		}
 		fmt.Printf("  pulled rank %d: len=%d sum=%.6f\n", r, len(out), sum)
 	}
-	return nil
-}
-
-// export serves an instance's provides port over TCP for remote frameworks.
-func (sh *shell) export(args []string) error {
-	if len(args) < 2 || len(args) > 3 {
-		return fmt.Errorf("usage: export <instance> <port> [addr]")
-	}
-	addr := "127.0.0.1:0"
-	if len(args) == 3 {
-		addr = args[2]
-	}
-	l, err := transport.TCP{}.Listen(addr)
-	if err != nil {
-		return err
-	}
-	exp := dist.NewExporter(sh.app.Fw, l)
-	key, err := exp.Export(args[0], args[1])
-	if err != nil {
-		exp.Close()
-		return err
-	}
-	sh.exports = append(sh.exports, exp)
-	fmt.Printf("  exported %s at %s\n", key, exp.Addr())
-	return nil
-}
-
-// remote installs a supervised proxy component for a remotely exported
-// port, wired to the shell's --connect-timeout/--retry/--breaker-threshold
-// supervision settings. Connection health transitions surface in `events`
-// and `health`.
-func (sh *shell) remote(args []string) error {
-	if len(args) < 3 || len(args) > 4 {
-		return fmt.Errorf("usage: remote <instance> <addr> <key> [type]")
-	}
-	portType := esi.TypeMatrixData
-	if len(args) == 4 {
-		portType = args[3]
-	}
-	rp, err := dist.InstallSupervisedRemoteOperator(
-		sh.app.Fw, args[0], transport.TCP{}, args[1], args[2], portType, sh.supOpts)
-	if err != nil {
-		return err
-	}
-	sh.remotes = append(sh.remotes, rp)
-	fmt.Printf("  %s: supervised connection to %s (%s)\n", args[0], args[1], portType)
 	return nil
 }

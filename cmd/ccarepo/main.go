@@ -41,7 +41,7 @@ import (
 	"syscall"
 
 	"repro/internal/ccl"
-	"repro/internal/core"
+	"repro/internal/esi"
 	"repro/internal/orb"
 	"repro/internal/repo"
 )
@@ -64,12 +64,12 @@ func serve(args []string) {
 	importPath := fs.String("import", "", "also load a saved repository JSON file")
 	fs.Parse(args) //nolint:errcheck
 
-	app, err := core.NewApp(core.Options{WithESI: *seed})
-	if err != nil {
-		fatal(err)
-	}
+	r := repo.New()
 	if *seed {
-		if err := ccl.DepositConsumer(app.Repo); err != nil {
+		if err := esi.Deposit(r); err != nil {
+			fatal(err)
+		}
+		if err := ccl.DepositConsumer(r); err != nil {
 			fatal(err)
 		}
 	}
@@ -78,13 +78,13 @@ func serve(args []string) {
 		if err != nil {
 			fatal(err)
 		}
-		err = app.Repo.Load(f)
+		err = r.Load(f)
 		f.Close()
 		if err != nil {
 			fatal(err)
 		}
 	}
-	svc, err := repo.NewServiceFrom(app.Repo)
+	svc, err := repo.NewServiceFrom(r)
 	if err != nil {
 		fatal(err)
 	}
@@ -101,7 +101,7 @@ func serve(args []string) {
 			fatal(err)
 		}
 	}
-	fmt.Printf("ccarepo: serving %d entries at %s\n", len(app.Repo.List()), srv.Addr())
+	fmt.Printf("ccarepo: serving %d entries at %s\n", len(r.List()), srv.Addr())
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
@@ -154,16 +154,18 @@ func query() {
 		return
 	}
 
-	app, err := core.NewApp(core.Options{WithESI: *importPath == ""})
-	if err != nil {
-		fatal(err)
+	r := repo.New()
+	if *importPath == "" {
+		if err := esi.Deposit(r); err != nil {
+			fatal(err)
+		}
 	}
 	if *importPath != "" {
 		f, err := os.Open(*importPath)
 		if err != nil {
 			fatal(err)
 		}
-		err = app.Repo.Load(f)
+		err = r.Load(f)
 		f.Close()
 		if err != nil {
 			fatal(err)
@@ -174,7 +176,7 @@ func query() {
 		if err != nil {
 			fatal(err)
 		}
-		if err := app.Repo.Deposit(repo.Entry{
+		if err := r.Deposit(repo.Entry{
 			Name:        fmt.Sprintf("deposit.%d.%s", i, path),
 			Description: "command-line SIDL deposit",
 			SIDL:        string(src),
@@ -188,29 +190,29 @@ func query() {
 		if err != nil {
 			fatal(err)
 		}
-		err = app.Repo.Save(f)
+		err = r.Save(f)
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Fprintf(os.Stderr, "ccarepo: exported %d entries to %s\n", len(app.Repo.List()), *export)
+		fmt.Fprintf(os.Stderr, "ccarepo: exported %d entries to %s\n", len(r.List()), *export)
 	}
 
 	switch {
 	case *describe:
-		fmt.Print(app.Repo.Describe())
+		fmt.Print(r.Describe())
 	case *provides != "":
-		for _, e := range app.Repo.Search(repo.Query{ProvidesType: *provides}) {
+		for _, e := range r.Search(repo.Query{ProvidesType: *provides}) {
 			fmt.Println(e.Name)
 		}
 	case *uses != "":
-		for _, e := range app.Repo.Search(repo.Query{UsesType: *uses}) {
+		for _, e := range r.Search(repo.Query{UsesType: *uses}) {
 			fmt.Println(e.Name)
 		}
 	case *types:
-		tbl := app.Repo.Table()
+		tbl := r.Table()
 		for _, q := range tbl.Order {
 			fmt.Printf("%-10s %s\n", tbl.Lookup(q), q)
 		}
@@ -219,11 +221,11 @@ func query() {
 		if len(parts) != 2 {
 			fatal(fmt.Errorf("want -subtype sub,super"))
 		}
-		ok := app.Repo.Table().IsSubtype(parts[0], parts[1])
+		ok := r.Table().IsSubtype(parts[0], parts[1])
 		fmt.Printf("%s usable as %s: %v\n", parts[0], parts[1], ok)
 	default:
 		_ = list
-		for _, n := range app.Repo.List() {
+		for _, n := range r.List() {
 			fmt.Println(n)
 		}
 	}

@@ -50,12 +50,12 @@ import (
 
 func main() {
 	var (
-		m      = flag.Int("m", 2, "simulation cohort ranks (provider)")
-		n      = flag.Int("n", 3, "viz cohort ranks (consumer)")
-		gl     = flag.Int("len", 40000, "global array length")
-		frames = flag.Int("frames", 4, "frames the viz pulls")
-		sever  = flag.Int("sever", 25, "sever viz connection after this many frames sent (0 = never)")
-		subs   = flag.Int("subs", 0, "after the viz run, fan one frozen frame out to this many concurrent supervised subscribers")
+		m        = flag.Int("m", 2, "simulation cohort ranks (provider)")
+		n        = flag.Int("n", 3, "viz cohort ranks (consumer)")
+		gl       = flag.Int("len", 40000, "global array length")
+		frames   = flag.Int("frames", 4, "frames the viz pulls")
+		sever    = flag.Int("sever", 25, "sever viz connection after this many frames sent (0 = never)")
+		subs     = flag.Int("subs", 0, "after the viz run, fan one frozen frame out to this many concurrent supervised subscribers")
 		viz      = flag.Bool("viz", false, "run as the viz child process")
 		addr     = flag.String("addr", "", "simulation address (viz mode)")
 		trName   = flag.String("transport", "tcp", "cross-process transport: tcp or shm")
@@ -77,16 +77,18 @@ func main() {
 	runSim(*trName, *m, *n, *gl, *frames, *sever, *subs)
 }
 
-// runSimOnly publishes the evolving wave field and blocks until stdin
-// closes — the standing simulation a declaratively assembled viz (the
-// checked-in distviz.ccl) attaches to from another process.
-func runSimOnly(trName string, m, gl int, addrFile string) {
+// startSim brings up the "simulation": an m-rank block-distributed wave
+// field published over the chosen transport and evolved by a stepping
+// goroutine until stop is called. Each timestep rewrites every rank inside
+// Publisher.Update, so an epoch snapshot never straddles two steps. The
+// epoch cache makes every subscriber of a timestep share one snapshot and
+// one packed chunk stream.
+func startSim(trName string, m, gl int) (srv *orb.Server, pub *dcoll.Publisher, stop func()) {
 	dm := array.NewBlockMap(gl, m)
-	mu := &sync.Mutex{}
 	fields := make([]*simField, m)
 	ports := make([]ccoll.DistArrayPort, m)
 	for r := 0; r < m; r++ {
-		fields[r] = &simField{mu: mu, side: ccoll.Side{Map: dm}, data: make([]float64, dm.LocalLen(r))}
+		fields[r] = &simField{side: ccoll.Side{Map: dm}, data: make([]float64, dm.LocalLen(r))}
 		ports[r] = fields[r]
 	}
 	step(fields, dm, 0)
@@ -97,39 +99,50 @@ func runSimOnly(trName string, m, gl int, addrFile string) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	srv := orb.Serve(oa, l)
-	defer srv.Close()
-	pub, err := dcoll.Publish(oa, "wave", ports, dcoll.WithEpochCache())
+	srv = orb.Serve(oa, l)
+	pub, err = dcoll.Publish(oa, "wave", ports, dcoll.WithEpochCache())
 	if err != nil {
 		log.Fatal(err)
 	}
-	if addrFile != "" {
-		if err := os.WriteFile(addrFile, []byte(srv.Addr()+"\n"), 0o644); err != nil {
-			log.Fatal(err)
-		}
-	}
 	fmt.Printf("sim: publishing wave (%s) at %s\n", dm, srv.Addr())
 
-	stop := make(chan struct{})
+	// Keep time-stepping while consumers pull: epochs isolate each frame
+	// from the mutation.
+	quit := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for s := 1; ; s++ {
 			select {
-			case <-stop:
+			case <-quit:
 				return
 			default:
-				step(fields, dm, s)
-				pub.Advance()
+				pub.Update(func() { step(fields, dm, s) })
 				time.Sleep(200 * time.Microsecond)
 			}
 		}
 	}()
+	return srv, pub, func() {
+		close(quit)
+		wg.Wait()
+	}
+}
+
+// runSimOnly publishes the evolving wave field and blocks until stdin
+// closes — the standing simulation a declaratively assembled viz (the
+// checked-in distviz.ccl) attaches to from another process.
+func runSimOnly(trName string, m, gl int, addrFile string) {
+	srv, _, stop := startSim(trName, m, gl)
+	defer srv.Close()
+	if addrFile != "" {
+		if err := os.WriteFile(addrFile, []byte(srv.Addr()+"\n"), 0o644); err != nil {
+			log.Fatal(err)
+		}
+	}
 	// Block until the launcher closes stdin.
 	io.Copy(io.Discard, os.Stdin) //nolint:errcheck
-	close(stop)
-	wg.Wait()
+	stop()
 	fmt.Println("sim: done")
 }
 
@@ -149,22 +162,18 @@ func pickTransport(name string) (transport.Transport, string) {
 	return transport.TCP{}, "127.0.0.1:0"
 }
 
-// simField is one simulation rank's chunk of the wave field. LocalData
-// returns a copy under the cohort lock, so a begin-epoch snapshot never
-// races the time-stepping loop.
+// simField is one simulation rank's chunk of the wave field. It takes no
+// lock of its own: after Publish, the chunk is written only inside
+// Publisher.Update and read only by the publisher's epoch snapshot, which
+// exclude each other.
 type simField struct {
-	mu   *sync.Mutex
 	side ccoll.Side
 	data []float64
 }
 
 func (f *simField) Side() ccoll.Side { return f.side }
 
-func (f *simField) LocalData() []float64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return append([]float64(nil), f.data...)
-}
+func (f *simField) LocalData() []float64 { return append([]float64(nil), f.data...) }
 
 // Snapshot implements ccoll.SnapshotPort: the copy LocalData makes is
 // already retain-forever, so the publisher keeps it without a second pass.
@@ -173,8 +182,6 @@ func (f *simField) Snapshot() []float64 { return f.LocalData() }
 // step writes field value s + g/1e6: every element encodes (step, global
 // index) so the viz can verify both placement and epoch consistency.
 func step(fields []*simField, m array.DataMap, s int) {
-	fields[0].mu.Lock()
-	defer fields[0].mu.Unlock()
 	for _, run := range m.Runs() {
 		d := fields[run.Rank].data
 		for k := 0; k < run.Global.Len(); k++ {
@@ -185,51 +192,8 @@ func step(fields []*simField, m array.DataMap, s int) {
 }
 
 func runSim(trName string, m, n, gl, frames, sever, subs int) {
-	dm := array.NewBlockMap(gl, m)
-	mu := &sync.Mutex{}
-	fields := make([]*simField, m)
-	ports := make([]ccoll.DistArrayPort, m)
-	for r := 0; r < m; r++ {
-		fields[r] = &simField{mu: mu, side: ccoll.Side{Map: dm}, data: make([]float64, dm.LocalLen(r))}
-		ports[r] = fields[r]
-	}
-	step(fields, dm, 0)
-
-	oa := orb.NewObjectAdapter()
-	tr, listenAddr := pickTransport(trName)
-	l, err := tr.Listen(listenAddr)
-	if err != nil {
-		log.Fatal(err)
-	}
-	srv := orb.Serve(oa, l)
+	srv, pub, stop := startSim(trName, m, gl)
 	defer srv.Close()
-	// The epoch cache makes every subscriber of a timestep share one
-	// snapshot and one packed chunk stream; Advance (below, per step) is
-	// its invalidation point.
-	pub, err := dcoll.Publish(oa, "wave", ports, dcoll.WithEpochCache())
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("sim: publishing wave (%s) at %s\n", dm, srv.Addr())
-
-	// Keep time-stepping while the viz pulls: epochs isolate each frame
-	// from the mutation.
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for s := 1; ; s++ {
-			select {
-			case <-stop:
-				return
-			default:
-				step(fields, dm, s)
-				pub.Advance()
-				time.Sleep(200 * time.Microsecond)
-			}
-		}
-	}()
 
 	// Re-exec this binary as the viz process, pointed at our address.
 	exe, err := os.Executable()
@@ -248,8 +212,7 @@ func runSim(trName string, m, n, gl, frames, sever, subs int) {
 	if err := child.Run(); err != nil {
 		log.Fatalf("sim: viz process failed: %v", err)
 	}
-	close(stop)
-	wg.Wait()
+	stop()
 	fmt.Println("sim: viz exited cleanly")
 	if subs > 0 {
 		runFanout(srv.Addr(), gl, subs, pub)

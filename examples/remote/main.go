@@ -26,6 +26,7 @@ import (
 	"repro/internal/dist"
 	"repro/internal/esi"
 	"repro/internal/linalg"
+	"repro/internal/orb"
 	"repro/internal/transport"
 )
 
@@ -62,7 +63,7 @@ func main() {
 		Flavor:    cca.FlavorInProcess | cca.FlavorDistributed,
 		TypeCheck: esi.TypeChecker(),
 	})
-	rp, err := dist.InstallRemoteOperator(client, "remoteA", transport.TCP{}, exp.Addr(), key, esi.TypeMatrixData)
+	rp, err := dist.InstallSupervisedRemoteOperator(client, "remoteA", transport.TCP{}, exp.Addr(), key, esi.TypeMatrixData, orb.SupervisorOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

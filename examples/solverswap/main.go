@@ -34,9 +34,9 @@ import (
 
 	"repro/internal/cca"
 	"repro/internal/cca/framework"
-	"repro/internal/core"
 	"repro/internal/esi"
 	"repro/internal/linalg"
+	"repro/internal/repo"
 )
 
 func main() {
@@ -74,14 +74,24 @@ func main() {
 	}
 }
 
+// newApp is the application container: a builder over a repository holding
+// the ESI deposits.
+func newApp() (*repo.Builder, error) {
+	r := repo.New()
+	if err := esi.Deposit(r); err != nil {
+		return nil, err
+	}
+	return repo.NewBuilder(r, framework.Options{}), nil
+}
+
 // runOnce assembles a fresh app, swaps in the requested solver and
 // preconditioner components, and solves.
 func runOnce(a *linalg.CSR, b []float64, method, prec string, tol float64) (int32, float64, time.Duration, error) {
-	app, err := core.NewApp(core.Options{WithESI: true})
+	app, err := newApp()
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	if err := app.Install("op", esi.NewOperatorComponent(a)); err != nil {
+	if err := app.Fw.Install("op", esi.NewOperatorComponent(a)); err != nil {
 		return 0, 0, 0, err
 	}
 	if err := app.Create("solver", "esi.SolverComponent."+method); err != nil {
@@ -95,7 +105,7 @@ func runOnce(a *linalg.CSR, b []float64, method, prec string, tol float64) (int3
 		{"prec", "A", "op", "A"},
 		{"solver", "M", "prec", "M"},
 	} {
-		if _, err := app.Connect(c[0], c[1], c[2], c[3]); err != nil {
+		if _, err := app.Fw.Connect(c[0], c[1], c[2], c[3]); err != nil {
 			return 0, 0, 0, err
 		}
 	}
@@ -142,25 +152,25 @@ func liveSwap(n int, tol float64) error {
 	fmt.Printf("\nlive swap under standing load (Poisson %d² = %d unknowns, step-wise CG):\n",
 		n, a.NRows)
 
-	app, err := core.NewApp(core.Options{WithESI: true})
+	app, err := newApp()
 	if err != nil {
 		return err
 	}
-	if err := app.Install("op", esi.NewOperatorComponent(a)); err != nil {
+	if err := app.Fw.Install("op", esi.NewOperatorComponent(a)); err != nil {
 		return err
 	}
 	if err := app.Create("itersolver", "esi.IterativeSolverComponent.cg"); err != nil {
 		return err
 	}
 	d := &driver{}
-	if err := app.Install("drive", d); err != nil {
+	if err := app.Fw.Install("drive", d); err != nil {
 		return err
 	}
 	for _, c := range [][4]string{
 		{"itersolver", "A", "op", "A"},
 		{"drive", "solver", "itersolver", "solver"},
 	} {
-		if _, err := app.Connect(c[0], c[1], c[2], c[3]); err != nil {
+		if _, err := app.Fw.Connect(c[0], c[1], c[2], c[3]); err != nil {
 			return err
 		}
 	}

@@ -14,10 +14,10 @@ import (
 
 	"repro/internal/cca"
 	"repro/internal/cca/framework"
-	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/esi"
 	"repro/internal/linalg"
+	"repro/internal/orb"
 	"repro/internal/repo"
 	"repro/internal/sidl/sreflect"
 	"repro/internal/transport"
@@ -26,10 +26,11 @@ import (
 func TestFigure2EndToEnd(t *testing.T) {
 	// 1. Assemble the application container (repository + framework +
 	// builder) with the ESI standard deposited.
-	app, err := core.NewApp(core.Options{WithESI: true})
-	if err != nil {
+	r := repo.New()
+	if err := esi.Deposit(r); err != nil {
 		t.Fatal(err)
 	}
+	app := repo.NewBuilder(r, framework.Options{})
 
 	// 2. The builder searches the repository by port type: which deposited
 	// components provide something usable as esi.Solver?
@@ -41,7 +42,7 @@ func TestFigure2EndToEnd(t *testing.T) {
 	// 3. Instantiate and wire: operator (pre-built, wraps a matrix),
 	// solver and preconditioner from repository factories.
 	m := linalg.Poisson2D(20, 20)
-	if err := app.Install("op", esi.NewOperatorComponent(m)); err != nil {
+	if err := app.Fw.Install("op", esi.NewOperatorComponent(m)); err != nil {
 		t.Fatal(err)
 	}
 	if err := app.Create("solver", "esi.SolverComponent.cg"); err != nil {
@@ -53,7 +54,7 @@ func TestFigure2EndToEnd(t *testing.T) {
 	for _, c := range [][4]string{
 		{"solver", "A", "op", "A"}, {"prec", "A", "op", "A"}, {"solver", "M", "prec", "M"},
 	} {
-		if _, err := app.Connect(c[0], c[1], c[2], c[3]); err != nil {
+		if _, err := app.Fw.Connect(c[0], c[1], c[2], c[3]); err != nil {
 			t.Fatalf("connect %v: %v", c, err)
 		}
 	}
@@ -108,7 +109,7 @@ func TestFigure2EndToEnd(t *testing.T) {
 		Flavor:    cca.FlavorInProcess | cca.FlavorDistributed,
 		TypeCheck: esi.TypeChecker(),
 	})
-	rp, err := dist.InstallRemoteOperator(remoteFw, "remoteA", transport.TCP{}, exp.Addr(), key, esi.TypeMatrixData)
+	rp, err := dist.InstallSupervisedRemoteOperator(remoteFw, "remoteA", transport.TCP{}, exp.Addr(), key, esi.TypeMatrixData, orb.SupervisorOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,10 +146,7 @@ func TestFigure2EndToEnd(t *testing.T) {
 	if err := app.Repo.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	app2, err := core.NewApp(core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	app2 := repo.NewBuilder(repo.New(), framework.Options{})
 	if err := app2.Repo.Load(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +163,7 @@ func TestFigure2EndToEnd(t *testing.T) {
 	}
 
 	// 8. The configuration API saw the whole story.
-	events := app.Builder.Events()
+	events := app.Events()
 	kinds := map[cca.EventKind]int{}
 	for _, e := range events {
 		kinds[e.Kind]++

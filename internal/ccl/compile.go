@@ -4,13 +4,13 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
-	"strings"
 
 	"repro/internal/array"
 	"repro/internal/cca"
-	"repro/internal/core"
+	"repro/internal/cca/framework"
 	"repro/internal/dist"
 	dcoll "repro/internal/dist/collective"
+	"repro/internal/esi"
 	"repro/internal/obs"
 	"repro/internal/orb"
 	"repro/internal/repo"
@@ -25,11 +25,11 @@ var (
 	cRemoteInstalled = obs.NewCounter("ccl.remotes_installed")
 )
 
-// Options configures Compile.
+// Options configures New and Compile.
 type Options struct {
 	// App is the target application container. Nil builds a fresh one
-	// (WithESI, in-process + distributed flavor).
-	App *core.App
+	// (ESI and consumer deposits, in-process + distributed flavor).
+	App *repo.Builder
 	// Source overrides where typed components resolve from. Nil follows
 	// the document: the repository stanza's address when present
 	// (dialed and closed with the assembly), the local repository
@@ -40,12 +40,12 @@ type Options struct {
 	SourceName string
 	// Providers is merged over BuiltinProviders (same name shadows).
 	Providers map[string]Provider
-	// Transport overrides the remote/export transport chosen from address
+	// Transport overrides the remote transport chosen from address
 	// schemes — for fault-injecting wrappers. Nil follows the scheme.
 	Transport transport.Transport
-	// LockPath is the lockfile to verify or create. "" skips lockfile
-	// handling (tests, throwaway assemblies); Load-driven callers pass
-	// DefaultLockPath(doc.Path).
+	// LockPath is the lockfile Compile verifies or creates. "" skips
+	// lockfile handling (tests, throwaway assemblies); Load-driven callers
+	// pass DefaultLockPath(doc.Path).
 	LockPath string
 	// DefaultSupervisor seeds the supervision settings a remote's
 	// supervise block overrides.
@@ -62,75 +62,103 @@ type ExportResult struct {
 	Shards int
 }
 
-// Assembly is a compiled, running application: the document lowered onto a
-// framework. Close releases everything the compile opened (remote
-// connections, exporters, the repository client).
+// Assembly is a live application: every document applied so far, lowered
+// onto one repo.Builder. Close releases everything the applies opened
+// (remote connections, exporters, repository clients).
 type Assembly struct {
-	App *core.App
-	Doc *Document
-	// Resolutions lists every typed component's resolved version.
-	Resolutions []Resolution
-	// Lock is the resolution lock; LockPath/LockCreated report what
-	// VerifyOrCreate did ("" when lockfile handling was skipped).
+	App *repo.Builder
+	// Lock, LockPath and LockCreated describe the most recent Apply
+	// (LockPath is "" when lockfile handling was skipped).
 	Lock        *Lock
 	LockPath    string
 	LockCreated bool
-	// Exports lists the published ports, in declaration order.
-	Exports []ExportResult
+	// Resolutions lists every typed component's resolved version and
+	// Exports every published port, in application order.
+	Resolutions []Resolution
+	Exports     []ExportResult
 
-	closers []func()
+	opts      Options
+	providers map[string]Provider
+	closers   []func()
 }
 
 // Close releases the assembly's connections and servers, newest first.
 // The framework and its local components stay installed.
-func (a *Assembly) Close() {
-	for i := len(a.closers) - 1; i >= 0; i-- {
+func (a *Assembly) Close() { a.unwind(0) }
+
+// unwind runs and drops the closers registered since mark, newest first.
+func (a *Assembly) unwind(mark int) {
+	for i := len(a.closers) - 1; i >= mark; i-- {
 		a.closers[i]()
 	}
-	a.closers = nil
+	a.closers = a.closers[:mark]
 }
 
-// Compile validates the document, resolves and locks its typed
-// components, and lowers it onto the configuration API: repository
-// Builder calls for components, supervised remote-port installs for
-// remotes, ORB exporters for exports, framework connects for wirings —
-// in declaration order. On error every partial effect with a lifetime
-// (connections, servers) is released; installed components remain in
-// opts.App if one was supplied.
-func Compile(d *Document, opts Options) (*Assembly, error) {
-	if err := Validate(d); err != nil {
-		return nil, err
-	}
+// New returns an empty assembly over opts.App for documents — or
+// fragments of one — to be applied to.
+func New(opts Options) (*Assembly, error) {
 	app := opts.App
 	if app == nil {
-		var err error
-		app, err = core.NewApp(core.Options{
-			Flavor:  cca.FlavorInProcess | cca.FlavorDistributed,
-			WithESI: true,
-		})
-		if err != nil {
-			return nil, err
-		}
 		// The default container carries every builtin implementation a
 		// document can name by type, so network-resolved entries find
 		// their local factories (factories never serialize).
-		if err := DepositConsumer(app.Repo); err != nil {
+		r := repo.New()
+		if err := esi.Deposit(r); err != nil {
 			return nil, err
 		}
+		if err := DepositConsumer(r); err != nil {
+			return nil, err
+		}
+		app = repo.NewBuilder(r, framework.Options{Flavor: cca.FlavorInProcess | cca.FlavorDistributed})
 	}
-	a := &Assembly{App: app, Doc: d}
-	fail := func(err error) (*Assembly, error) {
+	providers := BuiltinProviders()
+	for name, p := range opts.Providers {
+		providers[name] = p
+	}
+	return &Assembly{App: app, opts: opts, providers: providers}, nil
+}
+
+// Compile lowers a whole document onto a new assembly: New, then Apply
+// with opts.LockPath.
+func Compile(d *Document, opts Options) (*Assembly, error) {
+	a, err := New(opts)
+	if err != nil {
+		return nil, err
+	}
+	if err := a.Apply(d, opts.LockPath); err != nil {
 		a.Close()
 		return nil, err
 	}
+	return a, nil
+}
+
+// Apply validates the document — whose exports and connects may also name
+// instances already live in the assembly, so a fragment as small as one
+// declaration applies — resolves its typed components, verifies or creates
+// the lockfile at lockPath ("" skips it), and lowers it onto the
+// configuration API: Builder.Create or a provider install for components,
+// supervised remote-port installs for remotes, ORB exporters for exports,
+// framework connects for wirings — in declaration order. On error every
+// effect of this Apply with a lifetime (connections, servers) is released;
+// components it installed remain.
+func (a *Assembly) Apply(d *Document, lockPath string) error {
+	app := a.App
+	if err := validate(d, func(name string) bool { _, ok := app.Component(name); return ok }); err != nil {
+		return err
+	}
+	mark := len(a.closers)
+	fail := func(err error) error {
+		a.unwind(mark)
+		return err
+	}
 
 	// Resolve typed components and verify/create the lockfile.
-	src, srcName := opts.Source, opts.SourceName
+	src, srcName := a.opts.Source, a.opts.SourceName
 	if src == nil {
 		if d.Repository != nil {
 			client, err := repo.DialService(d.Repository.Address)
 			if err != nil {
-				return fail(fmt.Errorf("%s: dialing repository: %w", d.pos(d.Repository.Line), err))
+				return fmt.Errorf("%s: dialing repository: %w", d.pos(d.Repository.Line), err)
 			}
 			a.closers = append(a.closers, func() { client.Close() }) //nolint:errcheck
 			src, srcName = client, "repository"
@@ -142,16 +170,13 @@ func Compile(d *Document, opts Options) (*Assembly, error) {
 	if err != nil {
 		return fail(err)
 	}
-	a.Resolutions = res
-	a.Lock = NewLock(d, res, rev)
-	if opts.LockPath != "" {
-		a.LockPath = opts.LockPath
-		created, err := VerifyOrCreate(opts.LockPath, a.Lock)
-		if err != nil {
+	lock := NewLock(d, res, rev)
+	lockCreated := false
+	if lockPath != "" {
+		if lockCreated, err = VerifyOrCreate(lockPath, lock); err != nil {
 			return fail(err)
 		}
-		a.LockCreated = created
-		if created {
+		if lockCreated {
 			cLockCreated.Inc()
 		} else {
 			cLockVerified.Inc()
@@ -159,17 +184,13 @@ func Compile(d *Document, opts Options) (*Assembly, error) {
 	}
 
 	// Instantiate components.
-	providers := BuiltinProviders()
-	for name, p := range opts.Providers {
-		providers[name] = p
-	}
 	byInstance := map[string]Resolution{}
 	for _, r := range res {
 		byInstance[r.Instance] = r
 	}
 	for _, c := range d.Components {
 		if c.Provider != "" {
-			p, ok := providers[c.Provider]
+			p, ok := a.providers[c.Provider]
 			if !ok {
 				return fail(fmt.Errorf("%s: %w: %q for component %q", d.pos(c.Line), ErrUnknownProvider, c.Provider, c.Name))
 			}
@@ -177,7 +198,7 @@ func Compile(d *Document, opts Options) (*Assembly, error) {
 			if err != nil {
 				return fail(fmt.Errorf("%s: provider %s for %q: %w", d.pos(c.Line), c.Provider, c.Name, err))
 			}
-			if err := app.Install(c.Name, comp); err != nil {
+			if err := app.Fw.Install(c.Name, comp); err != nil {
 				return fail(fmt.Errorf("%s: installing %q: %w", d.pos(c.Line), c.Name, err))
 			}
 			continue
@@ -205,13 +226,19 @@ func Compile(d *Document, opts Options) (*Assembly, error) {
 		}
 	}
 
-	// Remote proxies.
+	// Remote proxies. The address goes through the one resolver: a shard
+	// list (what a sharded export reports) rendezvous-picks one shard, then
+	// the scheme picks the transport.
 	for _, r := range d.Remotes {
-		tr, addr, err := schemeTransport(opts.Transport, r.Address)
+		tr, addr, err := transport.ForScheme(orb.PickShard(r.Address))
 		if err != nil {
-			return fail(fmt.Errorf("%s: remote %q: %w", d.pos(r.Line), r.Name, err))
+			return fail(fmt.Errorf("%s: %w: remote %q: %v", d.pos(r.Line), ErrBadValue, r.Name, err))
 		}
-		sup := supervisorOptions(opts.DefaultSupervisor, r.Supervise, addr)
+		if a.opts.Transport != nil {
+			tr = a.opts.Transport
+		}
+		sup := supervisorOptions(a.opts.DefaultSupervisor, r.Supervise, addr)
+		var closer interface{ Close() error }
 		if r.Dist != nil {
 			var dm array.DataMap
 			if r.Dist.Map == "block" {
@@ -219,22 +246,19 @@ func Compile(d *Document, opts Options) (*Assembly, error) {
 			} else {
 				dm = array.NewCyclicMap(r.Dist.Length, r.Dist.Ranks, r.Dist.Block)
 			}
-			imp, err := dcoll.InstallRemoteDistArray(app.Fw, r.Name, tr, addr, r.Key, dm, dcoll.Options{Supervisor: sup})
-			if err != nil {
-				return fail(fmt.Errorf("%s: remote %q: %w", d.pos(r.Line), r.Name, err))
-			}
-			a.closers = append(a.closers, func() { imp.Close() }) //nolint:errcheck
+			closer, err = dcoll.InstallRemoteDistArray(app.Fw, r.Name, tr, addr, r.Key, dm, dcoll.Options{Supervisor: sup})
 		} else {
-			rp, err := dist.InstallSupervisedRemoteOperator(app.Fw, r.Name, tr, addr, r.Key, r.Type, sup)
-			if err != nil {
-				return fail(fmt.Errorf("%s: remote %q: %w", d.pos(r.Line), r.Name, err))
-			}
-			a.closers = append(a.closers, func() { rp.Close() }) //nolint:errcheck
+			closer, err = dist.InstallSupervisedRemoteOperator(app.Fw, r.Name, tr, addr, r.Key, r.Type, sup)
 		}
+		if err != nil {
+			return fail(fmt.Errorf("%s: remote %q: %w", d.pos(r.Line), r.Name, err))
+		}
+		a.closers = append(a.closers, func() { closer.Close() }) //nolint:errcheck
 		cRemoteInstalled.Inc()
 	}
 
 	// Exports.
+	var exports []ExportResult
 	for _, e := range d.Exports {
 		var exp *dist.Exporter
 		if e.Shards > 1 {
@@ -255,19 +279,22 @@ func Compile(d *Document, opts Options) (*Assembly, error) {
 			return fail(fmt.Errorf("%s: export %s.%s: %w", d.pos(e.Line), e.Instance, e.Port, err))
 		}
 		a.closers = append(a.closers, exp.Close)
-		a.Exports = append(a.Exports, ExportResult{
+		exports = append(exports, ExportResult{
 			Instance: e.Instance, Port: e.Port, Key: key, Addr: exp.Addr(), Shards: e.Shards,
 		})
 	}
 
 	// Wirings.
 	for _, c := range d.Connects {
-		if _, err := app.Connect(c.User, c.UsesPort, c.Provider, c.ProvidesPort); err != nil {
+		if _, err := app.Fw.Connect(c.User, c.UsesPort, c.Provider, c.ProvidesPort); err != nil {
 			return fail(fmt.Errorf("%s: connect %s.%s -> %s.%s: %w", d.pos(c.Line), c.User, c.UsesPort, c.Provider, c.ProvidesPort, err))
 		}
 	}
+	a.Lock, a.LockPath, a.LockCreated = lock, lockPath, lockCreated
+	a.Resolutions = append(a.Resolutions, res...)
+	a.Exports = append(a.Exports, exports...)
 	cCompiles.Inc()
-	return a, nil
+	return nil
 }
 
 // applyConfig applies a typed component's config block through the
@@ -300,25 +327,6 @@ func applyConfig(d *Document, c *ComponentDecl, comp cca.Component) error {
 		}
 	}
 	return nil
-}
-
-// schemeTransport maps a possibly scheme-qualified remote address to a
-// transport backend and the backend-level address. override (when non-nil)
-// wins, keeping the address stripping.
-func schemeTransport(override transport.Transport, addr string) (transport.Transport, string, error) {
-	var tr transport.Transport = transport.TCP{}
-	switch {
-	case strings.HasPrefix(addr, "tcp://"):
-		addr = strings.TrimPrefix(addr, "tcp://")
-	case strings.HasPrefix(addr, "shm://"):
-		tr, addr = transport.SHM{}, strings.TrimPrefix(addr, "shm://")
-	case strings.Contains(addr, "://"):
-		return nil, "", fmt.Errorf("%w: unknown address scheme in %q (tcp:// or shm://)", ErrBadValue, addr)
-	}
-	if override != nil {
-		tr = override
-	}
-	return tr, addr, nil
 }
 
 // supervisorOptions folds a supervise block over the compile defaults.

@@ -2,6 +2,7 @@ package ccl
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -9,7 +10,6 @@ import (
 	"repro/internal/array"
 	"repro/internal/cca"
 	ccoll "repro/internal/cca/collective"
-	"repro/internal/core"
 	dcoll "repro/internal/dist/collective"
 	"repro/internal/esi"
 	"repro/internal/linalg"
@@ -52,7 +52,7 @@ func TestCompileSolverswapMatchesProgrammatic(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	solve := func(app *core.App) (int32, float64, []float64) {
+	solve := func(app *repo.Builder) (int32, float64, []float64) {
 		comp, ok := app.Component("solver")
 		if !ok {
 			t.Fatal("no solver instance")
@@ -68,11 +68,8 @@ func TestCompileSolverswapMatchesProgrammatic(t *testing.T) {
 
 	// The programmatic twin, wired exactly as examples/solverswap.runOnce
 	// wires the bicgstab+ilu0 pair the document declares.
-	twin, err := core.NewApp(core.Options{WithESI: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := twin.Install("op", esi.NewOperatorComponent(a)); err != nil {
+	twin := newESIApp(t)
+	if err := twin.Fw.Install("op", esi.NewOperatorComponent(a)); err != nil {
 		t.Fatal(err)
 	}
 	if err := twin.Create("solver", "esi.SolverComponent.bicgstab"); err != nil {
@@ -86,7 +83,7 @@ func TestCompileSolverswapMatchesProgrammatic(t *testing.T) {
 		{"prec", "A", "op", "A"},
 		{"solver", "M", "prec", "M"},
 	} {
-		if _, err := twin.Connect(c[0], c[1], c[2], c[3]); err != nil {
+		if _, err := twin.Fw.Connect(c[0], c[1], c[2], c[3]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -152,10 +149,7 @@ func startSim(t *testing.T, gl, ranks int, stepVal float64) string {
 // dial address.
 func startRepoService(t *testing.T) string {
 	t.Helper()
-	seed, err := core.NewApp(core.Options{WithESI: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	seed := newESIApp(t)
 	if err := DepositConsumer(seed.Repo); err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +203,7 @@ func TestCompileDistvizMatchesProgrammatic(t *testing.T) {
 		t.Fatalf("lock entry %+v", le)
 	}
 
-	pullAll := func(app *core.App) [][]float64 {
+	pullAll := func(app *repo.Builder) [][]float64 {
 		port, err := app.Port("viz", "in")
 		if err != nil {
 			t.Fatal(err)
@@ -243,13 +237,7 @@ func TestCompileDistvizMatchesProgrammatic(t *testing.T) {
 	}
 
 	// The programmatic twin: same attachment built through Go calls.
-	twin, err := core.NewApp(core.Options{
-		Flavor:  cca.FlavorInProcess | cca.FlavorDistributed,
-		WithESI: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	twin := newESIApp(t)
 	if err := DepositConsumer(twin.Repo); err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +250,7 @@ func TestCompileDistvizMatchesProgrammatic(t *testing.T) {
 	if err := twin.Create("viz", ConsumerType); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := twin.Connect("viz", "in", "wave", "data"); err != nil {
+	if _, err := twin.Fw.Connect("viz", "in", "wave", "data"); err != nil {
 		t.Fatal(err)
 	}
 	want := pullAll(twin)
@@ -280,8 +268,9 @@ func TestCompileDistvizMatchesProgrammatic(t *testing.T) {
 }
 
 // TestCompilePipelineExports compiles the pipeline golden (typed solver +
-// provider operator + sharded export) and checks the export came up as a
-// shard group.
+// provider operator + sharded export), checks the export came up as a
+// shard group, and that a `remote` in a second assembly can dial the shard
+// list the export reports.
 func TestCompilePipelineExports(t *testing.T) {
 	doc, err := Load("testdata/pipeline.ccl", nil)
 	if err != nil {
@@ -308,6 +297,88 @@ func TestCompilePipelineExports(t *testing.T) {
 	// Lock handling was skipped: no path given.
 	if asm.LockPath != "" || asm.LockCreated {
 		t.Fatalf("unexpected lock handling %q %v", asm.LockPath, asm.LockCreated)
+	}
+
+	client, err := Parse(fmt.Sprintf(`ccl 1
+component caller {
+  provider consumer
+  config {
+    port A
+    type esi.MatrixData
+  }
+}
+remote far {
+  address %q
+  key %s
+}
+connect caller.A -> far.A
+`, e.Addr, e.Key), ParseOptions{Path: "client.ccl"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	casm, err := Compile(client, Options{})
+	if err != nil {
+		t.Fatalf("remote at the sharded export's address %q: %v", e.Addr, err)
+	}
+	defer casm.Close()
+	port, err := casm.App.Port("caller", "A")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rows := port.(esi.EsiOperator).Rows(); rows != 32*32 {
+		t.Fatalf("remote operator reports %d rows, want %d", rows, 32*32)
+	}
+}
+
+// TestApplyFragments applies a document one declaration at a time to a
+// live assembly: later fragments may reference instances earlier ones
+// declared, a failing fragment releases only what it opened, and Close
+// releases the rest.
+func TestApplyFragments(t *testing.T) {
+	frag := func(src string) *Document {
+		doc, err := Parse("ccl 1\n"+src, ParseOptions{Path: "frag.ccl"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return doc
+	}
+	asm, err := New(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer asm.Close()
+	for _, src := range []string{
+		"component op {\n  provider laplace1d\n  config {\n    n 8\n  }\n}\n",
+		"component solver {\n  type esi.SolverComponent.cg\n}\n",
+		"export op.A {\n}\n",
+		"connect solver.A -> op.A\n",
+	} {
+		if err := asm.Apply(frag(src), ""); err != nil {
+			t.Fatalf("%q: %v", src, err)
+		}
+	}
+	if len(asm.Exports) != 1 || len(asm.Resolutions) != 1 || len(asm.App.Fw.Connections()) != 1 {
+		t.Fatalf("exports %+v resolutions %+v connections %v", asm.Exports, asm.Resolutions, asm.App.Fw.Connections())
+	}
+	// A fragment naming an instance that is neither declared nor live is
+	// still a validation error, and a fragment failing after its export
+	// came up takes that export down but leaves the first one serving.
+	if err := asm.Apply(frag("connect solver.M -> ghost.M\n"), ""); !errors.Is(err, ErrUndefined) {
+		t.Fatalf("got %v", err)
+	}
+	if err := asm.Apply(frag("export op.A {\n}\nconnect solver.M -> op.A\n"), ""); !errors.Is(err, cca.ErrTypeMismatch) {
+		t.Fatalf("got %v", err)
+	}
+	if len(asm.Exports) != 1 {
+		t.Fatalf("failed fragment left its export recorded: %+v", asm.Exports)
+	}
+	c, err := orb.DialAddr(asm.Exports[0].Addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if res, err := c.Invoke(asm.Exports[0].Key, "rows"); err != nil || res[0].(int32) != 8 {
+		t.Fatalf("first export no longer serving: %v %v", res, err)
 	}
 }
 
@@ -337,17 +408,14 @@ func TestCompileErrors(t *testing.T) {
 	})
 
 	t.Run("no factory", func(t *testing.T) {
-		app, err := core.NewApp(core.Options{WithESI: true})
-		if err != nil {
-			t.Fatal(err)
-		}
+		app := newESIApp(t)
 		// A deposited but factory-less entry is what a fetched network
 		// entry looks like: metadata without code.
 		if err := app.Repo.Deposit(repo.Entry{Name: "x.Ghost", Version: "1.0"}); err != nil {
 			t.Fatal(err)
 		}
 		doc := mustDoc("ccl 1\ncomponent g {\n  type x.Ghost\n  version ^1.0\n}\n")
-		_, err = Compile(doc, Options{App: app})
+		_, err := Compile(doc, Options{App: app})
 		if !errors.Is(err, repo.ErrNoFactory) {
 			t.Fatalf("got %v", err)
 		}

@@ -24,10 +24,13 @@
 //   - The Lock (lockfile.go) records the resolution deterministically;
 //     compiles verify an existing lockfile and fail loudly when new
 //     deposits would shift what a constraint resolves to.
-//   - Compile (compile.go) lowers the document onto the configuration
-//     API: Builder.Create and framework connects for components and
-//     wirings, supervised remote-port installs (scalar and collective)
-//     for remote stanzas, ORB exporters (single or sharded) for exports.
+//   - Compile (compile.go) lowers the document onto repo.Builder, the
+//     one application container: Builder.Create and framework connects
+//     for components and wirings, supervised remote-port installs (scalar
+//     and collective) for remote stanzas, ORB exporters (single or
+//     sharded) for exports. An Assembly is live — Compile is New plus
+//     Apply, and Apply takes further documents or single-declaration
+//     fragments, which is how cmd/ccafe runs its assembling verbs.
 //     Factories never serialize, so typed components always instantiate
 //     from locally bound factories; providers (providers.go) cover
 //     constructor-argument components like matrix-wrapping operators.

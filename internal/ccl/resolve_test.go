@@ -7,17 +7,21 @@ import (
 	"path/filepath"
 	"testing"
 
-	"repro/internal/core"
+	"repro/internal/cca"
+	"repro/internal/cca/framework"
+	"repro/internal/esi"
 	"repro/internal/repo"
 )
 
-func newESIApp(t *testing.T) *core.App {
+// newESIApp is the Go-programmed twin's container: a builder over a
+// repository holding the ESI deposits.
+func newESIApp(t *testing.T) *repo.Builder {
 	t.Helper()
-	app, err := core.NewApp(core.Options{WithESI: true})
-	if err != nil {
+	r := repo.New()
+	if err := esi.Deposit(r); err != nil {
 		t.Fatal(err)
 	}
-	return app
+	return repo.NewBuilder(r, framework.Options{Flavor: cca.FlavorInProcess | cca.FlavorDistributed})
 }
 
 func TestLocalSourceResolve(t *testing.T) {

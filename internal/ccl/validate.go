@@ -24,6 +24,12 @@ import (
 //     dist remote's `type` may only be the collective pull type
 //   - exports and connects reference declared instances
 func Validate(d *Document) error {
+	return validate(d, func(string) bool { return false })
+}
+
+// validate is Validate for a document applied to a live assembly: exports
+// and connects may also reference the instances live reports.
+func validate(d *Document, live func(instance string) bool) error {
 	if d.Version != LanguageVersion {
 		return fmt.Errorf("%s: %w: document version %d (this compiler reads %d)",
 			d.pos(1), ErrHeader, d.Version, LanguageVersion)
@@ -41,6 +47,11 @@ func Validate(d *Document) error {
 		}
 		kind[name] = k
 		return nil
+	}
+
+	declared := func(name string) bool {
+		_, ok := kind[name]
+		return ok || live(name)
 	}
 
 	for _, c := range d.Components {
@@ -109,7 +120,7 @@ func Validate(d *Document) error {
 	}
 
 	for _, e := range d.Exports {
-		if _, ok := kind[e.Instance]; !ok {
+		if !declared(e.Instance) {
 			return fmt.Errorf("%s: %w: export references %q", d.pos(e.Line), ErrUndefined, e.Instance)
 		}
 		if e.Shards < 0 {
@@ -124,10 +135,10 @@ func Validate(d *Document) error {
 	}
 
 	for _, c := range d.Connects {
-		if _, ok := kind[c.User]; !ok {
+		if !declared(c.User) {
 			return fmt.Errorf("%s: %w: connect user %q", d.pos(c.Line), ErrUndefined, c.User)
 		}
-		if _, ok := kind[c.Provider]; !ok {
+		if !declared(c.Provider) {
 			return fmt.Errorf("%s: %w: connect provider %q", d.pos(c.Line), ErrUndefined, c.Provider)
 		}
 	}

@@ -39,11 +39,11 @@ var (
 // every later call a no-op returning it; Close reports the sticky error, so
 // straight-line Section/Close sequences need only check Close.
 type Writer struct {
-	w      io.Writer
-	err    error
-	opened bool
-	closed bool
-	names  map[string]bool
+	w       io.Writer
+	err     error
+	opened  bool
+	closed  bool
+	names   map[string]bool
 	scratch []byte
 }
 

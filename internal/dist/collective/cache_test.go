@@ -143,6 +143,89 @@ func TestCacheEpochStableUntilAdvance(t *testing.T) {
 	}
 }
 
+// tearPort is a cohort rank whose rank-0 snapshot gives a concurrent
+// whole-cohort Update every chance to land before rank 1 is read.
+type tearPort struct {
+	memPort
+	rank    int
+	update  func() // rewrites every rank through Publisher.Update
+	updates *sync.WaitGroup
+}
+
+func (p *tearPort) Snapshot() []float64 {
+	out := append([]float64(nil), p.data...)
+	if p.rank == 0 {
+		done := make(chan struct{})
+		p.updates.Add(1)
+		go func() {
+			defer p.updates.Done()
+			p.update()
+			close(done)
+		}()
+		// Update waits for this begin to finish, so the timeout is the path
+		// taken; a mutation that could complete here would tear the epoch.
+		select {
+		case <-done:
+		case <-time.After(20 * time.Millisecond):
+		}
+	}
+	return out
+}
+
+// TestUpdateIsAtomicWithBegin is the distviz "torn epoch" regression: a
+// timestep rewriting both provider ranks while begin is between rank 0's
+// and rank 1's snapshot must not put two steps into one epoch.
+func TestUpdateIsAtomicWithBegin(t *testing.T) {
+	const gl = 64
+	m := array.NewBlockMap(gl, 2)
+	var pub *Publisher
+	ranks := make([]*tearPort, 2)
+	step := 1.0
+	update := func() {
+		pub.Update(func() {
+			step++
+			for _, r := range ranks {
+				for i := range r.data {
+					r.data[i] = step
+				}
+			}
+		})
+	}
+	var updates sync.WaitGroup
+	defer updates.Wait()
+	ports := make([]ccoll.DistArrayPort, 2)
+	for r := range ranks {
+		data := make([]float64, m.LocalLen(r))
+		for i := range data {
+			data[i] = step
+		}
+		ranks[r] = &tearPort{memPort: memPort{side: ccoll.Side{Map: m}, data: data}, rank: r, update: update, updates: &updates}
+		ports[r] = ranks[r]
+	}
+	tr := &transport.InProc{}
+	var srv *orb.Server
+	srv, pub = serveCached(t, tr, "cache-tear", "wave", ports)
+	defer srv.Stop()
+	defer pub.Close()
+
+	imp, err := Attach(tr, "cache-tear", "wave", array.NewSerialMap(gl), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer imp.Close()
+	out := make([]float64, gl)
+	for pull := 0; pull < 3; pull++ {
+		if err := imp.Pull(0, out); err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range out {
+			if v != out[0] {
+				t.Fatalf("pull %d: element %d is at step %v, element 0 at step %v — torn epoch", pull, i, v, out[0])
+			}
+		}
+	}
+}
+
 // TestCacheFrameHitRate repeats pulls under one frozen generation and
 // asserts the steady-state frame-cache hit rate the serving tier is built
 // around: every subscriber after the first pack is served from cache.

@@ -172,13 +172,24 @@ func (p *Publisher) Ranks() int { return len(p.ports) }
 // plan snapshots fresh data instead of serving the live cached epoch.
 // Call it once per timestep (after the mutation), not per subscriber —
 // it is the epoch cache's only invalidation point. No-op without
-// WithEpochCache.
-func (p *Publisher) Advance() {
+// WithEpochCache. A mutation that rewrites more than one rank while
+// consumers may be pulling belongs inside Update instead.
+func (p *Publisher) Advance() { p.Update(func() {}) }
+
+// Update runs mutate — a timestep's rewrite of the published arrays — and
+// then advances the generation, all under the lock begin snapshots the
+// cohort under. A begin therefore sees every rank before the mutation or
+// every rank after it. Ports that only guard each rank's chunk cannot give
+// that: begin reads the cohort one rank at a time, and a whole-cohort
+// rewrite landing between two of those reads would put two timesteps into
+// one epoch. mutate must not call back into the publisher.
+func (p *Publisher) Update(mutate func()) {
 	p.mu.Lock()
+	defer p.mu.Unlock()
+	mutate()
 	if p.cache {
 		p.gen++
 	}
-	p.mu.Unlock()
 }
 
 // Close unregisters the servant and drops all plan/epoch state. In-flight

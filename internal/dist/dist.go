@@ -115,37 +115,13 @@ func (p *probeComponent) SetServices(svc cca.Services) error {
 	return svc.RegisterUsesPort(cca.PortInfo{Name: "target", Type: p.portType})
 }
 
-// Caller is the ORB client surface a RemotePort forwards through. Both the
-// bare *orb.Client and the supervised *orb.Supervised satisfy it, so every
-// typed adapter works identically over an unsupervised or a self-healing
-// connection.
-type Caller interface {
-	Invoke(key, method string, args ...any) ([]any, error)
-	InvokeOneway(key, method string, args ...any) error
-	Close() error
-}
-
-var (
-	_ Caller = (*orb.Client)(nil)
-	_ Caller = (*orb.Supervised)(nil)
-)
-
 // RemotePort is a generic dynamic proxy for an exported port: Call forwards
 // a method by SIDL name through the ORB. Typed adapters (RemoteOperator,
 // RemoteMatrixData) wrap it with compile-time interfaces.
 type RemotePort struct {
-	Client Caller
+	Client *orb.Supervised
 	Key    string
 	Type   string
-}
-
-// Dial connects to an exporter and binds an exported key.
-func Dial(tr transport.Transport, addr, key, portType string) (*RemotePort, error) {
-	c, err := orb.DialClient(tr, addr)
-	if err != nil {
-		return nil, err
-	}
-	return &RemotePort{Client: c, Key: key, Type: portType}, nil
 }
 
 // DialSupervised connects to an exporter under supervision: the connection
@@ -285,34 +261,8 @@ func (p *ProxyComponent) SetServices(svc cca.Services) error {
 // RequiredFlavor declares the distributed compliance requirement.
 func (p *ProxyComponent) RequiredFlavor() cca.Flavor { return cca.FlavorDistributed }
 
-// InstallRemoteOperator dials an exported esi.Operator/esi.MatrixData port
-// and installs a proxy component named instance providing it locally as
-// port "A".
-func InstallRemoteOperator(fw *framework.Framework, instance string, tr transport.Transport, addr, key, portType string) (*RemotePort, error) {
-	rp, err := Dial(tr, addr, key, portType)
-	if err != nil {
-		return nil, err
-	}
-	var port cca.Port
-	switch portType {
-	case esi.TypeMatrixData:
-		port = &RemoteMatrixData{RemoteOperator{R: rp}}
-	case esi.TypeOperator:
-		port = &RemoteOperator{R: rp}
-	default:
-		rp.Close()
-		return nil, fmt.Errorf("%w: no typed adapter for %q", ErrDist, portType)
-	}
-	if err := fw.Install(instance, &ProxyComponent{PortName: "A", PortType: portType, Port: port}); err != nil {
-		rp.Close()
-		return nil, err
-	}
-	cRemoteInstalls.Inc()
-	return rp, nil
-}
-
 // HealthFor maps supervised connection states onto the configuration API's
-// connection health values. Remote-port installers — both the scalar ones
+// connection health values. Remote-port installers — both the scalar one
 // here and the collective one in repro/internal/dist/collective — use it to
 // bridge orb.SupervisorOptions.OnState transitions to framework health
 // events, so every remote flavor reports link health identically.
@@ -327,10 +277,11 @@ func HealthFor(s orb.ConnState) cca.Health {
 	}
 }
 
-// InstallSupervisedRemoteOperator is InstallRemoteOperator over a
-// supervised connection: the proxy component's provides port redials,
-// retries, and circuit-breaks per opts, and every supervision state change
-// is surfaced through the framework's event mechanism as a
+// InstallSupervisedRemoteOperator dials an exported esi.Operator or
+// esi.MatrixData port and installs a proxy component named instance
+// providing it locally as port "A". The connection is supervised: the
+// proxy's provides port redials, retries, and circuit-breaks per opts (the
+// zero value is usable), and every supervision state change is surfaced through the framework's event mechanism as a
 // ConnectionDegraded / ConnectionBroken / ConnectionRestored event on the
 // proxy's port — so builders and tools observe remote-link health through
 // the same configuration API they already use (§5).

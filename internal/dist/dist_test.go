@@ -11,6 +11,7 @@ import (
 	"repro/internal/cca/framework"
 	"repro/internal/esi"
 	"repro/internal/linalg"
+	"repro/internal/orb"
 	"repro/internal/transport"
 )
 
@@ -43,7 +44,7 @@ func TestRemoteOperatorRoundTrip(t *testing.T) {
 	exp, key := exportOperator(t, tr, "srv", m)
 	defer exp.Close()
 
-	rp, err := Dial(tr, "srv", key, esi.TypeMatrixData)
+	rp, err := DialSupervised(tr, "srv", key, esi.TypeMatrixData, orb.SupervisorOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +91,7 @@ func TestSolveAgainstRemoteOperator(t *testing.T) {
 		Flavor:    cca.FlavorInProcess | cca.FlavorDistributed,
 		TypeCheck: esi.TypeChecker(),
 	})
-	rp, err := InstallRemoteOperator(client, "remoteA", tr, "srv2", key, esi.TypeMatrixData)
+	rp, err := InstallSupervisedRemoteOperator(client, "remoteA", tr, "srv2", key, esi.TypeMatrixData, orb.SupervisorOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +129,7 @@ func TestRemoteSolveOverTCP(t *testing.T) {
 	exp, key := exportOperator(t, transport.TCP{}, "127.0.0.1:0", m)
 	defer exp.Close()
 
-	rp, err := Dial(transport.TCP{}, exp.Addr(), key, esi.TypeOperator)
+	rp, err := DialSupervised(transport.TCP{}, exp.Addr(), key, esi.TypeOperator, orb.SupervisorOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +153,7 @@ func TestProxyFlavorRequirement(t *testing.T) {
 
 	// A framework without the distributed flavor must refuse the proxy.
 	plain := framework.New(framework.Options{Flavor: cca.FlavorInProcess})
-	if _, err := InstallRemoteOperator(plain, "remoteA", tr, "srv3", key, esi.TypeMatrixData); !errors.Is(err, framework.ErrFlavor) {
+	if _, err := InstallSupervisedRemoteOperator(plain, "remoteA", tr, "srv3", key, esi.TypeMatrixData, orb.SupervisorOptions{}); !errors.Is(err, framework.ErrFlavor) {
 		t.Errorf("err = %v, want ErrFlavor", err)
 	}
 }
@@ -176,7 +177,7 @@ func TestExportErrors(t *testing.T) {
 		t.Errorf("no-port err = %v", err)
 	}
 	// Untyped adapter request.
-	if _, err := InstallRemoteOperator(fw, "x", tr, "srv4", "op/A", "weird.Type"); !errors.Is(err, ErrDist) {
+	if _, err := InstallSupervisedRemoteOperator(fw, "x", tr, "srv4", "op/A", "weird.Type", orb.SupervisorOptions{}); !errors.Is(err, ErrDist) {
 		t.Errorf("adapter err = %v", err)
 	}
 }
@@ -186,7 +187,7 @@ func TestRemoteErrorsPropagate(t *testing.T) {
 	m := linalg.Laplace1D(4)
 	exp, key := exportOperator(t, tr, "srv5", m)
 	defer exp.Close()
-	rp, err := Dial(tr, "srv5", key, esi.TypeOperator)
+	rp, err := DialSupervised(tr, "srv5", key, esi.TypeOperator, orb.SupervisorOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +243,7 @@ func TestRemoteMonitorOneway(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rp, err := Dial(tr, "mon", key, "cca.ports.Monitor")
+	rp, err := DialSupervised(tr, "mon", key, "cca.ports.Monitor", orb.SupervisorOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,9 +15,12 @@
 // CDR-encodable arguments); for the ESI interfaces, typed adapters are
 // provided so solver components work unmodified against remote operators.
 //
-// Remote connections are supervised (DESIGN.md §8): the installers bridge
-// orb.Supervised state transitions to framework port health, so severed
-// links surface as ConnectionDegraded/Broken/Restored events. Experiment
+// Remote connections are always supervised (DESIGN.md §8; the zero
+// orb.SupervisorOptions is usable): DialSupervised binds an exported key,
+// and InstallSupervisedRemoteOperator — with its collective counterpart in
+// the subpackage — bridges orb.Supervised state transitions to framework
+// port health, so severed links surface as
+// ConnectionDegraded/Broken/Restored events. Experiment
 // E7b prices the supervision overhead and the chaos suite
 // (chaos_test.go, heavier scenarios under -tags chaos) proves
 // convergence-under-faults. The collective subpackage

@@ -1,4 +1,4 @@
-package core
+package esi
 
 import (
 	"errors"
@@ -6,16 +6,23 @@ import (
 	"testing"
 
 	"repro/internal/cca"
-	"repro/internal/esi"
+	"repro/internal/cca/framework"
 	"repro/internal/linalg"
-	"repro/internal/mpi"
+	"repro/internal/repo"
 )
 
-func TestNewAppWithESI(t *testing.T) {
-	app, err := NewApp(Options{WithESI: true})
-	if err != nil {
+// esiBuilder is a builder over a repository holding the ESI deposits.
+func esiBuilder(t *testing.T) *repo.Builder {
+	t.Helper()
+	r := repo.New()
+	if err := Deposit(r); err != nil {
 		t.Fatal(err)
 	}
+	return repo.NewBuilder(r, framework.Options{})
+}
+
+func TestDepositResolves(t *testing.T) {
+	app := esiBuilder(t)
 	names := app.Repo.List()
 	if len(names) < 7 {
 		t.Fatalf("repository has %d entries: %v", len(names), names)
@@ -26,12 +33,9 @@ func TestNewAppWithESI(t *testing.T) {
 }
 
 func TestEndToEndSolveViaBuilder(t *testing.T) {
-	app, err := NewApp(Options{WithESI: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	app := esiBuilder(t)
 	m := linalg.Poisson2D(12, 12)
-	if err := app.Install("op", esi.NewOperatorComponent(m)); err != nil {
+	if err := app.Fw.Install("op", NewOperatorComponent(m)); err != nil {
 		t.Fatal(err)
 	}
 	if err := app.Create("solver", "esi.SolverComponent.cg"); err != nil {
@@ -47,7 +51,7 @@ func TestEndToEndSolveViaBuilder(t *testing.T) {
 		{"prec", "A", "op", "A"},
 		{"solver", "M", "prec", "M"},
 	} {
-		if _, err := app.Connect(c[0], c[1], c[2], c[3]); err != nil {
+		if _, err := app.Fw.Connect(c[0], c[1], c[2], c[3]); err != nil {
 			t.Fatalf("connect %v: %v", c, err)
 		}
 	}
@@ -55,7 +59,7 @@ func TestEndToEndSolveViaBuilder(t *testing.T) {
 	if !ok {
 		t.Fatal("solver missing")
 	}
-	solver := comp.(esi.EsiSolver)
+	solver := comp.(EsiSolver)
 	solver.SetTolerance(1e-10)
 	b := make([]float64, m.NRows)
 	if err := m.Apply(linalg.Ones(m.NCols), b); err != nil {
@@ -76,11 +80,8 @@ func TestEndToEndSolveViaBuilder(t *testing.T) {
 	}
 }
 
-func TestTypeMismatchRejectedThroughApp(t *testing.T) {
-	app, err := NewApp(Options{WithESI: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+func TestTypeMismatchRejectedThroughBuilder(t *testing.T) {
+	app := esiBuilder(t)
 	if err := app.Create("s1", "esi.SolverComponent.cg"); err != nil {
 		t.Fatal(err)
 	}
@@ -89,53 +90,30 @@ func TestTypeMismatchRejectedThroughApp(t *testing.T) {
 	}
 	// solver.A uses esi.Operator; another solver provides esi.Solver,
 	// which does NOT extend Operator in this SIDL corpus.
-	if _, err := app.Connect("s1", "A", "s2", "solver"); !errors.Is(err, cca.ErrTypeMismatch) {
+	if _, err := app.Fw.Connect("s1", "A", "s2", "solver"); !errors.Is(err, cca.ErrTypeMismatch) {
 		t.Errorf("err = %v", err)
 	}
 }
 
 func TestPortAccess(t *testing.T) {
-	app, err := NewApp(Options{WithESI: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := app.Install("op", esi.NewOperatorComponent(linalg.Laplace1D(4))); err != nil {
+	app := esiBuilder(t)
+	if err := app.Fw.Install("op", NewOperatorComponent(linalg.Laplace1D(4))); err != nil {
 		t.Fatal(err)
 	}
 	if err := app.Create("solver", "esi.SolverComponent.cg"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := app.Connect("solver", "A", "op", "A"); err != nil {
+	if _, err := app.Fw.Connect("solver", "A", "op", "A"); err != nil {
 		t.Fatal(err)
 	}
 	p, err := app.Port("solver", "A")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.(esi.EsiOperator).Rows() != 4 {
+	if p.(EsiOperator).Rows() != 4 {
 		t.Error("wrong port")
 	}
 	if _, err := app.Port("ghost", "A"); err == nil {
 		t.Error("phantom instance")
 	}
 }
-
-func TestParallelApp(t *testing.T) {
-	mpi.Run(3, func(comm *mpi.Comm) {
-		app := NewParallelApp(comm, Options{})
-		if err := app.Install("c", func(rank int) cca.Component {
-			return &trivial{rank: rank}
-		}); err != nil {
-			t.Errorf("install: %v", err)
-			return
-		}
-		comp, ok := app.Component("c")
-		if !ok || comp.(*trivial).rank != comm.Rank() {
-			t.Errorf("rank member wrong: %v %v", comp, ok)
-		}
-	})
-}
-
-type trivial struct{ rank int }
-
-func (tr *trivial) SetServices(svc cca.Services) error { return nil }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -47,19 +46,12 @@ type ProcConfig struct {
 // of derived listen addresses).
 var joinSeq int64
 
-func schemeOf(addr string) string {
-	if s, _, ok := strings.Cut(addr, "://"); ok {
-		return s
-	}
-	return "tcp"
-}
-
 // listenAddr picks and uniquifies the peer-mesh listen address for one
 // join attempt.
 func (cfg *ProcConfig) listenAddr() string {
 	addr := cfg.Listen
 	if addr == "" {
-		switch schemeOf(cfg.Rendezvous) {
+		switch transport.Scheme(cfg.Rendezvous) {
 		case "tcp":
 			return "tcp://127.0.0.1:0"
 		default:
@@ -67,7 +59,7 @@ func (cfg *ProcConfig) listenAddr() string {
 			addr = cfg.Rendezvous + ".ranks"
 		}
 	}
-	if schemeOf(addr) == "tcp" {
+	if transport.Scheme(addr) == "tcp" {
 		// Port 0 is already collision-free.
 		return addr
 	}
@@ -133,7 +125,7 @@ func JoinConfig(cfg ProcConfig) (*Comm, *Proc, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("mpi: rank %d listen %s: %w", cfg.Rank, laddr, err)
 	}
-	selfAddr := schemeOf(laddr) + "://" + l.Addr()
+	selfAddr := transport.Scheme(laddr) + "://" + l.Addr()
 
 	// Register with the rendezvous and wait for the world map.
 	rtr, rrest, err := transport.ForScheme(cfg.Rendezvous)
@@ -451,7 +443,7 @@ func RunOver(n int, rendezvousAddr string, body func(c *Comm, p *Proc)) error {
 	}
 	rv := NewRendezvous(l, n)
 	defer rv.Close()
-	rvAddr := schemeOf(rendezvousAddr) + "://" + l.Addr()
+	rvAddr := transport.Scheme(rendezvousAddr) + "://" + l.Addr()
 
 	var wg sync.WaitGroup
 	panics := make(chan any, n)

@@ -85,24 +85,14 @@ func New(cfg Config) (*Launcher, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mpirun: rendezvous listen %s: %w", cfg.Rendezvous, err)
 	}
-	scheme, _, _ := splitScheme(cfg.Rendezvous)
 	return &Launcher{
 		cfg:      cfg,
 		rv:       mpi.NewRendezvous(l, cfg.Size),
-		addr:     scheme + "://" + l.Addr(),
+		addr:     transport.Scheme(cfg.Rendezvous) + "://" + l.Addr(),
 		cmds:     make([]*exec.Cmd, cfg.Size),
 		restarts: make([]int, cfg.Size),
 		errs:     make([]error, cfg.Size),
 	}, nil
-}
-
-func splitScheme(addr string) (string, string, bool) {
-	for i := 0; i+2 < len(addr); i++ {
-		if addr[i] == ':' && addr[i+1] == '/' && addr[i+2] == '/' {
-			return addr[:i], addr[i+3:], true
-		}
-	}
-	return "tcp", addr, false
 }
 
 // RendezvousAddr returns the dialable scheme-qualified address of the

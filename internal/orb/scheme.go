@@ -23,17 +23,6 @@ func DialAddr(addr string) (*Client, error) {
 	return DialClient(tr, rest)
 }
 
-// DialSupervisedAddr is DialAddr under supervision: scheme resolution and
-// shard rendezvous, then DialSupervised. The supervisor redials the
-// picked shard, so a client sticks to its shard across reconnects.
-func DialSupervisedAddr(addr string, opts SupervisorOptions) (*Supervised, error) {
-	tr, rest, err := transport.ForScheme(PickShard(addr))
-	if err != nil {
-		return nil, err
-	}
-	return DialSupervised(tr, rest, opts)
-}
-
 // ListenAddr opens a listener on a scheme-qualified address; pass the
 // result to Serve.
 func ListenAddr(addr string) (transport.Listener, error) {
@@ -87,7 +76,7 @@ func PickShard(addr string) string {
 // connection-sharding layout of the high-fan-out serving tier. Each shard
 // is its own Server (own read loops, own accept loop) over the shared
 // adapter and options; Addr returns the comma-separated shard list that
-// DialAddr/DialSupervisedAddr rendezvous over.
+// DialAddr rendezvous-picks from.
 type ServerPool struct {
 	servers []*Server
 	addrs   []string

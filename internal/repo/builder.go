@@ -9,13 +9,17 @@ import (
 	"repro/internal/cca/framework"
 )
 
-// Builder is the composition tool of the paper's Figure 2: it instantiates
-// components out of the repository into a framework, wires their ports, and
-// observes the configuration API's event stream ("the CCA Configuration
-// API supports interaction between components and various builders").
+// Builder is the composition tool of the paper's Figure 2 and the
+// reproduction's one application container: a repository, a framework
+// whose port type checking follows the repository's SIDL subtype relation,
+// and the configuration API's event stream ("the CCA Configuration API
+// supports interaction between components and various builders"). CCL
+// documents, ccafe's verbs and the Go-programmed examples all assemble
+// through it; pre-constructed components install and connect through Fw
+// directly.
 type Builder struct {
-	R *Repository
-	F *framework.Framework
+	Repo *Repository
+	Fw   *framework.Framework
 
 	mu     sync.Mutex
 	events []cca.Event
@@ -25,11 +29,12 @@ type Builder struct {
 // ErrBuilder wraps builder-level failures.
 var ErrBuilder = errors.New("repo: builder error")
 
-// NewBuilder attaches a builder to a repository and framework, subscribing
-// to the framework's configuration events.
-func NewBuilder(r *Repository, f *framework.Framework) *Builder {
-	b := &Builder{R: r, F: f, types: map[string]string{}}
-	f.AddEventListener(cca.EventListenerFunc(func(e cca.Event) {
+// NewBuilder builds a framework over r — opts.TypeCheck is replaced by
+// r.TypeChecker() — and subscribes to its configuration events.
+func NewBuilder(r *Repository, opts framework.Options) *Builder {
+	opts.TypeCheck = r.TypeChecker()
+	b := &Builder{Repo: r, Fw: framework.New(opts), types: map[string]string{}}
+	b.Fw.AddEventListener(cca.EventListenerFunc(func(e cca.Event) {
 		b.mu.Lock()
 		b.events = append(b.events, e)
 		b.mu.Unlock()
@@ -40,11 +45,11 @@ func NewBuilder(r *Repository, f *framework.Framework) *Builder {
 // Create instantiates the repository component typeName into the framework
 // under instanceName.
 func (b *Builder) Create(instanceName, typeName string) error {
-	comp, err := b.R.Instantiate(typeName)
+	comp, err := b.Repo.Instantiate(typeName)
 	if err != nil {
 		return err
 	}
-	if err := b.F.Install(instanceName, comp); err != nil {
+	if err := b.Fw.Install(instanceName, comp); err != nil {
 		return err
 	}
 	b.mu.Lock()
@@ -53,29 +58,19 @@ func (b *Builder) Create(instanceName, typeName string) error {
 	return nil
 }
 
-// Destroy removes an instance.
-func (b *Builder) Destroy(instanceName string) error {
-	if err := b.F.Remove(instanceName); err != nil {
-		return err
+// Component returns an installed component instance.
+func (b *Builder) Component(name string) (cca.Component, bool) {
+	return b.Fw.Component(name)
+}
+
+// Port fetches a connected uses port on behalf of a component instance —
+// builder-side access for driver programs.
+func (b *Builder) Port(instance, usesPort string) (cca.Port, error) {
+	svc, ok := b.Fw.Services(instance)
+	if !ok {
+		return nil, fmt.Errorf("%w: %q", framework.ErrComponentUnknown, instance)
 	}
-	b.mu.Lock()
-	delete(b.types, instanceName)
-	b.mu.Unlock()
-	return nil
-}
-
-// TypeOf reports the repository type a builder-created instance came from.
-func (b *Builder) TypeOf(instanceName string) (string, bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	t, ok := b.types[instanceName]
-	return t, ok
-}
-
-// Connect wires two instances by port name, consulting the repository's
-// port specifications when the port names are ambiguous.
-func (b *Builder) Connect(user, usesPort, provider, providesPort string) (cca.ConnectionID, error) {
-	return b.F.Connect(user, usesPort, provider, providesPort)
+	return svc.GetPort(usesPort)
 }
 
 // AutoConnect finds the single compatible (usesPort, providesPort) pairing
@@ -90,15 +85,15 @@ func (b *Builder) AutoConnect(user, provider string) (cca.ConnectionID, error) {
 	if !uok || !pok {
 		return cca.ConnectionID{}, fmt.Errorf("%w: auto-connect needs builder-created instances", ErrBuilder)
 	}
-	ue, err := b.R.Retrieve(userType)
+	ue, err := b.Repo.Retrieve(userType)
 	if err != nil {
 		return cca.ConnectionID{}, err
 	}
-	pe, err := b.R.Retrieve(provType)
+	pe, err := b.Repo.Retrieve(provType)
 	if err != nil {
 		return cca.ConnectionID{}, err
 	}
-	tbl := b.R.Table()
+	tbl := b.Repo.Table()
 	type pair struct{ uses, provides string }
 	var pairs []pair
 	for _, u := range ue.Uses {
@@ -112,7 +107,7 @@ func (b *Builder) AutoConnect(user, provider string) (cca.ConnectionID, error) {
 	case 0:
 		return cca.ConnectionID{}, fmt.Errorf("%w: no compatible ports between %s and %s", ErrBuilder, user, provider)
 	case 1:
-		return b.F.Connect(user, pairs[0].uses, provider, pairs[0].provides)
+		return b.Fw.Connect(user, pairs[0].uses, provider, pairs[0].provides)
 	default:
 		return cca.ConnectionID{}, fmt.Errorf("%w: %d compatible pairings between %s and %s; connect explicitly", ErrBuilder, len(pairs), user, provider)
 	}

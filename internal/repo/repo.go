@@ -11,8 +11,8 @@
 // a builder can ask "which deposited components provide something usable
 // as esi.Operator?". The Builder (builder.go) is the composition tool that
 // instantiates entries into a framework and wires their ports; it is the
-// compile target of the declarative assembly language in
-// repro/internal/ccl.
+// single target that the declarative assembly language in
+// repro/internal/ccl, cmd/ccafe's verbs and the examples lower onto.
 //
 // The networked half (service.go, client.go) runs the repository as an ORB
 // service: deposits are append-only with per-name monotonic semantic

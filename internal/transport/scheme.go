@@ -21,6 +21,16 @@ func DefaultInProc() *InProc {
 	return defaultInProc
 }
 
+// Scheme returns the scheme ForScheme would resolve addr under: the part
+// before "://", or "tcp" for a bare address. Listeners report bare bound
+// addresses; Scheme(spec)+"://"+l.Addr() is the dialable form.
+func Scheme(addr string) string {
+	if scheme, _, ok := strings.Cut(addr, "://"); ok {
+		return scheme
+	}
+	return "tcp"
+}
+
 // ForScheme resolves an address of the form scheme://rest to a transport
 // and the backend-native address to pass to its Listen/Dial:
 //

@@ -111,6 +111,38 @@ func TestCcafeScriptedSession(t *testing.T) {
 	}
 }
 
+func TestCcafeExportRemoteSession(t *testing.T) {
+	// The distributed verbs in one session: export an operator's port,
+	// install a supervised proxy for it at the same address (inproc://
+	// names are process-wide), and solve through the proxy.
+	script := strings.Join([]string{
+		"matrix A poisson 8",
+		"export A A inproc://ccafe-session",
+		"remote far inproc://ccafe-session A/A",
+		"create solver esi.SolverComponent.cg",
+		"connect solver A far A",
+		"solve solver 1e-8",
+		"health far A",
+		"quit",
+	}, "\n")
+	path := filepath.Join(t.TempDir(), "session")
+	if err := os.WriteFile(path, []byte(script), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out := runTool(t, "cmd/ccafe", "", "-f", path)
+	for _, want := range []string{
+		"exported A/A at ccafe-session",
+		"far: supervised connection to inproc://ccafe-session (esi.MatrixData)",
+		"solver.A -> far.A",
+		"converged=true",
+		"far.A: healthy",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("ccafe output missing %q:\n%s", want, out)
+		}
+	}
+}
+
 func TestCcafeStatsAndTrace(t *testing.T) {
 	// The observability commands: tracing toggles, and a solve moves the
 	// framework GetPort counter visible through `stats`.
