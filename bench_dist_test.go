@@ -96,7 +96,7 @@ func (p *benchDistPort) Snapshot() []float64   { return p.data }
 
 // publishBlock publishes gl doubles block-distributed over m provider
 // ranks as name on oa; element values identify their owner.
-func publishBlock(b *testing.B, oa *orb.ObjectAdapter, name string, gl, m int, opts ...dcollective.PublishOption) *dcollective.Publisher {
+func publishBlock(b *testing.B, oa *orb.ObjectAdapter, name string, gl, m int) *dcollective.Publisher {
 	b.Helper()
 	srcMap := array.NewBlockMap(gl, m)
 	ports := make([]collective.DistArrayPort, m)
@@ -107,7 +107,7 @@ func publishBlock(b *testing.B, oa *orb.ObjectAdapter, name string, gl, m int, o
 		}
 		ports[r] = &benchDistPort{side: collective.Side{Map: srcMap}, data: data}
 	}
-	pub, err := dcollective.Publish(oa, name, ports, opts...)
+	pub, err := dcollective.Publish(oa, name, ports)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -156,14 +156,19 @@ func BenchmarkE11_CollectivePull(b *testing.B) {
 			for _, n := range []int{1, 2, 4} {
 				sized(fmt.Sprintf("remote-%dto%d", m, n), func(b *testing.B) {
 					oa, addr := serveORB(b, transport.TCP{}, "127.0.0.1:0", orb.ServeOptions{})
-					publishBlock(b, oa, "bench", gl, m)
+					pub := publishBlock(b, oa, "bench", gl, m)
 					dstMap := array.NewCyclicMap(gl, n, 64)
 					imp := attach(b, addr, "bench", dstMap, dcollective.Options{})
 					outs := make([][]float64, n)
 					for r := range outs {
 						outs[r] = make([]float64, dstMap.LocalLen(r))
 					}
-					benchCalls(b, func() error { return imp.PullAllInto(context.Background(), outs) })
+					// A new generation per pull, so every timed pull snapshots
+					// and packs; without it all but the first are cache hits.
+					benchCalls(b, func() error {
+						pub.Advance()
+						return imp.PullAllInto(context.Background(), outs)
+					})
 				})
 			}
 		}
@@ -359,7 +364,7 @@ func BenchmarkE13_ServingTier(b *testing.B) {
 	}
 	const window = 16
 	oa, addr := serveORB(b, transport.TCP{}, "127.0.0.1:0", orb.ServeOptions{})
-	pub := publishBlock(b, oa, "field", gl, 2, dcollective.WithEpochCache())
+	pub := publishBlock(b, oa, "field", gl, 2)
 	attachAll := func(b *testing.B, n int) []*dcollective.Import {
 		imps := make([]*dcollective.Import, n)
 		for i := range imps {
@@ -444,7 +449,7 @@ func BenchmarkE13_ServingTier(b *testing.B) {
 func benchOverload(b *testing.B) {
 	const gl, subs = 4096, 16
 	oa, addr := serveORB(b, transport.TCP{}, "127.0.0.1:0", orb.ServeOptions{MaxInflight: 2})
-	publishBlock(b, oa, "field", gl, 2, dcollective.WithEpochCache())
+	publishBlock(b, oa, "field", gl, 2)
 	imps := make([]*dcollective.Import, subs)
 	for i := range imps {
 		imps[i] = attach(b, addr, "field", array.NewSerialMap(gl), dcollective.Options{Supervisor: orb.SupervisorOptions{

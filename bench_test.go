@@ -29,7 +29,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/beans"
 	"repro/internal/cca"
 	"repro/internal/cca/collective"
 	"repro/internal/cca/framework"
@@ -418,10 +417,10 @@ var e3Fanouts = []int{1, 4, 16, 64}
 func BenchmarkE3_BeansEvents(b *testing.B) {
 	for _, fan := range e3Fanouts {
 		b.Run(fmt.Sprintf("listeners=%d", fan), func(b *testing.B) {
-			bean := beans.NewBean("src")
+			bean := newBean("src")
 			var acc float64
 			for i := 0; i < fan; i++ {
-				bean.AddListener("tick", beans.ListenerFunc(func(e beans.Event) {
+				bean.AddListener("tick", beanListenerFunc(func(e beanEvent) {
 					acc += e.Payload.(float64)
 				}))
 			}

@@ -80,9 +80,9 @@ func main() {
 // startSim brings up the "simulation": an m-rank block-distributed wave
 // field published over the chosen transport and evolved by a stepping
 // goroutine until stop is called. Each timestep rewrites every rank inside
-// Publisher.Update, so an epoch snapshot never straddles two steps. The
-// epoch cache makes every subscriber of a timestep share one snapshot and
-// one packed chunk stream.
+// Publisher.Update, so an epoch snapshot never straddles two steps, and
+// every subscriber of a timestep shares one snapshot and one packed chunk
+// stream.
 func startSim(trName string, m, gl int) (srv *orb.Server, pub *dcoll.Publisher, stop func()) {
 	dm := array.NewBlockMap(gl, m)
 	fields := make([]*simField, m)
@@ -100,7 +100,7 @@ func startSim(trName string, m, gl int) (srv *orb.Server, pub *dcoll.Publisher, 
 		log.Fatal(err)
 	}
 	srv = orb.Serve(oa, l)
-	pub, err = dcoll.Publish(oa, "wave", ports, dcoll.WithEpochCache())
+	pub, err = dcoll.Publish(oa, "wave", ports)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -303,7 +303,7 @@ func runViz(trName, addr string, n, gl, frames, sever int) {
 		}
 	}))
 
-	imp, err := dcoll.InstallRemoteDistArray(fw, "wave-proxy", faulty, addr, "wave", dm, dcoll.Options{})
+	imp, err := dcoll.InstallRemoteDistArray(fw, "wave-proxy", "data", faulty, addr, "wave", dm, dcoll.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -63,7 +63,7 @@ func main() {
 		Flavor:    cca.FlavorInProcess | cca.FlavorDistributed,
 		TypeCheck: esi.TypeChecker(),
 	})
-	rp, err := dist.InstallSupervisedRemoteOperator(client, "remoteA", transport.TCP{}, exp.Addr(), key, esi.TypeMatrixData, orb.SupervisorOptions{})
+	rp, err := dist.InstallSupervisedRemoteOperator(client, "remoteA", "A", transport.TCP{}, exp.Addr(), key, esi.TypeMatrixData, orb.SupervisorOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -109,7 +109,7 @@ func TestFigure2EndToEnd(t *testing.T) {
 		Flavor:    cca.FlavorInProcess | cca.FlavorDistributed,
 		TypeCheck: esi.TypeChecker(),
 	})
-	rp, err := dist.InstallSupervisedRemoteOperator(remoteFw, "remoteA", transport.TCP{}, exp.Addr(), key, esi.TypeMatrixData, orb.SupervisorOptions{})
+	rp, err := dist.InstallSupervisedRemoteOperator(remoteFw, "remoteA", "A", transport.TCP{}, exp.Addr(), key, esi.TypeMatrixData, orb.SupervisorOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

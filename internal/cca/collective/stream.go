@@ -92,9 +92,10 @@ func (ps *pairSched) forRunsWindow(i0, i1, elems int, body func(i int)) {
 
 // PackRangeBytes gathers elements [lo,hi) of the packed stream from local
 // storage directly into dst as little-endian float64 bytes; len(dst) must
-// be 8·(hi−lo). The provider-side chunk servant points dst at the reply
-// encoder's payload span (orb.Encoder.Float64SliceSpan), so packing and
-// marshaling are one copy. Fans out over the worker pool above packGrain.
+// be 8·(hi−lo). The provider-side chunk servant points dst at a
+// transport.SharedBuf it splices into every subscriber's reply
+// (orb.Encoder.AppendSharedFloat64s), so packing and marshaling are one
+// copy. Fans out over the worker pool above packGrain.
 func (s PairStream) PackRangeBytes(local []float64, lo, hi int, dst []byte) error {
 	if lo < 0 || hi < lo || hi > s.ps.total {
 		return fmt.Errorf("%w: chunk [%d,%d) of %d-element stream", ErrBuffer, lo, hi, s.ps.total)

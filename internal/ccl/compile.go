@@ -246,9 +246,9 @@ func (a *Assembly) Apply(d *Document, lockPath string) error {
 			} else {
 				dm = array.NewCyclicMap(r.Dist.Length, r.Dist.Ranks, r.Dist.Block)
 			}
-			closer, err = dcoll.InstallRemoteDistArray(app.Fw, r.Name, tr, addr, r.Key, dm, dcoll.Options{Supervisor: sup})
+			closer, err = dcoll.InstallRemoteDistArray(app.Fw, r.Name, r.Port, tr, addr, r.Key, dm, dcoll.Options{Supervisor: sup})
 		} else {
-			closer, err = dist.InstallSupervisedRemoteOperator(app.Fw, r.Name, tr, addr, r.Key, r.Type, sup)
+			closer, err = dist.InstallSupervisedRemoteOperator(app.Fw, r.Name, r.Port, tr, addr, r.Key, r.Type, sup)
 		}
 		if err != nil {
 			return fail(fmt.Errorf("%s: remote %q: %w", d.pos(r.Line), r.Name, err))

@@ -241,7 +241,7 @@ func TestCompileDistvizMatchesProgrammatic(t *testing.T) {
 	if err := DepositConsumer(twin.Repo); err != nil {
 		t.Fatal(err)
 	}
-	imp, err := dcoll.InstallRemoteDistArray(twin.Fw, "wave", transport.TCP{}, simAddr, "wave",
+	imp, err := dcoll.InstallRemoteDistArray(twin.Fw, "wave", "data", transport.TCP{}, simAddr, "wave",
 		array.NewCyclicMap(gl, nViz, block), dcoll.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -299,7 +299,18 @@ func TestCompilePipelineExports(t *testing.T) {
 		t.Fatalf("unexpected lock handling %q %v", asm.LockPath, asm.LockCreated)
 	}
 
-	client, err := Parse(fmt.Sprintf(`ccl 1
+	// A `remote` dials the shard list the export reports, and registers its
+	// proxy's provides port under the name its `port` key declares.
+	for _, tc := range []struct {
+		name, portKey, connectTo string
+		wantErr                  error
+	}{
+		{"default port", "", "far.A", nil},
+		{"named port", "  port B\n", "far.B", nil},
+		{"named port hides the default", "  port B\n", "far.A", cca.ErrPortUnknown},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			client, err := Parse(fmt.Sprintf(`ccl 1
 component caller {
   provider consumer
   config {
@@ -310,23 +321,31 @@ component caller {
 remote far {
   address %q
   key %s
-}
-connect caller.A -> far.A
-`, e.Addr, e.Key), ParseOptions{Path: "client.ccl"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	casm, err := Compile(client, Options{})
-	if err != nil {
-		t.Fatalf("remote at the sharded export's address %q: %v", e.Addr, err)
-	}
-	defer casm.Close()
-	port, err := casm.App.Port("caller", "A")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rows := port.(esi.EsiOperator).Rows(); rows != 32*32 {
-		t.Fatalf("remote operator reports %d rows, want %d", rows, 32*32)
+%s}
+connect caller.A -> %s
+`, e.Addr, e.Key, tc.portKey, tc.connectTo), ParseOptions{Path: "client.ccl"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			casm, err := Compile(client, Options{})
+			if tc.wantErr != nil {
+				if !errors.Is(err, tc.wantErr) {
+					t.Fatalf("connect to %s: err = %v, want %v", tc.connectTo, err, tc.wantErr)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("remote at the sharded export's address %q: %v", e.Addr, err)
+			}
+			defer casm.Close()
+			port, err := casm.App.Port("caller", "A")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rows := port.(esi.EsiOperator).Rows(); rows != 32*32 {
+				t.Fatalf("remote operator reports %d rows, want %d", rows, 32*32)
+			}
+		})
 	}
 }
 

@@ -7,6 +7,8 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+
+	"repro/internal/simd"
 )
 
 // Version is the stream version this package writes. Readers accept any
@@ -125,11 +127,9 @@ func (w *Writer) Float64s(name string, v []float64) error {
 	if cap(buf) < need {
 		buf = make([]byte, 0, need)
 	}
-	buf = buf[:0]
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(v)))
-	for _, x := range v {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(x))
-	}
+	buf = buf[:need]
+	binary.LittleEndian.PutUint64(buf, uint64(len(v)))
+	simd.PackF64LE(buf[8:], v)
 	w.scratch = buf
 	return w.Section(name, buf)
 }
@@ -273,8 +273,6 @@ func (r *Reader) Float64s(name string) ([]float64, error) {
 		return nil, fmt.Errorf("%w: section %q counts %d elements in %d bytes", ErrFormat, name, n, len(p)-8)
 	}
 	out := make([]float64, n)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[8+8*i:]))
-	}
+	simd.UnpackF64LE(out, p[8:])
 	return out, nil
 }

@@ -130,7 +130,7 @@ func newChaosTopologyOn(t *testing.T, inner transport.Transport, addr string, fa
 	})
 	c.trap = newEventTrap()
 	c.client.AddEventListener(c.trap)
-	rp, err := InstallSupervisedRemoteOperator(c.client, "remoteA", c.tr, c.addr, c.key, esi.TypeMatrixData, opts)
+	rp, err := InstallSupervisedRemoteOperator(c.client, "remoteA", "A", c.tr, c.addr, c.key, esi.TypeMatrixData, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

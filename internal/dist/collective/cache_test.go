@@ -1,15 +1,18 @@
 package collective
 
-// Tests for the epoch-cache serving tier (Publish ... WithEpochCache):
-// plan dedup across subscribers, epoch stability until Advance, the
+// Tests for the publisher's generation semantics: plan dedup across
+// subscribers, one snapshot per generation shared by every plan, epoch
+// stability until Update/Advance, atomicity of Update against begin, the
 // frame-cache hit rate asserted through the obs counters, stale-plan
-// recovery after LRU eviction, and the chaos case of one subscriber
-// severed mid-broadcast while others keep pulling.
+// recovery after LRU eviction, pulls racing Updates, and the chaos case of
+// one subscriber severed mid-broadcast while others keep pulling.
 
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -19,23 +22,6 @@ import (
 	"repro/internal/orb"
 	"repro/internal/transport"
 )
-
-// serveCached is serve with the epoch cache turned on.
-func serveCached(t *testing.T, tr transport.Transport, addr, name string, ports []ccoll.DistArrayPort) (*orb.Server, *Publisher) {
-	t.Helper()
-	oa := orb.NewObjectAdapter()
-	l, err := tr.Listen(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := orb.Serve(oa, l)
-	pub, err := Publish(oa, name, ports, WithEpochCache())
-	if err != nil {
-		srv.Stop()
-		t.Fatal(err)
-	}
-	return srv, pub
-}
 
 func counters() map[string]uint64 { return obs.Default.Snapshot().Counters }
 
@@ -47,7 +33,7 @@ var errDataCorrupt = errors.New("pulled data corrupted")
 func TestCachePlanDedup(t *testing.T) {
 	const gl = 100
 	tr := &transport.InProc{}
-	srv, pub := serveCached(t, tr, "cache-dedup", "wave", cohort(array.NewBlockMap(gl, 2), make([]float64, gl)))
+	srv, pub := serve(t, tr, "cache-dedup", "wave", cohort(array.NewBlockMap(gl, 2), make([]float64, gl)))
 	defer srv.Stop()
 	defer pub.Close()
 
@@ -79,82 +65,162 @@ func TestCachePlanDedup(t *testing.T) {
 	}
 }
 
-// TestCacheEpochStableUntilAdvance pins the cache-mode contract: pulls
-// between Advance calls observe one immutable snapshot even while the
-// provider mutates its arrays, and Advance opens the next snapshot.
+// TestCacheEpochStableUntilAdvance pins the generation contract: pulls
+// within a generation observe one immutable snapshot even while the
+// provider mutates its arrays in place, a publisher that never opens a new
+// generation keeps serving its first snapshot, and either way of opening
+// one — Advance after the mutation, or Update around it — makes the next
+// pull see the new data.
 func TestCacheEpochStableUntilAdvance(t *testing.T) {
 	const gl = 64
-	global := make([]float64, gl)
-	for i := range global {
-		global[i] = float64(i)
-	}
-	m := array.NewBlockMap(gl, 2)
-	ports := cohort(m, global)
-	tr := &transport.InProc{}
-	srv, pub := serveCached(t, tr, "cache-epoch", "wave", ports)
-	defer srv.Stop()
-	defer pub.Close()
+	for _, tc := range []struct {
+		name string
+		open func(pub *Publisher, mutate func())
+	}{
+		{"advance", func(pub *Publisher, mutate func()) { mutate(); pub.Advance() }},
+		{"update", func(pub *Publisher, mutate func()) { pub.Update(mutate) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			global := make([]float64, gl)
+			for i := range global {
+				global[i] = float64(i)
+			}
+			ports := cohort(array.NewBlockMap(gl, 2), global)
+			mutate := func() {
+				for _, p := range ports {
+					data := p.(*memPort).data
+					for i := range data {
+						data[i] += 1000
+					}
+				}
+			}
+			tr := &transport.InProc{}
+			srv, pub := serve(t, tr, "cache-epoch-"+tc.name, "wave", ports)
+			defer srv.Stop()
+			defer pub.Close()
 
-	imp, err := Attach(tr, "cache-epoch", "wave", array.NewSerialMap(gl), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer imp.Close()
-	out := make([]float64, gl)
-	if err := imp.Pull(0, out); err != nil {
-		t.Fatal(err)
-	}
-	if !floatsEqual(out, global) {
-		t.Fatal("first pull wrong")
-	}
+			imp, err := Attach(tr, "cache-epoch-"+tc.name, "wave", array.NewSerialMap(gl), Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer imp.Close()
+			out := make([]float64, gl)
+			if err := imp.Pull(0, out); err != nil {
+				t.Fatal(err)
+			}
+			if !floatsEqual(out, global) {
+				t.Fatal("first pull wrong")
+			}
 
-	// Mutate every provider rank in place — the published epoch must not
-	// see it until Advance.
-	for _, p := range ports {
-		data := p.(*memPort).data
-		for i := range data {
-			data[i] += 1000
-		}
-	}
-	before := counters()
-	if err := imp.Pull(0, out); err != nil {
-		t.Fatal(err)
-	}
-	if !floatsEqual(out, global) {
-		t.Fatal("pull between Advances leaked a mid-generation write")
-	}
-	after := counters()
-	if got := after["collective.epoch_cache_hits"] - before["collective.epoch_cache_hits"]; got < 1 {
-		t.Fatalf("epoch_cache_hits grew by %d, want >= 1", got)
-	}
+			// A write the publisher is never told about stays invisible.
+			mutate()
+			before := counters()
+			if err := imp.Pull(0, out); err != nil {
+				t.Fatal(err)
+			}
+			if !floatsEqual(out, global) {
+				t.Fatal("pull within a generation leaked a write")
+			}
+			after := counters()
+			if got := after["collective.epoch_cache_hits"] - before["collective.epoch_cache_hits"]; got < 1 {
+				t.Fatalf("epoch_cache_hits grew by %d, want >= 1", got)
+			}
 
-	pub.Advance()
-	if err := imp.Pull(0, out); err != nil {
-		t.Fatal(err)
-	}
-	for i := range out {
-		if out[i] != global[i]+1000 {
-			t.Fatalf("post-Advance element %d = %v, want %v", i, out[i], global[i]+1000)
-		}
-	}
-	post := counters()
-	if got := post["collective.epoch_cache_misses"] - after["collective.epoch_cache_misses"]; got < 1 {
-		t.Fatalf("Advance did not force a fresh snapshot (misses grew by %d)", got)
+			tc.open(pub, mutate)
+			if err := imp.Pull(0, out); err != nil {
+				t.Fatal(err)
+			}
+			for i := range out {
+				if out[i] != global[i]+2000 {
+					t.Fatalf("next generation's element %d = %v, want %v", i, out[i], global[i]+2000)
+				}
+			}
+			post := counters()
+			if got := post["collective.epoch_cache_misses"] - after["collective.epoch_cache_misses"]; got != 1 {
+				t.Fatalf("new generation took %d snapshots, want 1", got)
+			}
+		})
 	}
 }
 
-// tearPort is a cohort rank whose rank-0 snapshot gives a concurrent
-// whole-cohort Update every chance to land before rank 1 is read.
+// TestGenerationSharedAcrossPlans: consumers with different distributions
+// (so different plans) pulling the same generation are served from one
+// snapshot — one epoch_cache_misses increment — and so observe the same
+// timestep even though the provider's storage changed between their pulls.
+func TestGenerationSharedAcrossPlans(t *testing.T) {
+	const gl = 96
+	global := make([]float64, gl)
+	for i := range global {
+		global[i] = float64(i) + 0.5
+	}
+	ports := cohort(array.NewBlockMap(gl, 3), global)
+	tr := &transport.InProc{}
+	srv, pub := serve(t, tr, "cache-shared", "wave", ports)
+	defer srv.Stop()
+	defer pub.Close()
+
+	dists := []array.DataMap{array.NewSerialMap(gl), array.NewCyclicMap(gl, 2, 5), array.NewBlockMap(gl, 4)}
+	before := counters()
+	for i, dm := range dists {
+		imp, err := Attach(tr, "cache-shared", "wave", dm, Options{ChunkBytes: 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer imp.Close()
+		outs, err := imp.PullAll(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r := range outs {
+			if want := wantLocal(dm, global, r); !floatsEqual(outs[r], want) {
+				t.Fatalf("distribution %d rank %d saw a different timestep than the first puller", i, r)
+			}
+		}
+		// Scribble on the live arrays: later plans must still get the
+		// generation's snapshot, not this.
+		for _, p := range ports {
+			data := p.(*memPort).data
+			for j := range data {
+				data[j] = -1
+			}
+		}
+	}
+	after := counters()
+	if got := after["collective.epoch_cache_misses"] - before["collective.epoch_cache_misses"]; got != 1 {
+		t.Fatalf("%d plans on one generation took %d snapshots, want 1", len(dists), got)
+	}
+	if got := after["collective.epoch_cache_hits"] - before["collective.epoch_cache_hits"]; got != uint64(len(dists)-1) {
+		t.Fatalf("epoch_cache_hits grew by %d, want %d", got, len(dists)-1)
+	}
+}
+
+// oneStep returns the timestep a pulled cohort holds when every element of
+// every rank carries the same one (the providers in these tests fill their
+// arrays with the step number), and an error naming the first that differs.
+func oneStep(outs [][]float64) (float64, error) {
+	for r, out := range outs {
+		for i, v := range out {
+			if v != outs[0][0] {
+				return 0, fmt.Errorf("torn epoch: rank %d element %d is at step %v, rank 0 element 0 at step %v", r, i, v, outs[0][0])
+			}
+		}
+	}
+	return outs[0][0], nil
+}
+
+// tearPort is a cohort rank whose rank-0 snapshot, while armed, gives a
+// concurrent whole-cohort Update every chance to land before rank 1 is read.
 type tearPort struct {
 	memPort
 	rank    int
+	armed   *atomic.Bool
 	update  func() // rewrites every rank through Publisher.Update
 	updates *sync.WaitGroup
 }
 
 func (p *tearPort) Snapshot() []float64 {
 	out := append([]float64(nil), p.data...)
-	if p.rank == 0 {
+	if p.rank == 0 && p.armed.Load() {
 		done := make(chan struct{})
 		p.updates.Add(1)
 		go func() {
@@ -174,7 +240,10 @@ func (p *tearPort) Snapshot() []float64 {
 
 // TestUpdateIsAtomicWithBegin is the distviz "torn epoch" regression: a
 // timestep rewriting both provider ranks while begin is between rank 0's
-// and rank 1's snapshot must not put two steps into one epoch.
+// and rank 1's snapshot must not put two steps into one epoch. Two plans
+// with different consumer distributions take turns being the begin the
+// Update races, then both pull the generation that Update opened and must
+// see the same, whole, timestep.
 func TestUpdateIsAtomicWithBegin(t *testing.T) {
 	const gl = 64
 	m := array.NewBlockMap(gl, 2)
@@ -191,7 +260,10 @@ func TestUpdateIsAtomicWithBegin(t *testing.T) {
 			}
 		})
 	}
-	var updates sync.WaitGroup
+	var (
+		updates sync.WaitGroup
+		armed   atomic.Bool
+	)
 	defer updates.Wait()
 	ports := make([]ccoll.DistArrayPort, 2)
 	for r := range ranks {
@@ -199,31 +271,182 @@ func TestUpdateIsAtomicWithBegin(t *testing.T) {
 		for i := range data {
 			data[i] = step
 		}
-		ranks[r] = &tearPort{memPort: memPort{side: ccoll.Side{Map: m}, data: data}, rank: r, update: update, updates: &updates}
+		ranks[r] = &tearPort{memPort: memPort{side: ccoll.Side{Map: m}, data: data}, rank: r, armed: &armed, update: update, updates: &updates}
 		ports[r] = ranks[r]
 	}
 	tr := &transport.InProc{}
 	var srv *orb.Server
-	srv, pub = serveCached(t, tr, "cache-tear", "wave", ports)
+	srv, pub = serve(t, tr, "cache-tear", "wave", ports)
 	defer srv.Stop()
 	defer pub.Close()
 
-	imp, err := Attach(tr, "cache-tear", "wave", array.NewSerialMap(gl), Options{})
+	imps := make([]*Import, 2)
+	for i, dm := range []array.DataMap{array.NewSerialMap(gl), array.NewCyclicMap(gl, 3, 4)} {
+		imp, err := Attach(tr, "cache-tear", "wave", dm, Options{ChunkBytes: 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer imp.Close()
+		imps[i] = imp
+	}
+	// whole pulls every consumer rank and returns the one step it saw.
+	whole := func(what string, imp *Import) float64 {
+		t.Helper()
+		outs, err := imp.PullAll(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		step, err := oneStep(outs)
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		return step
+	}
+	for round := 0; round < 4; round++ {
+		armed.Store(true)
+		whole("racing pull", imps[round%2])
+		updates.Wait()
+		armed.Store(false)
+		a, b := whole("plan 0", imps[0]), whole("plan 1", imps[1])
+		if a != b {
+			t.Fatalf("round %d: two plans on one generation saw steps %v and %v", round, a, b)
+		}
+	}
+}
+
+// TestPullAcrossUpdate pins what a pull in flight across an Update may
+// observe: chunks addressed to its epoch keep coming from that generation's
+// snapshot however many Updates land meanwhile, until the generation is
+// evicted, after which they fail stale — the consumer's cue to start over.
+// It never gets another generation's bytes under the old epoch ID.
+func TestPullAcrossUpdate(t *testing.T) {
+	const gl = 16
+	data := make([]float64, gl)
+	port := &memPort{side: ccoll.Side{Map: array.NewSerialMap(gl)}, data: data}
+	tr := &transport.InProc{}
+	srv, pub := serve(t, tr, "cache-across", "wave", []ccoll.DistArrayPort{port})
+	defer srv.Stop()
+	defer pub.Close()
+	c := rawClient(t, tr, "cache-across")
+	defer c.Close()
+	key := Key("wave")
+	res, err := c.Invoke(key, "exchange", int32(gl), []int32{0, gl, 0, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer imp.Close()
-	out := make([]float64, gl)
-	for pull := 0; pull < 3; pull++ {
-		if err := imp.Pull(0, out); err != nil {
+	planID := res[0].(int64)
+	begin := func() int64 {
+		t.Helper()
+		res, err := c.Invoke(key, "begin", planID)
+		if err != nil {
 			t.Fatal(err)
 		}
-		for i, v := range out {
-			if v != out[0] {
-				t.Fatalf("pull %d: element %d is at step %v, element 0 at step %v — torn epoch", pull, i, v, out[0])
+		return res[0].(int64)
+	}
+	half := func(epoch int64, lo int32) ([]float64, error) {
+		res, err := c.Invoke(key, "chunk", planID, epoch, int32(0), int32(0), lo, int32(gl/2))
+		if err != nil {
+			return nil, err
+		}
+		return res[0].([]float64), nil
+	}
+	fill := func(v float64) func() {
+		return func() {
+			for i := range data {
+				data[i] = v
 			}
 		}
 	}
+
+	mine := begin()
+	first, err := half(mine, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for g := 1; g < maxEpochsPerPlan; g++ {
+		pub.Update(fill(float64(g)))
+		if next := begin(); next == mine {
+			t.Fatal("begin after Update rejoined the old epoch")
+		}
+		second, err := half(mine, gl/2)
+		if err != nil {
+			t.Fatalf("own generation gone after %d Updates: %v", g, err)
+		}
+		if !floatsEqual(second, first) {
+			t.Fatalf("after %d Updates the old epoch served %v, first half was %v", g, second, first)
+		}
+	}
+	pub.Update(fill(99))
+	begin() // one snapshot more than the cache holds
+	if _, err := half(mine, gl/2); !IsStale(err) {
+		t.Fatalf("evicted generation: err = %v, want stale", err)
+	}
+}
+
+// TestPullsRacingUpdatesNeverMix is the same property end to end: three
+// consumers on different plans pull continuously while the provider steps
+// as fast as it can. Every completed pull is one whole timestep; a pull
+// that loses its generation to the others' snapshots retries, and may give
+// up stale, but never returns a mixture.
+func TestPullsRacingUpdatesNeverMix(t *testing.T) {
+	const gl = 512
+	m := array.NewBlockMap(gl, 2)
+	ports := cohort(m, make([]float64, gl))
+	tr := &transport.InProc{}
+	srv, pub := serve(t, tr, "cache-race", "wave", ports)
+	defer srv.Stop()
+	defer pub.Close()
+
+	stop := make(chan struct{})
+	var stepper sync.WaitGroup
+	stepper.Add(1)
+	go func() {
+		defer stepper.Done()
+		for step := 1.0; ; step++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			pub.Update(func() {
+				for _, p := range ports {
+					data := p.(*memPort).data
+					for i := range data {
+						data[i] = step
+					}
+				}
+			})
+		}
+	}()
+	var wg sync.WaitGroup
+	for _, dm := range []array.DataMap{array.NewSerialMap(gl), array.NewCyclicMap(gl, 2, 8), array.NewBlockMap(gl, 3)} {
+		imp, err := Attach(tr, "cache-race", "wave", dm, Options{ChunkBytes: 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer imp.Close()
+		wg.Add(1)
+		go func(imp *Import) {
+			defer wg.Done()
+			for pull := 0; pull < 25; pull++ {
+				outs, err := imp.PullAll(context.Background())
+				if IsStale(err) {
+					continue
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if _, err := oneStep(outs); err != nil {
+					t.Errorf("pull %d: %v", pull, err)
+					return
+				}
+			}
+		}(imp)
+	}
+	wg.Wait()
+	close(stop)
+	stepper.Wait()
 }
 
 // TestCacheFrameHitRate repeats pulls under one frozen generation and
@@ -236,7 +459,7 @@ func TestCacheFrameHitRate(t *testing.T) {
 		global[i] = float64(i) * 0.25
 	}
 	tr := &transport.InProc{}
-	srv, pub := serveCached(t, tr, "cache-rate", "wave", cohort(array.NewBlockMap(gl, 2), global))
+	srv, pub := serve(t, tr, "cache-rate", "wave", cohort(array.NewBlockMap(gl, 2), global))
 	defer srv.Stop()
 	defer pub.Close()
 
@@ -281,7 +504,7 @@ func TestCacheStalePlanAfterEviction(t *testing.T) {
 		global[i] = float64(i) + 0.5
 	}
 	tr := &transport.InProc{}
-	srv, pub := serveCached(t, tr, "cache-evict", "wave", cohort(array.NewBlockMap(gl, 2), global))
+	srv, pub := serve(t, tr, "cache-evict", "wave", cohort(array.NewBlockMap(gl, 2), global))
 	defer srv.Stop()
 	defer pub.Close()
 
@@ -326,7 +549,7 @@ func TestCacheSeveredSubscriberDoesNotStallOthers(t *testing.T) {
 		global[i] = float64(i) * 0.5
 	}
 	inner := transport.TCP{}
-	srv, pub := serveCached(t, inner, "127.0.0.1:0", "wave", cohort(array.NewBlockMap(gl, 2), global))
+	srv, pub := serve(t, inner, "127.0.0.1:0", "wave", cohort(array.NewBlockMap(gl, 2), global))
 	defer srv.Stop()
 	defer pub.Close()
 	addr := srv.Addr()

@@ -22,12 +22,22 @@
 // arithmetic both sides agree on, so no index metadata ever crosses the
 // wire with the data.
 //
-// Each Pull opens an epoch ("begin" snapshots the provider cohort's
-// chunks, so a mid-step simulation can't tear a frame), streams the
-// intersecting runs as chunked bulk frames — packed straight into the
-// reply encoder's payload span on the provider, scattered straight out of
-// the raw reply frame on the consumer, one user-space copy per side — and
-// closes the epoch with a oneway "end". Chunks default to
+// The provider owns an explicit generation: Publisher.Update runs a
+// timestep's mutation and opens the next generation atomically with
+// respect to snapshots (Advance is Update with no mutation), and the
+// epoch a pull sees is that generation. Each Pull calls "begin", which
+// snapshots the provider cohort's chunks on the generation's first begin
+// and joins the existing snapshot afterwards — so a mid-step simulation
+// can't tear a frame, every subscriber of a generation sees the same
+// timestep whatever its distribution, and a provider that never Updates
+// keeps serving the data of its first begin. The pull then streams the
+// intersecting runs as "chunk" frames: each (plan, pair, window) is packed
+// once per generation into a ref-counted transport.SharedBuf spliced
+// zero-copy into every subscriber's reply, and scattered straight out of
+// the raw reply frame on the consumer. Identical consumer distributions
+// deduplicate onto one plan, so N uniform subscribers cost one pack plus N
+// writev references. Those three methods — exchange, begin, chunk — are
+// the whole protocol; nothing closes an epoch. Chunks default to
 // 16·transport.CoalesceCutoff bytes so every chunk frame rides the
 // zero-copy writev path, and a credit window (default
 // transport.MaxFlushWindow·transport.CoalesceCutoff bytes) bounds the
@@ -42,30 +52,17 @@
 // InstallRemoteDistArray bridges to framework health events exactly like
 // scalar remote ports), redials with backoff, and the interrupted chunk
 // call retries on the healed connection. Provider-side state is
-// soft: plans and epochs are bounded LRU caches, and a consumer that
+// soft: plans and generations are bounded LRU caches, and a consumer that
 // finds its plan or epoch evicted (or the provider restarted) gets a
 // typed "unknown plan"/"unknown epoch" error and transparently
-// re-exchanges — at most wasted work, never wrong data.
+// re-exchanges — at most wasted work, never wrong data, and never two
+// generations mixed in one pull.
 //
-// # Serving many subscribers
-//
-// By default every begin snapshots afresh, so each consumer observes the
-// provider's latest data — right for a handful of attached tools.
-// Publishing WithEpochCache turns the provider into a high-fan-out
-// serving tier: the publisher owns an explicit generation (Advance opens
-// the next one), all subscribers of a generation share one snapshot, the
-// same consumer distribution deduplicates onto one plan, and each chunk
-// window is packed once into a ref-counted transport.SharedBuf that is
-// spliced zero-copy into every subscriber's reply. N subscribers then
-// cost one pack plus N writev references instead of N packs and copies.
-// Epoch lifetime is governed by generation turnover and the LRU ("end"
-// is a no-op in cache mode); eviction still surfaces as the stale
-// sentinels above. DESIGN.md §11 documents the tier; experiment E13
-// prices it at 1000 standing supervised subscribers.
-//
-// Experiment E11 (BenchmarkE11_CollectivePull, EXPERIMENTS.md) measures the chunked path
-// against a single-memcpy lower bound; the examples/distviz demo runs the
-// full two-process scenario including an injected sever.
+// Experiment E11 (BenchmarkE11_CollectivePull, EXPERIMENTS.md) measures the
+// chunked path against a single-memcpy lower bound and E13 prices the
+// fan-out at 1000 standing supervised subscribers (DESIGN.md §11); the
+// examples/distviz demo runs the full two-process scenario including an
+// injected sever.
 package collective
 
 import (
@@ -119,10 +116,10 @@ var (
 	hExchangeNs    = obs.NewHistogram("collective.plan_exchange_ns")
 	hPullNs        = obs.NewHistogram("collective.pull_ns")
 
-	// Serving-tier cache instruments (WithEpochCache publishers): plan
-	// dedup hits on exchange, epoch reuse on begin, and packed-frame
-	// reuse on chunk. The frame hit rate is the fan-out amortization
-	// number — E13 asserts it exceeds 90% at steady state.
+	// Publisher cache instruments: plan dedup hits on exchange, generation
+	// snapshot reuse on begin, and packed-frame reuse on chunk. The frame
+	// hit rate is the fan-out amortization number — E13 asserts it exceeds
+	// 90% at steady state.
 	cPlanCacheHits    = obs.NewCounter("collective.plan_cache_hits")
 	cEpochCacheHits   = obs.NewCounter("collective.epoch_cache_hits")
 	cEpochCacheMisses = obs.NewCounter("collective.epoch_cache_misses")
@@ -180,10 +177,13 @@ func encodeRuns(m array.DataMap) []int32 {
 	return flat
 }
 
-// decodeRuns reconstructs and validates a map from its wire form.
-func decodeRuns(n int, flat []int32) (*array.IrregularMap, error) {
-	if n < 0 {
-		return nil, fmt.Errorf("collective: negative global length %d", n)
+// decodeRuns reconstructs and validates the peer's map from its wire form.
+// own is this side's global length: no plan exists unless the two agree,
+// and checking that first (then rank < length) bounds every allocation
+// below by our own size instead of by numbers the peer chose.
+func decodeRuns(own, n int, flat []int32) (*array.IrregularMap, error) {
+	if n != own {
+		return nil, fmt.Errorf("%w: peer has %d elements, this side %d (cardinality mismatch)", ccoll.ErrMismatch, n, own)
 	}
 	if len(flat)%4 != 0 {
 		return nil, fmt.Errorf("collective: run list length %d is not a multiple of 4", len(flat))
@@ -194,6 +194,9 @@ func decodeRuns(n int, flat []int32) (*array.IrregularMap, error) {
 			Global: array.IndexRange{Lo: int(flat[4*i]), Hi: int(flat[4*i+1])},
 			Rank:   int(flat[4*i+2]),
 			Local:  int(flat[4*i+3]),
+		}
+		if rk := runs[i].Rank; rk < 0 || rk >= max(n, 1) {
+			return nil, fmt.Errorf("%w: run %d names rank %d of a %d-element array", array.ErrMap, i, rk, n)
 		}
 	}
 	return array.NewRunsMap(n, runs)

@@ -168,43 +168,6 @@ func TestRedistributionOverTCP(t *testing.T) {
 	}
 }
 
-func TestPullSeesFreshData(t *testing.T) {
-	// Each pull opens a fresh epoch: mutations to the provider's storage
-	// between pulls must be visible.
-	const gl = 32
-	global := make([]float64, gl)
-	src := array.NewBlockMap(gl, 2)
-	ports := cohort(src, global)
-	tr := &transport.InProc{}
-	srv, pub := serve(t, tr, "coll-fresh", "wave", ports)
-	defer srv.Stop()
-	defer pub.Close()
-	imp, err := Attach(tr, "coll-fresh", "wave", array.NewSerialMap(gl), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer imp.Close()
-	out := make([]float64, gl)
-	if err := imp.Pull(0, out); err != nil {
-		t.Fatal(err)
-	}
-	if out[5] != 0 {
-		t.Fatalf("first epoch saw %v", out[5])
-	}
-	for _, p := range ports {
-		mp := p.(*memPort)
-		for i := range mp.data {
-			mp.data[i] = 9.5
-		}
-	}
-	if err := imp.Pull(0, out); err != nil {
-		t.Fatal(err)
-	}
-	if out[5] != 9.5 {
-		t.Fatalf("second epoch saw %v, want mutated data", out[5])
-	}
-}
-
 func TestAttachGlobalLenMismatch(t *testing.T) {
 	tr := &transport.InProc{}
 	srv, pub := serve(t, tr, "coll-mismatch", "wave", cohort(array.NewBlockMap(100, 2), make([]float64, 100)))
@@ -302,7 +265,19 @@ func TestProtocolRejectsMalformedRequests(t *testing.T) {
 			_, err := c.Invoke(key, "chunk", int64(999), int64(1), int32(0), int32(0), int32(0), int32(1))
 			return err
 		},
-		"describe arity": func() error { _, err := c.Invoke(key, "describe", int32(1)); return err },
+		"exchange huge rank": func() error {
+			_, err := c.Invoke(key, "exchange", int32(24), []int32{0, 24, 1<<31 - 1, 0})
+			return err
+		},
+		// A oneway has no reply to encode into; the servant must refuse it
+		// (not crash) and keep answering, here with "end" no longer a method.
+		"oneway begin, retired end": func() error {
+			if err := c.InvokeOneway(key, "begin", int64(1)); err != nil {
+				return err
+			}
+			_, err := c.Invoke(key, "end", int64(1), int64(1))
+			return err
+		},
 	} {
 		if err := call(); !errors.Is(err, orb.ErrRemote) {
 			t.Errorf("%s: err = %v, want remote error", name, err)
@@ -401,7 +376,7 @@ func TestSnapshotPortServesAndValidates(t *testing.T) {
 	}
 
 	// A short snapshot must be rejected the same way short LocalData is.
-	ports[1].(*snapPort).data = ports[1].(*snapPort).data[:3]
+	pub.Update(func() { ports[1].(*snapPort).data = ports[1].(*snapPort).data[:3] })
 	out := make([]float64, dst.LocalLen(0))
 	if err := imp.Pull(0, out); err == nil || !strings.Contains(err.Error(), "holds") {
 		t.Fatalf("pull over short snapshot: %v", err)
@@ -481,7 +456,7 @@ func TestStalePlanReExchangesAfterRepublish(t *testing.T) {
 }
 
 func TestEpochEviction(t *testing.T) {
-	// More concurrent epochs than the cache holds: the oldest goes stale.
+	// More live generations than the cache holds: the oldest goes stale.
 	tr := &transport.InProc{}
 	srv, pub := serve(t, tr, "coll-evict", "wave", cohort(array.NewBlockMap(16, 1), make([]float64, 16)))
 	defer srv.Stop()
@@ -501,6 +476,7 @@ func TestEpochEviction(t *testing.T) {
 			t.Fatal(err)
 		}
 		epochs = append(epochs, res[0].(int64))
+		pub.Advance()
 	}
 	if _, err := c.Invoke(key, "chunk", planID, epochs[0], int32(0), int32(0), int32(0), int32(1)); !IsStale(err) {
 		t.Errorf("evicted epoch err = %v", err)

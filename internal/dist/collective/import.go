@@ -80,7 +80,7 @@ func (imp *Import) exchange(ctx context.Context) error {
 	if !ok0 || !ok1 || !ok2 {
 		return fmt.Errorf("collective: exchange returned %T,%T,%T", res[0], res[1], res[2])
 	}
-	pm, err := decodeRuns(int(n), flat)
+	pm, err := decodeRuns(imp.cmap.GlobalLen(), int(n), flat)
 	if err != nil {
 		return fmt.Errorf("collective: provider sent invalid map: %w", err)
 	}
@@ -128,8 +128,8 @@ func (imp *Import) PullContext(ctx context.Context, rank int, out []float64) err
 
 // PullAll redistributes one consistent epoch of the provider's data into
 // every consumer rank's chunk and returns the cohort's chunks. Unlike N
-// separate Pull calls — each of which opens its own epoch — all ranks here
-// observe the same provider timestep.
+// separate Pull calls — between which the provider may Update — all ranks
+// here observe the same provider timestep.
 func (imp *Import) PullAll(ctx context.Context) ([][]float64, error) {
 	outs := make([][]float64, imp.cmap.Ranks())
 	for r := range outs {
@@ -185,12 +185,13 @@ func (imp *Import) pull(ctx context.Context, ranks []int, outs [][]float64) erro
 	return err
 }
 
-// pullEpoch opens one epoch, streams every (src, dst) pair's packed
-// message as credit-windowed chunks, scatters each chunk straight from the
-// raw reply frame, and closes the epoch. Chunk calls are issued
-// concurrently up to WindowBytes of requested payload — the multiplexed
-// client pipelines them on one connection, and the window keeps a slow
-// consumer from buffering the whole array in flight.
+// pullEpoch joins the provider's current epoch, streams every (src, dst)
+// pair's packed message as credit-windowed chunks, and scatters each chunk
+// straight from the raw reply frame. Nothing closes an epoch: it is shared
+// by every subscriber and the provider retires it by generation turnover.
+// Chunk calls are issued concurrently up to WindowBytes of requested
+// payload — the multiplexed client pipelines them on one connection, and
+// the window keeps a slow consumer from buffering the whole array in flight.
 func (imp *Import) pullEpoch(ctx context.Context, ranks []int, outs [][]float64) error {
 	imp.mu.Lock()
 	plan, planID, m := imp.plan, imp.planID, imp.m
@@ -207,8 +208,6 @@ func (imp *Import) pullEpoch(ctx context.Context, ranks []int, outs [][]float64)
 	if !ok {
 		return fmt.Errorf("collective: begin returned %T, want int64", res[0])
 	}
-	// Epoch snapshots are provider memory; release even on error paths.
-	defer imp.sup.InvokeOneway(imp.key, "end", planID, epoch) //nolint:errcheck
 
 	type chunkReq struct {
 		src, dst  int // world ranks
@@ -279,7 +278,7 @@ func (imp *Import) pullEpoch(ctx context.Context, ranks []int, outs [][]float64)
 // pullChunk fetches one chunk and scatters it into out. The reply frame is
 // never decoded into a []float64: RawFloat64s views the payload in place
 // and UnpackBytes scatters straight into destination storage — the
-// consumer-side single copy matching the provider's pack-into-span.
+// consumer side's single copy.
 func (imp *Import) pullChunk(ctx context.Context, plan *ccoll.Plan, planID int64, epoch int64, m, src, dst, lo, count int, out []float64) error {
 	rep, err := imp.sup.InvokeRawContext(ctx, imp.key, "chunk",
 		planID, epoch, int32(src), int32(dst), int32(lo), int32(count))

@@ -48,7 +48,7 @@ func TestInstallRemoteDistArray(t *testing.T) {
 	}))
 
 	dst := array.NewCyclicMap(gl, 2, 4)
-	imp, err := InstallRemoteDistArray(fw, "viz-proxy", faulty, "coll-install", "wave", dst, Options{ChunkBytes: 64})
+	imp, err := InstallRemoteDistArray(fw, "viz-proxy", "field", faulty, "coll-install", "wave", dst, Options{ChunkBytes: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestInstallRemoteDistArray(t *testing.T) {
 	if err := fw.Install("viz", viz); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fw.Connect("viz", "in", "viz-proxy", "data"); err != nil {
+	if _, err := fw.Connect("viz", "in", "viz-proxy", "field"); err != nil {
 		t.Fatal(err)
 	}
 	port, err := viz.svc.GetPort("in")
@@ -83,7 +83,8 @@ func TestInstallRemoteDistArray(t *testing.T) {
 		t.Fatal("framework-mediated pull returned wrong data")
 	}
 
-	// A severed link must surface as the standard event pair.
+	// A severed link must surface as the standard event pair, on the port
+	// name the installer was given.
 	faulty.SeverAll()
 	waitEvent(t, events, cca.EventConnectionDegraded)
 	waitEvent(t, events, cca.EventConnectionRestored)

@@ -279,36 +279,36 @@ func HealthFor(s orb.ConnState) cca.Health {
 
 // InstallSupervisedRemoteOperator dials an exported esi.Operator or
 // esi.MatrixData port and installs a proxy component named instance
-// providing it locally as port "A". The connection is supervised: the
+// providing it locally under the name port. The connection is supervised: the
 // proxy's provides port redials, retries, and circuit-breaks per opts (the
 // zero value is usable), and every supervision state change is surfaced through the framework's event mechanism as a
 // ConnectionDegraded / ConnectionBroken / ConnectionRestored event on the
 // proxy's port — so builders and tools observe remote-link health through
 // the same configuration API they already use (§5).
-func InstallSupervisedRemoteOperator(fw *framework.Framework, instance string, tr transport.Transport, addr, key, portType string, opts orb.SupervisorOptions) (*RemotePort, error) {
+func InstallSupervisedRemoteOperator(fw *framework.Framework, instance, port string, tr transport.Transport, addr, key, portType string, opts orb.SupervisorOptions) (*RemotePort, error) {
 	// Bridge supervision transitions to framework health events. The
 	// supervisor may fire before Install completes (initial dial retries);
 	// SetPortHealth on a not-yet-installed component is a harmless error.
 	if opts.OnState == nil {
 		opts.OnState = func(s orb.ConnState, cause error) {
-			_ = fw.SetPortHealth(instance, "A", HealthFor(s), cause)
+			_ = fw.SetPortHealth(instance, port, HealthFor(s), cause)
 		}
 	}
 	rp, err := DialSupervised(tr, addr, key, portType, opts)
 	if err != nil {
 		return nil, err
 	}
-	var port cca.Port
+	var adapter cca.Port
 	switch portType {
 	case esi.TypeMatrixData:
-		port = &RemoteMatrixData{RemoteOperator{R: rp}}
+		adapter = &RemoteMatrixData{RemoteOperator{R: rp}}
 	case esi.TypeOperator:
-		port = &RemoteOperator{R: rp}
+		adapter = &RemoteOperator{R: rp}
 	default:
 		rp.Close()
 		return nil, fmt.Errorf("%w: no typed adapter for %q", ErrDist, portType)
 	}
-	if err := fw.Install(instance, &ProxyComponent{PortName: "A", PortType: portType, Port: port}); err != nil {
+	if err := fw.Install(instance, &ProxyComponent{PortName: port, PortType: portType, Port: adapter}); err != nil {
 		rp.Close()
 		return nil, err
 	}

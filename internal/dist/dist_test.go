@@ -91,7 +91,7 @@ func TestSolveAgainstRemoteOperator(t *testing.T) {
 		Flavor:    cca.FlavorInProcess | cca.FlavorDistributed,
 		TypeCheck: esi.TypeChecker(),
 	})
-	rp, err := InstallSupervisedRemoteOperator(client, "remoteA", tr, "srv2", key, esi.TypeMatrixData, orb.SupervisorOptions{})
+	rp, err := InstallSupervisedRemoteOperator(client, "remoteA", "A", tr, "srv2", key, esi.TypeMatrixData, orb.SupervisorOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestProxyFlavorRequirement(t *testing.T) {
 
 	// A framework without the distributed flavor must refuse the proxy.
 	plain := framework.New(framework.Options{Flavor: cca.FlavorInProcess})
-	if _, err := InstallSupervisedRemoteOperator(plain, "remoteA", tr, "srv3", key, esi.TypeMatrixData, orb.SupervisorOptions{}); !errors.Is(err, framework.ErrFlavor) {
+	if _, err := InstallSupervisedRemoteOperator(plain, "remoteA", "A", tr, "srv3", key, esi.TypeMatrixData, orb.SupervisorOptions{}); !errors.Is(err, framework.ErrFlavor) {
 		t.Errorf("err = %v, want ErrFlavor", err)
 	}
 }
@@ -177,7 +177,7 @@ func TestExportErrors(t *testing.T) {
 		t.Errorf("no-port err = %v", err)
 	}
 	// Untyped adapter request.
-	if _, err := InstallSupervisedRemoteOperator(fw, "x", tr, "srv4", "op/A", "weird.Type", orb.SupervisorOptions{}); !errors.Is(err, ErrDist) {
+	if _, err := InstallSupervisedRemoteOperator(fw, "x", "A", tr, "srv4", "op/A", "weird.Type", orb.SupervisorOptions{}); !errors.Is(err, ErrDist) {
 		t.Errorf("adapter err = %v", err)
 	}
 }

@@ -171,15 +171,15 @@ func decodeMsg(b []byte) (envelope, error) {
 }
 
 // decodeCount reads a length prefix and validates it against the bytes
-// actually present (elemSize > 0), so a corrupt count fails with ErrWire
-// instead of a huge make().
+// actually present at elemSize (≥ 1) bytes per element, so a corrupt count
+// fails with ErrWire instead of a huge — or, past MaxInt, negative — make().
 func decodeCount(b []byte, elemSize int) (int, []byte, error) {
 	v, n := binary.Uvarint(b)
 	if n <= 0 {
 		return 0, nil, fmt.Errorf("%w: truncated count", ErrWire)
 	}
 	b = b[n:]
-	if elemSize > 0 && v > uint64(len(b)/elemSize) {
+	if v > uint64(len(b)/elemSize) {
 		return 0, nil, fmt.Errorf("%w: count %d exceeds frame", ErrWire, v)
 	}
 	return int(v), b, nil
@@ -260,13 +260,9 @@ func decodeValue(b []byte) (any, []byte, error) {
 		}
 		return b[0] != 0, b[1:], nil
 	case tAnys:
-		n, b, err := decodeCount(b, 0)
+		n, b, err := decodeCount(b, 1) // ≥1 byte per element: its type tag
 		if err != nil {
 			return nil, nil, err
-		}
-		// Each element is at least 1 byte (its type tag).
-		if n > len(b) {
-			return nil, nil, fmt.Errorf("%w: count %d exceeds frame", ErrWire, n)
 		}
 		out := make([]any, n)
 		for i := range out {

@@ -6,6 +6,7 @@ package mpi
 // truncation and corruption, never a panic or an absurd allocation.
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"reflect"
@@ -21,8 +22,10 @@ func encodeEnvelope(t *testing.T, e envelope) []byte {
 	return b
 }
 
-func TestWireRoundTrip(t *testing.T) {
-	payloads := []any{
+// wirePayloads covers the closed payload type set, empty and non-empty;
+// the round-trip test and the fuzz target's seed corpus share it.
+func wirePayloads() []any {
+	return []any{
 		nil,
 		[]byte{},
 		[]byte{1, 2, 3, 0xff},
@@ -41,7 +44,10 @@ func TestWireRoundTrip(t *testing.T) {
 		[]any{},
 		[]any{int(1), "two", []float64{3}, nil, []any{true}},
 	}
-	for _, p := range payloads {
+}
+
+func TestWireRoundTrip(t *testing.T) {
+	for _, p := range wirePayloads() {
 		b := encodeEnvelope(t, envelope{source: 3, tag: internalTagBase + 17, payload: p})
 		if b[0] != kMsg {
 			t.Fatalf("frame kind = %d", b[0])
@@ -127,12 +133,56 @@ func TestWireCorruptFrames(t *testing.T) {
 		{"huge f64 count", []byte{1, 2, tF64s, 0xff, 0xff, 0xff, 0xff, 0x0f}},
 		{"huge anys count", []byte{1, 2, tAnys, 0xff, 0xff, 0xff, 0xff, 0x0f}},
 		{"int element truncated", []byte{1, 2, tInts, 2, 0x80}},
+		// 2⁶³ elements: negative once it is an int, so a bound checked only
+		// after the conversion lets it through to make().
+		{"anys count past MaxInt", []byte{1, 2, tAnys, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01}},
 	}
 	for _, tc := range cases {
 		if _, err := decodeMsg(tc.b); !errors.Is(err, ErrWire) {
 			t.Errorf("%s: err = %v, want ErrWire", tc.name, err)
 		}
 	}
+}
+
+// FuzzDecodeMsg: a crashed or hostile peer can hand decodeMsg any bytes. It
+// must fail with ErrWire or decode — never panic — and whatever decodes is
+// inside the codec's value domain: it re-encodes, and decoding that
+// encoding gives the same value back (compared as canonical bytes, so NaN
+// payloads and non-minimal varints in the input don't matter).
+func FuzzDecodeMsg(f *testing.F) {
+	for _, p := range wirePayloads() {
+		b, err := encodeMsg(nil, envelope{source: 3, tag: internalTagBase + 17, payload: p})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b[1:])
+		f.Add(b[1 : len(b)-len(b)/3])
+	}
+	f.Add([]byte{1, 2, 99})
+	f.Add([]byte{1, 2, tF64s, 0xff, 0xff, 0xff, 0xff, 0x0f})
+	f.Add([]byte{1, 2, tInts, 2, 0x80})
+	f.Add([]byte{1, 2, tAnys, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		e, err := decodeMsg(b)
+		if err != nil {
+			if !errors.Is(err, ErrWire) {
+				t.Fatalf("non-ErrWire failure: %v", err)
+			}
+			return
+		}
+		canon, err := encodeMsg(nil, e)
+		if err != nil {
+			t.Fatalf("decoded %#v does not re-encode: %v", e.payload, err)
+		}
+		e2, err := decodeMsg(canon[1:])
+		if err != nil {
+			t.Fatalf("canonical encoding of %#v does not decode: %v", e.payload, err)
+		}
+		again, err := encodeMsg(nil, e2)
+		if err != nil || !bytes.Equal(again, canon) {
+			t.Fatalf("decode∘encode is not the identity: %#v became %#v (%v)", e, e2, err)
+		}
+	})
 }
 
 func TestWireHelloAndRendezvousKindsDisjoint(t *testing.T) {

@@ -246,17 +246,6 @@ func (e *Encoder) ResultInt32(v int32) {
 // ResultString implements sreflect.ResultSink.
 func (e *Encoder) ResultString(s string) { e.EncodeString(s) }
 
-// Float64SliceSpan appends an n-element float64-slice value and returns the
-// 8n-byte span backing its elements, for the caller to fill with
-// little-endian float64 bits. Bulk producers (the collective chunk servant)
-// use it to pack array data straight into the wire buffer instead of
-// building a []float64 only for Encode to copy it.
-func (e *Encoder) Float64SliceSpan(n int) []byte {
-	e.buf = append(e.buf, tagFloat64Slice)
-	e.u32(uint32(n))
-	return e.grow(8 * n)
-}
-
 // Decoder reads values back from a CDR stream.
 type Decoder struct {
 	buf   []byte

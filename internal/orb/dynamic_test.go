@@ -16,8 +16,7 @@ import (
 
 // registerScaler registers a dynamic servant under key that answers:
 //
-//	scale(factor float64, n int32) -> []float64 of n elements i·factor,
-//	  packed through Float64SliceSpan;
+//	scale(factor float64, n int32) -> []float64 of n elements i·factor;
 //	fail(msg string) -> error after encoding a partial result;
 //	note(v int32) oneway -> recorded on ch.
 func registerScaler(oa *ObjectAdapter, key string, ch chan int32) {
@@ -26,11 +25,11 @@ func registerScaler(oa *ObjectAdapter, key string, ch chan int32) {
 		case "scale":
 			f := args[0].(float64)
 			n := int(args[1].(int32))
-			span := reply.Float64SliceSpan(n)
-			for i := 0; i < n; i++ {
-				binary.LittleEndian.PutUint64(span[8*i:], math.Float64bits(f*float64(i)))
+			out := make([]float64, n)
+			for i := range out {
+				out[i] = f * float64(i)
 			}
-			return nil
+			return reply.Encode(out)
 		case "fail":
 			reply.Encode(int32(42)) //nolint:errcheck // partial result, must be discarded
 			return errors.New(args[0].(string))
@@ -129,14 +128,11 @@ func TestDynamicServantOneway(t *testing.T) {
 	}
 }
 
-func TestFloat64SliceSpanRoundTrip(t *testing.T) {
+func TestRawFloat64sRoundTrip(t *testing.T) {
 	var e Encoder
 	e.Encode("hdr") //nolint:errcheck
-	span := e.Float64SliceSpan(3)
 	want := []float64{1.5, -2.25, math.Inf(1)}
-	for i, v := range want {
-		binary.LittleEndian.PutUint64(span[8*i:], math.Float64bits(v))
-	}
+	e.Encode(want)     //nolint:errcheck
 	e.Encode(int32(9)) //nolint:errcheck
 
 	d := NewDecoder(e.Bytes())

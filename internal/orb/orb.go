@@ -31,13 +31,13 @@ type Servant struct {
 // DynamicHandler is a CORBA DSI-style servant: it receives the decoded
 // method name and arguments and writes its results directly into the reply
 // encoder, bypassing SIDL reflection metadata and the boxed-results copy.
-// Bulk-transfer protocols (repro/internal/dist/collective) use it to pack
-// array payloads straight into the wire buffer.
+// Bulk-transfer protocols (repro/internal/dist/collective) use it to splice
+// packed, reference-counted array payloads into the reply.
 //
 // The handler must not retain args past its return (the slice is pooled).
 // reply is nil for oneway requests — there is nothing to answer. On a
 // non-nil reply the handler appends results with reply.Encode (or
-// Float64SliceSpan for bulk payloads); if it returns a non-nil error the
+// AppendSharedFloat64s for bulk payloads); if it returns a non-nil error the
 // partially written results are discarded and an error reply is sent
 // instead. Handlers must be safe for concurrent calls.
 type DynamicHandler func(method string, args []any, reply *Encoder) error

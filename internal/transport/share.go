@@ -1,5 +1,5 @@
 // Shared reference-counted payload buffers for server-side fan-out:
-// broadcast layers (repro/internal/dist/collective's epoch cache) pack a
+// broadcast layers (repro/internal/dist/collective's publisher) pack a
 // payload once and send the same bytes to many connections without
 // per-subscriber copies. transport.go holds the backends; the TCP
 // coalescer implements the zero-copy path natively, every other backend

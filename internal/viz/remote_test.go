@@ -1,8 +1,8 @@
 package viz
 
 // Tests for RemoteAttachment: several serial viz consumers concurrently
-// pulling one published distributed array through the epoch-cache serving
-// tier, and the buffer-reuse contract of Snapshot.
+// pulling one generation of a published distributed array, and the
+// buffer-reuse contract of Snapshot.
 
 import (
 	"context"
@@ -64,7 +64,7 @@ func TestRemoteAttachmentsConcurrent(t *testing.T) {
 	srv := orb.Serve(oa, l)
 	defer srv.Stop()
 	ports := vizCohort(array.NewBlockMap(gl, 2), global)
-	pub, err := dcoll.Publish(oa, "field", ports, dcoll.WithEpochCache())
+	pub, err := dcoll.Publish(oa, "field", ports)
 	if err != nil {
 		t.Fatal(err)
 	}
