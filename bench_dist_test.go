@@ -652,7 +652,7 @@ func BenchmarkE14_SwapWindow(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// E15 — F1/§6.3: the same binomial-tree collectives over the three comm
+// E15 — F1/§6.3: the same collective code over the three comm
 // fabrics a cohort can run on — the goroutine backend (channels, one
 // address space), and the process backend over tcp loopback and over shm
 // rings. The process backends pay the full wire path: codec, transport

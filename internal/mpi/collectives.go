@@ -164,14 +164,123 @@ func (c *Comm) Reduce(root int, contrib any, op Op) (any, error) {
 	return acc, nil
 }
 
-// Allreduce combines every rank's contribution and returns the result on all
-// ranks (Reduce to 0 + Bcast).
+// Allreduce combines every rank's contribution with op and returns the
+// result on every rank, by recursive doubling (Thakur, Rabenseifner &
+// Gropp, "Optimization of Collective Communication Operations in MPICH",
+// 2005): at stage k each rank swaps its partial result with rank^2ᵏ and
+// both compute op(lower-ranked operand, higher-ranked operand), so the two
+// directions of every exchange overlap. When the size n is not a power of
+// two, with rem = n − 2^⌊log₂ n⌋, ranks below 2·rem first fold in pairs —
+// each even rank hands its contribution to the odd rank above it, which
+// carries the pair through the stages — and the odd ranks hand the final
+// result back at the end.
+//
+// Every rank evaluates the same combine tree, so all ranks hold
+// bit-identical results on every backend. For a power-of-two size that
+// tree is ((a0⊕a1)⊕(a2⊕a3))⊕((a4⊕a5)⊕(a6⊕a7))…, the binomial reduction
+// tree; other sizes pair the ranks differently, so their rounding may
+// differ from Reduce's.
+//
+// Ownership: the result belongs to the caller alone — no peer holds a
+// reference to it — and no peer reads contrib after Allreduce returns, so
+// the caller may mutate either at once, on every backend.
 func (c *Comm) Allreduce(contrib any, op Op) (any, error) {
-	acc, err := c.Reduce(0, contrib, op)
-	if err != nil {
-		return nil, err
+	tag := c.nextCollTag()
+	n, r := c.Size(), c.rank
+	if n == 1 {
+		return op.clone(contrib), nil
 	}
-	return c.Bcast(0, acc)
+	p := partial{c: c, op: op, tag: tag, acc: contrib}
+	switch contrib.(type) {
+	case float64, int:
+		p.acc, p.owned = op.clone(contrib), true // promoted to a one-element slice
+	}
+	pof2 := 1
+	for 2*pof2 <= n {
+		pof2 <<= 1
+	}
+	rem := n - pof2
+	folded := r < 2*rem // r takes part in the pairwise fold
+	newrank := r - rem
+	if folded {
+		if r%2 == 0 {
+			if err := p.send(r + 1); err != nil {
+				return nil, err
+			}
+			newrank = -1
+		} else {
+			if err := p.combine(r - 1); err != nil {
+				return nil, err
+			}
+			newrank = r / 2
+		}
+	}
+	for mask := 1; newrank >= 0 && mask < pof2; mask <<= 1 {
+		peer := newrank ^ mask
+		if peer < rem {
+			peer = 2*peer + 1
+		} else {
+			peer += rem
+		}
+		if err := p.send(peer); err != nil {
+			return nil, err
+		}
+		if err := p.combine(peer); err != nil {
+			return nil, err
+		}
+	}
+	switch {
+	case folded && r%2 == 0:
+		res, _, err := c.recvInternal(r+1, tag)
+		return res, err
+	case folded:
+		if err := p.send(r - 1); err != nil {
+			return nil, err
+		}
+	}
+	return p.acc, nil
+}
+
+// partial is one rank's running result inside Allreduce. Until its first
+// combine, acc is the caller's contribution (owned false): it may be read
+// and sent, never mutated.
+type partial struct {
+	c     *Comm
+	op    Op
+	tag   int
+	acc   any
+	owned bool
+}
+
+// send delivers acc to dest while keeping it: an engine that moves
+// payloads by reference gets a copy, which the receiver then owns.
+func (p *partial) send(dest int) error {
+	payload := p.acc
+	if !p.c.eng.sendCopies(p.c.worldRank(dest)) {
+		payload = p.op.clone(payload)
+	}
+	return p.c.sendInternal(dest, p.tag, payload)
+}
+
+// combine receives src's partial result and folds it with acc in rank
+// order, op(lower, higher). The received operand is this rank's alone —
+// freshly decoded, or a copy its sender gave away — so when it is the
+// lower operand it absorbs the result without a copy.
+func (p *partial) combine(src int) error {
+	theirs, _, err := p.c.recvInternal(src, p.tag)
+	if err != nil {
+		return err
+	}
+	if src < p.c.rank {
+		p.acc, err = p.op.combine(theirs, p.acc)
+	} else {
+		if !p.owned {
+			p.acc = p.op.clone(p.acc)
+		}
+		p.acc, err = p.op.combine(p.acc, theirs)
+	}
+	p.owned = true
+	return err
 }
 
 // AllreduceFloat64 is a typed convenience wrapper around Allreduce for the

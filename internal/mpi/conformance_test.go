@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -343,6 +344,11 @@ func TestConformanceReduceAllreduceOps(t *testing.T) {
 		lor, err := c.Allreduce([]int{0, boolToInt(r == 1)}, LOr)
 		if err != nil || lor.([]int)[0] != 0 || lor.([]int)[1] != 1 {
 			t.Errorf("allreduce lor = %v, %v", lor, err)
+		}
+		// A non-commutative op sees its operands in rank order.
+		last := MakeOp("last", nil, func(a, b []int) []int { copy(a, b); return a })
+		if got, err := c.Allreduce([]int{r}, last); err != nil || got.([]int)[0] != n-1 {
+			t.Errorf("allreduce last = %v, %v", got, err)
 		}
 	})
 }
@@ -672,6 +678,47 @@ func TestConformanceTypeFidelity(t *testing.T) {
 			t.Errorf("NaN round-trip = %v, %v", got, err)
 		}
 	})
+}
+
+// TestAllreduceResultOwned holds Allreduce to its ownership rule: each rank
+// owns its result, and no peer reads its contribution after return. Every
+// rank overwrites both the moment Allreduce returns. Under -race, any
+// sharing between ranks is a reported race; without it, a result shared by
+// reference shows up after the barrier as another rank's overwrite.
+func TestAllreduceResultOwned(t *testing.T) {
+	for _, b := range confBackends() {
+		for _, n := range []int{1, 2, 3, 4, 5, 8} {
+			t.Run(fmt.Sprintf("%s/n=%d", b.name, n), func(t *testing.T) {
+				b.run(t, n, func(c *Comm) {
+					r := float64(c.Rank())
+					contrib := []float64{r, 1, r * r}
+					out, err := c.AllreduceFloat64(contrib, Sum)
+					if err != nil {
+						t.Errorf("allreduce: %v", err)
+						return
+					}
+					got := slices.Clone(out)
+					for i := range out {
+						out[i], contrib[i] = -1-r, math.NaN()
+					}
+					sq := float64((n - 1) * n * (2*n - 1) / 6)
+					if want := []float64{float64(n * (n - 1) / 2), float64(n), sq}; !slices.Equal(got, want) {
+						t.Errorf("rank %v: result %v, want %v", r, got, want)
+					}
+					if err := c.Barrier(); err != nil {
+						t.Errorf("barrier: %v", err)
+						return
+					}
+					for _, v := range out {
+						if v != -1-r {
+							t.Errorf("rank %v: result %v after the barrier, want its own overwrite %v", r, out, -1-r)
+							break
+						}
+					}
+				})
+			})
+		}
+	}
 }
 
 // TestCollTagWindowWraparound drives more collectives through a 3-rank

@@ -19,7 +19,8 @@
 // # Backends
 //
 // A Comm is backed by an engine — the rank-addressed p2p substrate it runs
-// on. The collective algorithms (binomial trees, window-cycled tags; see
+// on. The collective algorithms (binomial trees, recursive-doubling
+// allreduce, window-cycled tags; see
 // collectives.go) are written purely against the engine interface, so one
 // implementation serves both backends and a conformance suite executes the
 // same semantic table over each:

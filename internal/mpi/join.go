@@ -138,10 +138,7 @@ func JoinConfig(cfg ProcConfig) (*Comm, *Proc, error) {
 		l.Close()
 		return nil, nil, fmt.Errorf("mpi: rank %d rendezvous dial: %w", cfg.Rank, err)
 	}
-	join := appendUvarint([]byte{rvJoin}, uint64(cfg.Rank))
-	join = appendUvarint(join, uint64(cfg.Size))
-	join = appendString(join, selfAddr)
-	if err := ctl.Send(join); err != nil {
+	if err := ctl.Send(appendJoin(uint64(cfg.Rank), uint64(cfg.Size), selfAddr)); err != nil {
 		ctl.Close()
 		l.Close()
 		return nil, nil, fmt.Errorf("mpi: rank %d join: %w", cfg.Rank, err)
@@ -269,28 +266,9 @@ func recvWorld(ctl transport.Conn) (uint64, []string, error) {
 		}
 		switch f[0] {
 		case rvWorld:
-			b := f[1:]
-			gen, n := binary.Uvarint(b)
-			if n <= 0 {
-				transport.ReleaseFrame(f)
-				return 0, nil, fmt.Errorf("%w: truncated world gen", ErrWire)
-			}
-			b = b[n:]
-			sz, n := binary.Uvarint(b)
-			if n <= 0 || sz > uint64(len(b)) {
-				transport.ReleaseFrame(f)
-				return 0, nil, fmt.Errorf("%w: truncated world size", ErrWire)
-			}
-			b = b[n:]
-			addrs := make([]string, sz)
-			for i := range addrs {
-				if addrs[i], b, err = readString(b); err != nil {
-					transport.ReleaseFrame(f)
-					return 0, nil, err
-				}
-			}
+			gen, addrs, err := parseWorld(f[1:])
 			transport.ReleaseFrame(f)
-			return gen, addrs, nil
+			return gen, addrs, err
 		case rvErr:
 			msg, _, merr := readString(f[1:])
 			transport.ReleaseFrame(f)

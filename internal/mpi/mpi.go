@@ -67,6 +67,11 @@ type engine interface {
 	// allocCtx returns a fresh communicator context offset, unique across
 	// the whole world for the lifetime of the job.
 	allocCtx() (int, error)
+	// sendCopies reports whether send to world rank dest has serialized
+	// the payload by the time it returns, so the sender may go on mutating
+	// it. When false the payload moves by reference: once sent it belongs
+	// to the receiver, and the sender must not touch it again.
+	sendCopies(dest int) bool
 }
 
 // envelope is a single in-flight message.
@@ -268,6 +273,8 @@ func (g *goEngine) iprobe(source, efftag int) (Status, bool) {
 func (g *goEngine) allocCtx() (int, error) {
 	return int(atomic.AddInt64(&g.w.ctxCounter, 1)) * ctxStride, nil
 }
+
+func (g *goEngine) sendCopies(int) bool { return false }
 
 // ctxStride separates the effective-tag ranges of distinct communicator
 // contexts. Every tag used on a communicator (user tags < internalTagBase,

@@ -81,6 +81,10 @@ func (p *procWorld) send(dest int, e envelope) error {
 	return nil
 }
 
+// sendCopies: a peer send encodes the payload into the frame before it
+// returns; a self-send is a mailbox append by reference.
+func (p *procWorld) sendCopies(dest int) bool { return dest != p.rank }
+
 func (p *procWorld) recv(source, efftag int) (envelope, error) {
 	return p.box.take(source, efftag)
 }

@@ -4,9 +4,10 @@ package mpi
 // reductions over the wire must produce bit-identical results — first
 // against the serial reference fold on exact integer-valued data (where
 // every combine order is exact, so any wire-introduced perturbation is a
-// bug), then against the goroutine backend on arbitrary doubles (both
-// backends run the same binomial tree, so even the rounding must agree
-// bit-for-bit; a difference means the codec altered a payload).
+// bug), then against the goroutine backend on arbitrary doubles (every
+// backend runs the same recursive-doubling combine tree, so even the
+// rounding must agree bit-for-bit; a difference means the codec altered a
+// payload).
 
 import (
 	"fmt"
@@ -120,38 +121,75 @@ func TestProcCollectivesBitIdenticalToSerial(t *testing.T) {
 	}
 }
 
+// balancedSum is ((a0+a1)+(a2+a3))+…: the combine tree recursive doubling
+// and the binomial Reduce both evaluate when len(contribs) is a power of
+// two.
+func balancedSum(contribs [][]float64) []float64 {
+	if len(contribs) == 1 {
+		return contribs[0]
+	}
+	h := len(contribs) / 2
+	lo, hi := balancedSum(contribs[:h]), balancedSum(contribs[h:])
+	out := make([]float64, len(lo))
+	for i := range out {
+		out[i] = lo[i] + hi[i]
+	}
+	return out
+}
+
 func TestProcCollectivesBitIdenticalToGoroutine(t *testing.T) {
-	// Arbitrary doubles, including values whose sum depends on combine
-	// order. Both backends execute the same tree, so the process backend
-	// must reproduce the goroutine backend's rounding exactly; this fails
-	// if the wire codec perturbs so much as one mantissa bit.
-	const n, vec = 5, 41
+	// Arbitrary-magnitude doubles, whose sum depends on combine order.
+	// Every backend executes the same combine tree, so every rank on every
+	// backend must hold the goroutine backend's rank 0 bits exactly; this
+	// fails if the wire codec perturbs so much as one mantissa bit. For
+	// power-of-two sizes the tree is the balanced one, which is also what
+	// Reduce computes, so those sizes are held to it explicitly.
+	const vec = 41
 	rng := rand.New(rand.NewSource(2026))
-	contribs := make([][]float64, n)
-	for r := range contribs {
-		contribs[r] = make([]float64, vec)
-		for i := range contribs[r] {
-			contribs[r][i] = (rng.Float64() - 0.5) * math.Pow(10, float64(rng.Intn(13)-6))
-		}
-	}
-	collect := func(run func(t *testing.T, n int, body func(c *Comm))) [][]float64 {
-		results := make([][]float64, n)
-		run(t, n, func(c *Comm) {
-			out, err := c.AllreduceFloat64(contribs[c.Rank()], Sum)
-			if err != nil {
-				t.Errorf("allreduce: %v", err)
-				return
+	for _, n := range []int{2, 3, 4, 5, 6, 8} {
+		contribs := make([][]float64, n)
+		for r := range contribs {
+			contribs[r] = make([]float64, vec)
+			for i := range contribs[r] {
+				contribs[r][i] = (rng.Float64() - 0.5) * math.Pow(10, float64(rng.Intn(13)-6))
 			}
-			results[c.Rank()] = out
-		})
-		return results
-	}
-	goResults := collect(func(t *testing.T, n int, body func(c *Comm)) { Run(n, body) })
-	procResults := collect(runProc)
-	for r := 0; r < n; r++ {
-		if !bitsEqual(goResults[r], procResults[r]) {
-			t.Errorf("rank %d: goroutine and process backends disagree:\n  go:   %v\n  proc: %v",
-				r, goResults[r], procResults[r])
+		}
+		var want []float64 // set by the first result for other sizes
+		if n&(n-1) == 0 {
+			want = balancedSum(contribs)
+		}
+		for _, b := range confBackends() {
+			t.Run(fmt.Sprintf("n=%d/%s", n, b.name), func(t *testing.T) {
+				results := make([][]float64, n)
+				var reduced []float64
+				b.run(t, n, func(c *Comm) {
+					out, err := c.AllreduceFloat64(contribs[c.Rank()], Sum)
+					if err != nil {
+						t.Errorf("allreduce: %v", err)
+						return
+					}
+					results[c.Rank()] = out
+					red, err := c.Reduce(0, contribs[c.Rank()], Sum)
+					if err != nil {
+						t.Errorf("reduce: %v", err)
+						return
+					}
+					if c.Rank() == 0 {
+						reduced = red.([]float64)
+					}
+				})
+				if want == nil {
+					want = results[0]
+				}
+				for r, got := range results {
+					if !bitsEqual(got, want) {
+						t.Errorf("rank %d: %v\n  want %v", r, got, want)
+					}
+				}
+				if n&(n-1) == 0 && !bitsEqual(reduced, want) {
+					t.Errorf("Reduce: %v\n  want %v", reduced, want)
+				}
+			})
 		}
 	}
 }

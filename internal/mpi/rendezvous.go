@@ -46,6 +46,70 @@ func readString(b []byte) (string, []byte, error) {
 	return string(b[m : m+int(n)]), b[m+int(n):], nil
 }
 
+// appendJoin encodes a join frame.
+func appendJoin(rank, size uint64, addr string) []byte {
+	b := appendUvarint([]byte{rvJoin}, rank)
+	b = appendUvarint(b, size)
+	return appendString(b, addr)
+}
+
+// parseJoin decodes a join frame's body (after the kind byte). The values
+// are the peer's claims, unchecked against the service's world.
+func parseJoin(b []byte) (rank, size uint64, addr string, err error) {
+	rank, n := binary.Uvarint(b)
+	if n <= 0 {
+		return 0, 0, "", fmt.Errorf("%w: truncated join rank", ErrWire)
+	}
+	b = b[n:]
+	size, n = binary.Uvarint(b)
+	if n <= 0 {
+		return 0, 0, "", fmt.Errorf("%w: truncated join size", ErrWire)
+	}
+	if addr, b, err = readString(b[n:]); err != nil {
+		return 0, 0, "", err
+	}
+	if len(b) != 0 {
+		return 0, 0, "", fmt.Errorf("%w: %d trailing bytes after join", ErrWire, len(b))
+	}
+	return rank, size, addr, nil
+}
+
+// appendWorld encodes a world frame.
+func appendWorld(gen uint64, addrs []string) []byte {
+	b := appendUvarint([]byte{rvWorld}, gen)
+	b = appendUvarint(b, uint64(len(addrs)))
+	for _, a := range addrs {
+		b = appendString(b, a)
+	}
+	return b
+}
+
+// parseWorld decodes a world frame's body (after the kind byte). The
+// address count is bounded by the bytes present (each string carries at
+// least its length byte) before anything is sized from it.
+func parseWorld(b []byte) (gen uint64, addrs []string, err error) {
+	gen, n := binary.Uvarint(b)
+	if n <= 0 {
+		return 0, nil, fmt.Errorf("%w: truncated world gen", ErrWire)
+	}
+	b = b[n:]
+	sz, n := binary.Uvarint(b)
+	if n <= 0 || sz > uint64(len(b)-n) {
+		return 0, nil, fmt.Errorf("%w: truncated world size", ErrWire)
+	}
+	b = b[n:]
+	addrs = make([]string, sz)
+	for i := range addrs {
+		if addrs[i], b, err = readString(b); err != nil {
+			return 0, nil, err
+		}
+	}
+	if len(b) != 0 {
+		return 0, nil, fmt.Errorf("%w: %d trailing bytes after world", ErrWire, len(b))
+	}
+	return gen, addrs, nil
+}
+
 // rvMember is one rank's control connection within the rendezvous.
 type rvMember struct {
 	rank int
@@ -187,18 +251,7 @@ func (r *Rendezvous) handleJoin(c transport.Conn) (*rvMember, error) {
 	if len(f) < 1 || f[0] != rvJoin {
 		return nil, fmt.Errorf("%w: expected join frame", ErrWire)
 	}
-	b := f[1:]
-	rank, n := binary.Uvarint(b)
-	if n <= 0 {
-		return nil, fmt.Errorf("%w: truncated join rank", ErrWire)
-	}
-	b = b[n:]
-	size, n := binary.Uvarint(b)
-	if n <= 0 {
-		return nil, fmt.Errorf("%w: truncated join size", ErrWire)
-	}
-	b = b[n:]
-	addr, _, err := readString(b)
+	rank, size, addr, err := parseJoin(f[1:])
 	if err != nil {
 		return nil, err
 	}
@@ -233,11 +286,11 @@ func (r *Rendezvous) handleJoin(c transport.Conn) (*rvMember, error) {
 	r.mu.Unlock()
 
 	if form != nil {
-		world := appendUvarint([]byte{rvWorld}, form.gen)
-		world = appendUvarint(world, uint64(r.size))
-		for _, mem := range form.members {
-			world = appendString(world, mem.addr)
+		addrs := make([]string, len(form.members))
+		for i, mem := range form.members {
+			addrs[i] = mem.addr
 		}
+		world := appendWorld(form.gen, addrs)
 		for _, mem := range form.members {
 			if err := mem.conn.Send(world); err != nil {
 				// The member's own serve loop observes the broken conn and

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"repro/internal/simd"
@@ -40,6 +41,10 @@ import (
 //	tString [uvarint n] n bytes
 //	tBool   1 byte
 //	tAnys   [uvarint n] n values (recursive; nesting for Allgather parts)
+//
+// tAnys nests at most maxAnysDepth deep, on both sides: the decoder
+// recurses once per level, so without the cap one frame of repeated
+// [tAnys 1] pairs could exhaust the receiver's stack.
 const (
 	kHello byte = 1
 	kMsg   byte = 2
@@ -58,6 +63,8 @@ const (
 	tBool
 	tAnys
 )
+
+const maxAnysDepth = 64
 
 // ErrPayloadType reports a payload whose Go type the process backend
 // cannot serialize. The goroutine backend moves such payloads by
@@ -82,10 +89,11 @@ func encodeMsg(b []byte, e envelope) ([]byte, error) {
 	b = append(b, kMsg)
 	b = appendUvarint(b, uint64(e.source))
 	b = appendUvarint(b, uint64(e.tag))
-	return appendValue(b, e.payload)
+	return appendValue(b, e.payload, 0)
 }
 
-func appendValue(b []byte, p any) ([]byte, error) {
+// appendValue encodes p, which sits inside depth enclosing []any values.
+func appendValue(b []byte, p any, depth int) ([]byte, error) {
 	switch v := p.(type) {
 	case nil:
 		return append(b, tNil), nil
@@ -97,7 +105,10 @@ func appendValue(b []byte, p any) ([]byte, error) {
 		b = append(b, tF64s)
 		b = appendUvarint(b, uint64(len(v)))
 		off := len(b)
-		b = append(b, make([]byte, 8*len(v))...)
+		// Extend by reslicing, not append(b, make(…)...): that form clears
+		// the bytes PackF64LE overwrites at once, and a pooled buffer
+		// usually has the room already.
+		b = slices.Grow(b, 8*len(v))[:off+8*len(v)]
 		simd.PackF64LE(b[off:], v)
 		return b, nil
 	case []int:
@@ -132,11 +143,14 @@ func appendValue(b []byte, p any) ([]byte, error) {
 		}
 		return append(b, 0), nil
 	case []any:
+		if depth >= maxAnysDepth {
+			return nil, fmt.Errorf("%w: []any nested deeper than %d", ErrPayloadType, maxAnysDepth)
+		}
 		b = append(b, tAnys)
 		b = appendUvarint(b, uint64(len(v)))
 		var err error
 		for _, x := range v {
-			if b, err = appendValue(b, x); err != nil {
+			if b, err = appendValue(b, x, depth+1); err != nil {
 				return nil, err
 			}
 		}
@@ -160,7 +174,7 @@ func decodeMsg(b []byte) (envelope, error) {
 		return envelope{}, fmt.Errorf("%w: truncated tag", ErrWire)
 	}
 	b = b[n:]
-	p, rest, err := decodeValue(b)
+	p, rest, err := decodeValue(b, 0)
 	if err != nil {
 		return envelope{}, err
 	}
@@ -185,7 +199,8 @@ func decodeCount(b []byte, elemSize int) (int, []byte, error) {
 	return int(v), b, nil
 }
 
-func decodeValue(b []byte) (any, []byte, error) {
+// decodeValue decodes one value sitting inside depth enclosing tAnys.
+func decodeValue(b []byte, depth int) (any, []byte, error) {
 	if len(b) == 0 {
 		return nil, nil, fmt.Errorf("%w: missing type tag", ErrWire)
 	}
@@ -260,6 +275,9 @@ func decodeValue(b []byte) (any, []byte, error) {
 		}
 		return b[0] != 0, b[1:], nil
 	case tAnys:
+		if depth >= maxAnysDepth {
+			return nil, nil, fmt.Errorf("%w: []any nested deeper than %d", ErrWire, maxAnysDepth)
+		}
 		n, b, err := decodeCount(b, 1) // ≥1 byte per element: its type tag
 		if err != nil {
 			return nil, nil, err
@@ -267,7 +285,7 @@ func decodeValue(b []byte) (any, []byte, error) {
 		out := make([]any, n)
 		for i := range out {
 			var v any
-			if v, b, err = decodeValue(b); err != nil {
+			if v, b, err = decodeValue(b, depth+1); err != nil {
 				return nil, nil, err
 			}
 			out[i] = v

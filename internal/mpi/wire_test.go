@@ -10,6 +10,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -46,8 +47,25 @@ func wirePayloads() []any {
 	}
 }
 
+// nestedAnys returns levels []any values, each the only element of the
+// one around it.
+func nestedAnys(levels int) any {
+	v := []any{}
+	for i := 1; i < levels; i++ {
+		v = []any{v}
+	}
+	return v
+}
+
+// nestedFrame is a kMsg body carrying levels nested [tAnys 1] headers
+// around a nil, built by hand so it can go deeper than the encoder allows.
+func nestedFrame(levels int) []byte {
+	b := append([]byte{1, 2}, bytes.Repeat([]byte{tAnys, 1}, levels)...)
+	return append(b, tNil)
+}
+
 func TestWireRoundTrip(t *testing.T) {
-	for _, p := range wirePayloads() {
+	for _, p := range append(wirePayloads(), nestedAnys(maxAnysDepth)) {
 		b := encodeEnvelope(t, envelope{source: 3, tag: internalTagBase + 17, payload: p})
 		if b[0] != kMsg {
 			t.Fatalf("frame kind = %d", b[0])
@@ -90,6 +108,7 @@ func TestWireUntransferableTypes(t *testing.T) {
 		int32(1),
 		&struct{}{},
 		[]any{int(1), []string{"nested bad"}}, // failure inside a nested value
+		nestedAnys(maxAnysDepth + 1),          // deeper than a peer decodes
 	} {
 		if _, err := encodeMsg(nil, envelope{payload: p}); !errors.Is(err, ErrPayloadType) {
 			t.Errorf("encode %T = %v, want ErrPayloadType", p, err)
@@ -136,6 +155,7 @@ func TestWireCorruptFrames(t *testing.T) {
 		// 2⁶³ elements: negative once it is an int, so a bound checked only
 		// after the conversion lets it through to make().
 		{"anys count past MaxInt", []byte{1, 2, tAnys, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01}},
+		{"anys nested past the cap", nestedFrame(maxAnysDepth + 1)},
 	}
 	for _, tc := range cases {
 		if _, err := decodeMsg(tc.b); !errors.Is(err, ErrWire) {
@@ -162,6 +182,7 @@ func FuzzDecodeMsg(f *testing.F) {
 	f.Add([]byte{1, 2, tF64s, 0xff, 0xff, 0xff, 0xff, 0x0f})
 	f.Add([]byte{1, 2, tInts, 2, 0x80})
 	f.Add([]byte{1, 2, tAnys, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01})
+	f.Add(nestedFrame(1 << 16))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		e, err := decodeMsg(b)
 		if err != nil {
@@ -181,6 +202,46 @@ func FuzzDecodeMsg(f *testing.F) {
 		again, err := encodeMsg(nil, e2)
 		if err != nil || !bytes.Equal(again, canon) {
 			t.Fatalf("decode∘encode is not the identity: %#v became %#v (%v)", e, e2, err)
+		}
+	})
+}
+
+// FuzzRendezvousFrames: the rendezvous service parses whatever a dialer
+// sends as a join, and a joining rank parses whatever the service sends as
+// a world. Each body is fed to both parsers: a parse fails with ErrWire or
+// succeeds, never panics or sizes anything past the input, and whatever
+// parses re-encodes to a frame that parses back to the same values.
+func FuzzRendezvousFrames(f *testing.F) {
+	f.Add(appendJoin(3, 4, "tcp://127.0.0.1:7077")[1:])
+	f.Add(appendJoin(0, 1, "")[1:])
+	f.Add(appendWorld(2, []string{"shm:///tmp/a", "shm:///tmp/b", "inproc://c"})[1:])
+	f.Add(appendWorld(1<<40, nil)[1:])
+	f.Add([]byte{1, 0xff, 0xff, 0xff, 0xff, 0x0f, 0})                         // world naming 4G addresses
+	f.Add([]byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x02}) // overlong varint
+	f.Add(append(appendJoin(1, 2, "x")[1:], 0))                               // trailing byte
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if rank, size, addr, err := parseJoin(b); err != nil {
+			if !errors.Is(err, ErrWire) {
+				t.Fatalf("join: non-ErrWire failure: %v", err)
+			}
+		} else {
+			r2, s2, a2, err := parseJoin(appendJoin(rank, size, addr)[1:])
+			if err != nil || r2 != rank || s2 != size || a2 != addr {
+				t.Fatalf("join (%d, %d, %q) re-parsed as (%d, %d, %q), %v", rank, size, addr, r2, s2, a2, err)
+			}
+		}
+		if gen, addrs, err := parseWorld(b); err != nil {
+			if !errors.Is(err, ErrWire) {
+				t.Fatalf("world: non-ErrWire failure: %v", err)
+			}
+		} else {
+			if len(addrs) > len(b) {
+				t.Fatalf("world: %d addresses from %d bytes", len(addrs), len(b))
+			}
+			g2, a2, err := parseWorld(appendWorld(gen, addrs)[1:])
+			if err != nil || g2 != gen || !slices.Equal(a2, addrs) {
+				t.Fatalf("world (%d, %q) re-parsed as (%d, %q), %v", gen, addrs, g2, a2, err)
+			}
 		}
 	})
 }

@@ -33,6 +33,13 @@ func newRemoteCalc(t *testing.T, tr transport.Transport, addr string) *Client {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c.Close() })
+	// A reply proves the server accepted the connection; then stop
+	// accepting. An idle shm listener rescans its directory every few
+	// hundred µs, and those allocations would land in the measured loop.
+	if _, err := c.Invoke("calc", "add", 1.0, 2.0); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
 	return c
 }
 

@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"net"
 	"runtime"
 	"sync"
@@ -125,38 +126,49 @@ type Transport interface {
 
 // --- pooled receive frames ---
 
-// maxPooledFrame caps the capacity of buffers kept in the frame pool so one
-// giant transfer cannot pin memory for the rest of the run (mirrors the ORB
-// encoder pool's cap).
-const maxPooledFrame = 1 << 20
+// The frame pool recycles payload buffers between Recv and ReleaseFrame in
+// power-of-two size classes, minFrameShift through maxFrameShift: class k
+// holds buffers of capacity at least 1<<k, and a length-n request draws
+// from the smallest class that fits n, so no request ever meets — and
+// discards — a pooled buffer too small for it.
+//
+// maxPooledFrame (the top class) is set by the bulk paths this repository
+// moves: a 1 MiB mpi vector or a 2×512 KiB ORB request plus its header is
+// just over 1 MiB and lands in the 2 MiB class, which a 1 MiB cap would
+// leave to a fresh, zeroed, page-faulting allocation on every receive.
+// Larger frames are one-off transfers: their memory goes back to the
+// garbage collector rather than staying pinned in the pool.
+const (
+	minFrameShift  = 9
+	maxFrameShift  = 22
+	maxPooledFrame = 1 << maxFrameShift
+)
 
-// The frame pool recycles payload buffers between Recv and ReleaseFrame.
 // Buffers travel inside *[]byte boxes; grabFrame strips the box off and
 // parks it in boxPool so that at steady state neither Get nor Put
 // allocates.
 var (
-	framePool sync.Pool // holds *[]byte boxes with spare capacity
-	boxPool   = sync.Pool{New: func() any { return new([]byte) }}
+	framePools [maxFrameShift - minFrameShift + 1]sync.Pool // *[]byte boxes, by class
+	boxPool    = sync.Pool{New: func() any { return new([]byte) }}
 )
 
-// grabFrame returns a length-n buffer, reusing pooled storage when it fits.
+// grabFrame returns a length-n buffer, reusing pooled storage when its
+// class has any.
 func grabFrame(n int) []byte {
-	if p, ok := framePool.Get().(*[]byte); ok {
+	k := minFrameShift
+	if n > 1<<minFrameShift {
+		k = bits.Len(uint(n - 1)) // smallest k with 1<<k ≥ n
+	}
+	if k > maxFrameShift {
+		return make([]byte, n)
+	}
+	if p, ok := framePools[k-minFrameShift].Get().(*[]byte); ok {
 		b := *p
 		*p = nil
 		boxPool.Put(p)
-		if cap(b) >= n {
-			return b[:n]
-		}
+		return b[:n]
 	}
-	if n > maxPooledFrame {
-		return make([]byte, n)
-	}
-	c := 512
-	for c < n {
-		c <<= 1
-	}
-	return make([]byte, n, c)
+	return make([]byte, n, 1<<k)
 }
 
 // ReleaseFrame returns a frame obtained from Conn.Recv to the package pool.
@@ -165,12 +177,13 @@ func grabFrame(n int) []byte {
 // but consumers that copy out everything they need (the ORB's decoder
 // copies every value) run allocation-free at steady state by releasing.
 func ReleaseFrame(f []byte) {
-	if cap(f) == 0 || cap(f) > maxPooledFrame {
+	c := cap(f)
+	if c < 1<<minFrameShift || c > maxPooledFrame {
 		return
 	}
 	p := boxPool.Get().(*[]byte)
 	*p = f[:0]
-	framePool.Put(p)
+	framePools[bits.Len(uint(c))-1-minFrameShift].Put(p) // the largest class c covers
 }
 
 // --- in-process transport ---

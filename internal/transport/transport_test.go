@@ -552,3 +552,35 @@ func TestFlushLeaderStress(t *testing.T) {
 		t.Fatalf("received %d/%d frames, err = %v", r.n, senders*frames, r.err)
 	}
 }
+
+func TestFramePoolSizeClasses(t *testing.T) {
+	for _, n := range []int{0, 1, 512, 513, 64 << 10, 1<<20 + 16, maxPooledFrame} {
+		f := grabFrame(n)
+		if c := cap(f); len(f) != n || c < n || c < 1<<minFrameShift || c&(c-1) != 0 {
+			t.Errorf("grabFrame(%d): len %d cap %d, want a power-of-two class", n, len(f), c)
+		}
+	}
+	if f := grabFrame(maxPooledFrame + 1); cap(f) != maxPooledFrame+1 {
+		t.Errorf("frame above the top class: cap %d, want exact", cap(f))
+	}
+	// A released frame serves the next request of its class, even after a
+	// request of another class. sync.Pool may drop any item (the race
+	// runtime drops some on purpose), so count reuse over many rounds.
+	same := func(a, b []byte) bool { return &a[:1][0] == &b[:1][0] }
+	var smallReused, bulkReused int
+	for i := 0; i < 50; i++ {
+		small := grabFrame(100)
+		ReleaseFrame(small)
+		bulk := grabFrame(1<<20 + 16) // a 1 MiB payload plus its header
+		ReleaseFrame(bulk)
+		if f := grabFrame(100); same(f, small) {
+			smallReused++
+		}
+		if f := grabFrame(1<<20 + 16); same(f, bulk) {
+			bulkReused++
+		}
+	}
+	if smallReused == 0 || bulkReused == 0 {
+		t.Errorf("in 50 rounds, small frames reused %d times and 1 MiB frames %d times", smallReused, bulkReused)
+	}
+}
