@@ -21,6 +21,7 @@ package repro
 // the run when the property they guard does not hold.
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -696,11 +697,12 @@ func (mo *monolith) step(dt float64) error {
 	}
 	x := make([]float64, n)
 	copy(x, mo.u[:n])
+	dot, dotErr := mesh.GlobalDot(mo.comm)
 	_, err := (linalg.CG{}).Solve(mo.op, ustar, x, linalg.Options{
-		Tol: 1e-8, Dot: mesh.GlobalDot(mo.comm), Prec: mo.prec,
+		Tol: 1e-8, Dot: dot, Prec: mo.prec,
 	})
 	if err != nil {
-		return err
+		return cmp.Or(dotErr(), err)
 	}
 	copy(mo.u[:n], x)
 	if err := mo.dec.Exchange(mo.comm, mo.u); err != nil {
@@ -940,7 +942,7 @@ func bcastStep(floats int) func(c *mpi.Comm) (func() error, error) {
 		if c.Rank() == 0 {
 			in = make([]float64, floats)
 		}
-		return func() error { _, err := c.BcastFloat64(0, in); return err }, nil
+		return func() error { _, err := c.Bcast(0, in); return err }, nil
 	}
 }
 

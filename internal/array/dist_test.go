@@ -2,6 +2,7 @@ package array
 
 import (
 	"errors"
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -189,6 +190,31 @@ func TestMapLocalLenSumProperty(t *testing.T) {
 			}
 		}
 		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Property: BlockMap partitions [0,n) exactly — ranges are contiguous,
+// non-overlapping, cover everything, and sizes differ by at most one.
+func TestBlockRangeProperty(t *testing.T) {
+	f := func(nRaw, pRaw uint8) bool {
+		n := int(nRaw)
+		p := int(pRaw)%16 + 1
+		m := NewBlockMap(n, p)
+		prev := 0
+		minSz, maxSz := math.MaxInt, 0
+		for r := 0; r < p; r++ {
+			g := m.Range(r)
+			if g.Lo != prev || g.Hi < g.Lo {
+				return false
+			}
+			minSz = min(minSz, g.Len())
+			maxSz = max(maxSz, g.Len())
+			prev = g.Hi
+		}
+		return prev == n && maxSz-minSz <= 1
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -247,10 +247,10 @@ func TestPortConnectAndPull(t *testing.T) {
 		me := c.Rank()
 		var prov *provider
 		if me < 2 {
-			lo, hi := mpi.BlockRange(n, 2, me)
-			data := make([]float64, hi-lo)
+			g := array.NewBlockMap(n, 2).Range(me)
+			data := make([]float64, g.Len())
 			for i := range data {
-				data[i] = float64(lo + i)
+				data[i] = float64(g.Lo + i)
 			}
 			prov = &provider{side: src, data: data}
 		} else {

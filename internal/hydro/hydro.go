@@ -20,6 +20,7 @@
 package hydro
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -374,13 +375,14 @@ func (fc *FlowComponent) Step(dt float64) (Stats, error) {
 	// Implicit diffusion: (I + dt ν L) u' = u*.
 	x := make([]float64, nOwned)
 	copy(x, fc.u[:nOwned]) // warm start from previous field
+	dot, dotErr := mesh.GlobalDot(fc.comm)
 	res, err := (linalg.CG{}).Solve(fc.op, ustar, x, linalg.Options{
 		Tol:  fc.cfg.Tol,
-		Dot:  mesh.GlobalDot(fc.comm),
+		Dot:  dot,
 		Prec: fc.prec,
 	})
 	if err != nil {
-		return Stats{}, fmt.Errorf("hydro: diffusion solve: %w", err)
+		return Stats{}, fmt.Errorf("hydro: diffusion solve: %w", cmp.Or(dotErr(), err))
 	}
 	copy(fc.u[:nOwned], x)
 	if err := fc.dec.Exchange(fc.comm, fc.u); err != nil {

@@ -2,6 +2,7 @@ package mesh
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/linalg"
@@ -243,14 +244,21 @@ func (op *DistOperator) Apply(x, y []float64) error {
 }
 
 // GlobalDot returns a linalg.Dot that sums local products and reduces over
-// comm — the parallel inner product for the Krylov solvers.
-func GlobalDot(comm *mpi.Comm) linalg.Dot {
-	return func(a, b []float64) float64 {
-		local := linalg.DotPar(a, b)
-		global, err := comm.AllreduceScalar(local, mpi.Sum)
+// comm — the parallel inner product for the Krylov solvers — and a function
+// reporting the first reduction error. A failed reduction (a peer rank
+// died) makes dot return NaN, which the solvers report as a breakdown; a
+// caller whose solve fails returns firstErr() in its place when non-nil.
+func GlobalDot(comm *mpi.Comm) (dot linalg.Dot, firstErr func() error) {
+	var first error
+	dot = func(a, b []float64) float64 {
+		global, err := comm.AllreduceScalar(linalg.DotPar(a, b), mpi.Sum)
 		if err != nil {
-			panic("mesh: global dot allreduce: " + err.Error())
+			if first == nil {
+				first = err
+			}
+			return math.NaN()
 		}
 		return global
 	}
+	return dot, func() error { return first }
 }

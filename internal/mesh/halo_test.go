@@ -1,6 +1,7 @@
 package mesh
 
 import (
+	"cmp"
 	"errors"
 	"math"
 	"testing"
@@ -194,7 +195,8 @@ func TestParallelCGMatchesSerial(t *testing.T) {
 			bl[li] = b[g]
 		}
 		xl := make([]float64, d.NumOwned())
-		res, err := (linalg.CG{}).Solve(op, bl, xl, linalg.Options{Tol: 1e-10, Dot: GlobalDot(c)})
+		dot, _ := GlobalDot(c)
+		res, err := (linalg.CG{}).Solve(op, bl, xl, linalg.Options{Tol: 1e-10, Dot: dot})
 		if err != nil {
 			t.Errorf("parallel cg: %v (%v)", err, res)
 			return
@@ -207,6 +209,32 @@ func TestParallelCGMatchesSerial(t *testing.T) {
 		if math.Abs(xPar[i]-xSerial[i]) > 1e-6 {
 			t.Fatalf("x[%d]: parallel %v vs serial %v", i, xPar[i], xSerial[i])
 		}
+	}
+}
+
+// A peer that dies while a survivor is inside a CG dot product reaches the
+// survivor as the typed rank-death error, not a panic, so it can re-form
+// its cohort. The operator is local, so GlobalDot's allreduce is the only
+// communication the solve does.
+func TestGlobalDotRankDeathReturnsTypedError(t *testing.T) {
+	a := linalg.Poisson2D(4, 4)
+	err := mpi.RunOver(2, "inproc://mesh-global-dot-death", func(c *mpi.Comm, p *mpi.Proc) {
+		if c.Rank() == 1 {
+			p.Kill()
+			return
+		}
+		<-p.Done()
+		dot, dotErr := GlobalDot(c)
+		x := make([]float64, a.NRows)
+		_, err := (linalg.CG{}).Solve(a, linalg.Ones(a.NRows), x, linalg.Options{Dot: dot})
+		err = cmp.Or(dotErr(), err)
+		var dead *mpi.RankDeadError
+		if !errors.As(err, &dead) || dead.Rank != 1 {
+			t.Errorf("CG through GlobalDot after rank 1 died = %v, want a *mpi.RankDeadError for rank 1", err)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

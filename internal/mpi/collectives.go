@@ -1,6 +1,9 @@
 package mpi
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Collective tag management. Collectives on a communicator must be invoked
 // in the same order by every rank (the standard MPI requirement); each rank
@@ -118,54 +121,8 @@ func (c *Comm) Bcast(root int, payload any) (any, error) {
 	return payload, nil
 }
 
-// BcastFloat64 is a typed convenience wrapper around Bcast.
-func (c *Comm) BcastFloat64(root int, data []float64) ([]float64, error) {
-	p, err := c.Bcast(root, data)
-	if err != nil {
-		return nil, err
-	}
-	if p == nil {
-		return nil, nil
-	}
-	v, ok := p.([]float64)
-	if !ok {
-		return nil, fmt.Errorf("%w: got %T, want []float64", ErrTypeMatch, p)
-	}
-	return v, nil
-}
-
-// Reduce combines each rank's contribution with op and delivers the result
-// to root; other ranks receive nil. The contribution is not mutated.
-// Implemented as a binomial tree in root-relative rank space.
-func (c *Comm) Reduce(root int, contrib any, op Op) (any, error) {
-	if err := c.checkRank(root); err != nil {
-		return nil, err
-	}
-	tag := c.nextCollTag()
-	n := c.Size()
-	acc := op.clone(contrib)
-	vr := (c.rank - root + n) % n
-	for mask := 1; mask < n; mask <<= 1 {
-		if vr&mask != 0 {
-			parent := ((vr - mask) + root) % n
-			return nil, c.sendInternal(parent, tag, acc)
-		}
-		if vr+mask < n {
-			p, _, err := c.recvInternal((vr+mask+root)%n, tag)
-			if err != nil {
-				return nil, err
-			}
-			acc, err = op.combine(acc, p)
-			if err != nil {
-				return nil, err
-			}
-		}
-	}
-	return acc, nil
-}
-
-// Allreduce combines every rank's contribution with op and returns the
-// result on every rank, by recursive doubling (Thakur, Rabenseifner &
+// AllreduceFloat64 combines every rank's contribution with op and returns
+// the result on every rank, by recursive doubling (Thakur, Rabenseifner &
 // Gropp, "Optimization of Collective Communication Operations in MPICH",
 // 2005): at stage k each rank swaps its partial result with rank^2ᵏ and
 // both compute op(lower-ranked operand, higher-ranked operand), so the two
@@ -177,24 +134,19 @@ func (c *Comm) Reduce(root int, contrib any, op Op) (any, error) {
 //
 // Every rank evaluates the same combine tree, so all ranks hold
 // bit-identical results on every backend. For a power-of-two size that
-// tree is ((a0⊕a1)⊕(a2⊕a3))⊕((a4⊕a5)⊕(a6⊕a7))…, the binomial reduction
-// tree; other sizes pair the ranks differently, so their rounding may
-// differ from Reduce's.
+// tree is the balanced ((a0⊕a1)⊕(a2⊕a3))⊕((a4⊕a5)⊕(a6⊕a7))…; other sizes
+// pair the ranks differently.
 //
 // Ownership: the result belongs to the caller alone — no peer holds a
-// reference to it — and no peer reads contrib after Allreduce returns, so
-// the caller may mutate either at once, on every backend.
-func (c *Comm) Allreduce(contrib any, op Op) (any, error) {
+// reference to it — and no peer reads contrib after AllreduceFloat64
+// returns, so the caller may mutate either at once, on every backend.
+func (c *Comm) AllreduceFloat64(contrib []float64, op Op) ([]float64, error) {
 	tag := c.nextCollTag()
 	n, r := c.Size(), c.rank
 	if n == 1 {
-		return op.clone(contrib), nil
+		return slices.Clone(contrib), nil
 	}
 	p := partial{c: c, op: op, tag: tag, acc: contrib}
-	switch contrib.(type) {
-	case float64, int:
-		p.acc, p.owned = op.clone(contrib), true // promoted to a one-element slice
-	}
 	pof2 := 1
 	for 2*pof2 <= n {
 		pof2 <<= 1
@@ -231,8 +183,7 @@ func (c *Comm) Allreduce(contrib any, op Op) (any, error) {
 	}
 	switch {
 	case folded && r%2 == 0:
-		res, _, err := c.recvInternal(r+1, tag)
-		return res, err
+		return c.recvFloat64(r+1, tag)
 	case folded:
 		if err := p.send(r - 1); err != nil {
 			return nil, err
@@ -241,14 +192,14 @@ func (c *Comm) Allreduce(contrib any, op Op) (any, error) {
 	return p.acc, nil
 }
 
-// partial is one rank's running result inside Allreduce. Until its first
-// combine, acc is the caller's contribution (owned false): it may be read
-// and sent, never mutated.
+// partial is one rank's running result inside AllreduceFloat64. Until its
+// first combine, acc is the caller's contribution (owned false): it may be
+// read and sent, never mutated.
 type partial struct {
 	c     *Comm
 	op    Op
 	tag   int
-	acc   any
+	acc   []float64
 	owned bool
 }
 
@@ -257,7 +208,7 @@ type partial struct {
 func (p *partial) send(dest int) error {
 	payload := p.acc
 	if !p.c.eng.sendCopies(p.c.worldRank(dest)) {
-		payload = p.op.clone(payload)
+		payload = slices.Clone(payload)
 	}
 	return p.c.sendInternal(dest, p.tag, payload)
 }
@@ -267,7 +218,7 @@ func (p *partial) send(dest int) error {
 // freshly decoded, or a copy its sender gave away — so when it is the
 // lower operand it absorbs the result without a copy.
 func (p *partial) combine(src int) error {
-	theirs, _, err := p.c.recvInternal(src, p.tag)
+	theirs, err := p.c.recvFloat64(src, p.tag)
 	if err != nil {
 		return err
 	}
@@ -275,7 +226,7 @@ func (p *partial) combine(src int) error {
 		p.acc, err = p.op.combine(theirs, p.acc)
 	} else {
 		if !p.owned {
-			p.acc = p.op.clone(p.acc)
+			p.acc = slices.Clone(p.acc)
 		}
 		p.acc, err = p.op.combine(p.acc, theirs)
 	}
@@ -283,154 +234,14 @@ func (p *partial) combine(src int) error {
 	return err
 }
 
-// AllreduceFloat64 is a typed convenience wrapper around Allreduce for the
-// ubiquitous vector case.
-func (c *Comm) AllreduceFloat64(contrib []float64, op Op) ([]float64, error) {
-	p, err := c.Allreduce(contrib, op)
-	if err != nil {
-		return nil, err
-	}
-	v, ok := p.([]float64)
-	if !ok {
-		return nil, fmt.Errorf("%w: got %T, want []float64", ErrTypeMatch, p)
-	}
-	return v, nil
-}
-
 // AllreduceScalar reduces a single float64 across ranks; the workhorse of
 // dot products and residual norms in the solver components.
 func (c *Comm) AllreduceScalar(x float64, op Op) (float64, error) {
-	p, err := c.Allreduce([]float64{x}, op)
+	v, err := c.AllreduceFloat64([]float64{x}, op)
 	if err != nil {
 		return 0, err
 	}
-	return p.([]float64)[0], nil
-}
-
-// Gather collects each rank's payload at root, returning a slice indexed by
-// rank on root and nil elsewhere.
-func (c *Comm) Gather(root int, payload any) ([]any, error) {
-	if err := c.checkRank(root); err != nil {
-		return nil, err
-	}
-	tag := c.nextCollTag()
-	if c.rank != root {
-		return nil, c.sendInternal(root, tag, payload)
-	}
-	out := make([]any, c.Size())
-	out[c.rank] = payload
-	for i := 0; i < c.Size()-1; i++ {
-		p, st, err := c.recvInternal(AnySource, tag)
-		if err != nil {
-			return nil, err
-		}
-		out[st.Source] = p
-	}
-	return out, nil
-}
-
-// GatherFloat64 gathers per-rank []float64 chunks at root and concatenates
-// them in rank order (MPI_Gatherv with implicit counts).
-func (c *Comm) GatherFloat64(root int, chunk []float64) ([]float64, error) {
-	parts, err := c.Gather(root, chunk)
-	if err != nil || parts == nil {
-		return nil, err
-	}
-	var total int
-	typed := make([][]float64, len(parts))
-	for i, p := range parts {
-		v, ok := p.([]float64)
-		if !ok {
-			return nil, fmt.Errorf("%w: rank %d sent %T", ErrTypeMatch, i, p)
-		}
-		typed[i] = v
-		total += len(v)
-	}
-	out := make([]float64, 0, total)
-	for _, v := range typed {
-		out = append(out, v...)
-	}
-	return out, nil
-}
-
-// Allgather collects every rank's payload on every rank.
-func (c *Comm) Allgather(payload any) ([]any, error) {
-	parts, err := c.Gather(0, payload)
-	if err != nil {
-		return nil, err
-	}
-	p, err := c.Bcast(0, parts)
-	if err != nil {
-		return nil, err
-	}
-	return p.([]any), nil
-}
-
-// Scatter distributes parts[i] from root to rank i and returns the local
-// part on every rank. Non-root callers pass nil for parts.
-func (c *Comm) Scatter(root int, parts []any) (any, error) {
-	if err := c.checkRank(root); err != nil {
-		return nil, err
-	}
-	tag := c.nextCollTag()
-	if c.rank == root {
-		if len(parts) != c.Size() {
-			return nil, fmt.Errorf("%w: scatter with %d parts for %d ranks", ErrCountMatch, len(parts), c.Size())
-		}
-		for i, p := range parts {
-			if i == root {
-				continue
-			}
-			if err := c.sendInternal(i, tag, p); err != nil {
-				return nil, err
-			}
-		}
-		return parts[root], nil
-	}
-	p, _, err := c.recvInternal(root, tag)
-	return p, err
-}
-
-// ScatterFloat64 splits data on root into Size() near-equal contiguous
-// chunks (block distribution) and scatters them; it returns the local chunk
-// on every rank along with its global offset.
-func (c *Comm) ScatterFloat64(root int, data []float64) (chunk []float64, offset int, err error) {
-	var parts []any
-	var offsets []int
-	if c.rank == root {
-		n := c.Size()
-		parts = make([]any, n)
-		offsets = make([]int, n)
-		for i := 0; i < n; i++ {
-			lo, hi := BlockRange(len(data), n, i)
-			parts[i] = data[lo:hi]
-			offsets[i] = lo
-		}
-	}
-	p, err := c.Scatter(root, parts)
-	if err != nil {
-		return nil, 0, err
-	}
-	op, err := c.Scatter(root, intsToAnys(offsets, c.rank == root, c.Size()))
-	if err != nil {
-		return nil, 0, err
-	}
-	chunk, ok := p.([]float64)
-	if !ok {
-		return nil, 0, fmt.Errorf("%w: got %T, want []float64", ErrTypeMatch, p)
-	}
-	return chunk, op.(int), nil
-}
-
-func intsToAnys(xs []int, isRoot bool, n int) []any {
-	if !isRoot {
-		return nil
-	}
-	out := make([]any, n)
-	for i, x := range xs {
-		out[i] = x
-	}
-	return out
+	return v[0], nil
 }
 
 // Alltoall exchanges parts[i] of every rank with rank i; returns the slice
@@ -458,42 +269,4 @@ func (c *Comm) Alltoall(parts []any) ([]any, error) {
 		out[st.Source] = p
 	}
 	return out, nil
-}
-
-// Scan computes the inclusive prefix reduction: rank r receives
-// op(contrib_0, ..., contrib_r). Linear pipeline implementation.
-func (c *Comm) Scan(contrib any, op Op) (any, error) {
-	tag := c.nextCollTag()
-	acc := op.clone(contrib)
-	if c.rank > 0 {
-		p, _, err := c.recvInternal(c.rank-1, tag)
-		if err != nil {
-			return nil, err
-		}
-		acc, err = op.combine(op.clone(p), contrib)
-		if err != nil {
-			return nil, err
-		}
-	}
-	if c.rank < c.Size()-1 {
-		if err := c.sendInternal(c.rank+1, tag, acc); err != nil {
-			return nil, err
-		}
-	}
-	return acc, nil
-}
-
-// BlockRange returns the half-open global index range [lo, hi) owned by
-// rank r under the standard near-equal block distribution of n items over p
-// ranks (the first n%p ranks receive one extra item).
-func BlockRange(n, p, r int) (lo, hi int) {
-	base := n / p
-	rem := n % p
-	if r < rem {
-		lo = r * (base + 1)
-		hi = lo + base + 1
-		return lo, hi
-	}
-	lo = rem*(base+1) + (r-rem)*base
-	return lo, lo + base
 }

@@ -9,21 +9,22 @@
 // distributed"). This package reproduces the semantics the CCA's collective
 // ports are built on — rank-addressed point-to-point messaging with MPI
 // (source, tag) matching including wildcards, communicator groups, and the
-// standard collective operations.
+// collective operations the repository's components use.
 //
-// The API deliberately mirrors the MPI-1 surface that scientific codes such
-// as CHAD use: Send/Recv, nonblocking Isend/Irecv with Wait, Barrier, Bcast,
-// Reduce, Allreduce, Gather(v), Scatter(v), Allgather, Alltoall, Scan, and
-// communicator Split/Dup.
+// The API is the part of the MPI-1 surface those components call: Send,
+// Recv and RecvFloat64; nonblocking Isend/Irecv with Wait and WaitAll;
+// Barrier, Bcast, AllreduceFloat64 and AllreduceScalar (with the Sum, Max
+// and Min ops), Alltoall; and communicator Split.
 //
 // # Backends
 //
 // A Comm is backed by an engine — the rank-addressed p2p substrate it runs
-// on. The collective algorithms (binomial trees, recursive-doubling
-// allreduce, window-cycled tags; see
-// collectives.go) are written purely against the engine interface, so one
-// implementation serves both backends and a conformance suite executes the
-// same semantic table over each:
+// on: send, receive, derived-context allocation, and whether a send copies
+// its payload. The collective algorithms (binomial trees,
+// recursive-doubling allreduce, window-cycled tags; see collectives.go)
+// are written purely against that interface, so one implementation serves
+// both backends and a conformance suite executes the same semantic table
+// over each:
 //
 //   - Goroutine backend ([Run]): every rank is a goroutine, delivery is a
 //     mailbox append, payloads move by reference. This is the fast path for
@@ -33,10 +34,12 @@
 //     process (or an isolated in-process member in tests). Ranks form a full
 //     mesh of transport connections — tcp:// across hosts, shm:// same-host
 //     rings — and exchange rank-addressed frames ([source, effective tag,
-//     typed payload]; see wire.go). Cohort formation goes through a
-//     rendezvous service (rendezvous.go) that assigns the rank↔address map,
-//     barriers on world formation, and allocates derived-communicator
-//     contexts so Split/Dup stay globally collision-free.
+//     typed payload]; see wire.go). Only nil, []float64 and []int payloads
+//     cross processes; anything else fails at send with ErrPayloadType.
+//     Cohort formation goes through a rendezvous service (rendezvous.go)
+//     that assigns the rank↔address map, barriers on world formation, and
+//     allocates derived-communicator contexts so Split stays globally
+//     collision-free.
 //
 // Rank death on the process backend is not silent: a broken peer connection
 // without the finalize handshake poisons the local mailbox with a typed

@@ -359,8 +359,8 @@ func formMesh(l transport.Listener, rank, size int, gen uint64, addrs []string, 
 		if err == nil {
 			var c transport.Conn
 			if c, err = transport.DialRetry(tr, rest, timeout); err == nil {
-				hello := appendUvarint([]byte{kHello}, uint64(rank))
-				hello = appendUvarint(hello, gen)
+				hello := binary.AppendUvarint([]byte{kHello}, uint64(rank))
+				hello = binary.AppendUvarint(hello, gen)
 				if err = c.Send(hello); err != nil {
 					c.Close()
 				} else {

@@ -1,8 +1,10 @@
 package mpi
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -46,7 +48,7 @@ func (e *RankDeadError) Unwrap() error { return e.Err }
 
 // engine is the rank-addressed point-to-point substrate a communicator
 // runs on. One engine value serves one rank: send addresses peers by world
-// rank, and the receive-side methods operate on the owning rank's mailbox.
+// rank, and recv takes from the owning rank's mailbox.
 // The collective algorithms in collectives.go are written purely against
 // Comm's send/recv internals, so they run unchanged over every engine:
 // the goroutine backend (goEngine, one address space) and the process
@@ -59,11 +61,6 @@ type engine interface {
 	// recv blocks until a message matching (source, efftag) is in this
 	// rank's mailbox and removes it. Wildcards follow mailbox.take.
 	recv(source, efftag int) (envelope, error)
-	// probeWait blocks until a matching message is queued and returns its
-	// status (with the raw effective tag) without consuming it.
-	probeWait(source, efftag int) (Status, error)
-	// iprobe is the nonblocking probeWait.
-	iprobe(source, efftag int) (Status, bool)
 	// allocCtx returns a fresh communicator context offset, unique across
 	// the whole world for the lifetime of the job.
 	allocCtx() (int, error)
@@ -161,46 +158,8 @@ func (m *mailbox) take(source, tag int) (envelope, error) {
 	}
 }
 
-// probe reports whether a matching message is queued without removing it.
-func (m *mailbox) probe(source, tag int) (Status, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for i := m.head; i < len(m.pending); i++ {
-		if m.taken[i] {
-			continue
-		}
-		e := m.pending[i]
-		if (source == AnySource || e.source == source) && (tag == AnyTag || e.tag == tag) {
-			return Status{Source: e.source, Tag: e.tag, count: payloadLen(e.payload)}, true
-		}
-	}
-	return Status{}, false
-}
-
-// probeWait blocks until a matching message is queued and returns its
-// status with the raw effective tag, without consuming the message.
-func (m *mailbox) probeWait(source, tag int) (Status, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for {
-		if m.failErr != nil {
-			return Status{}, m.failErr
-		}
-		for i := m.head; i < len(m.pending); i++ {
-			if m.taken[i] {
-				continue
-			}
-			e := m.pending[i]
-			if (source == AnySource || e.source == source) && (tag == AnyTag || e.tag == tag) {
-				return Status{Source: e.source, Tag: e.tag, count: payloadLen(e.payload)}, nil
-			}
-		}
-		m.cond.Wait()
-	}
-}
-
-// fail poisons the mailbox: every pending and future take/probeWait (and
-// put) returns err. The first failure wins; later ones are ignored.
+// fail poisons the mailbox: every pending and future take (and put)
+// returns err. The first failure wins; later ones are ignored.
 func (m *mailbox) fail(err error) {
 	m.mu.Lock()
 	if m.failErr == nil {
@@ -212,35 +171,11 @@ func (m *mailbox) fail(err error) {
 
 func (m *mailbox) revoke() { m.fail(ErrCommRevoked) }
 
-// payloadLen reports the element count of the common payload kinds; -1 when
-// unknown.
-func payloadLen(p any) int {
-	switch v := p.(type) {
-	case []float64:
-		return len(v)
-	case []int:
-		return len(v)
-	case []byte:
-		return len(v)
-	case []complex128:
-		return len(v)
-	case nil:
-		return 0
-	default:
-		return -1
-	}
-}
-
-// Status describes a received (or probed) message, mirroring MPI_Status.
+// Status describes a received message, mirroring MPI_Status.
 type Status struct {
 	Source int
 	Tag    int
-	count  int
 }
-
-// Count reports the element count of the message payload, or -1 if the
-// payload type has no defined count.
-func (s Status) Count() int { return s.count }
 
 // world is the shared state behind the goroutine backend: one mailbox per
 // rank plus the context allocator, all in a single address space.
@@ -260,14 +195,6 @@ func (g *goEngine) send(dest int, e envelope) error { return g.w.boxes[dest].put
 
 func (g *goEngine) recv(source, efftag int) (envelope, error) {
 	return g.w.boxes[g.self].take(source, efftag)
-}
-
-func (g *goEngine) probeWait(source, efftag int) (Status, error) {
-	return g.w.boxes[g.self].probeWait(source, efftag)
-}
-
-func (g *goEngine) iprobe(source, efftag int) (Status, bool) {
-	return g.w.boxes[g.self].probe(source, efftag)
 }
 
 func (g *goEngine) allocCtx() (int, error) {
@@ -332,7 +259,7 @@ func (c *Comm) Send(dest, tag int, payload any) error {
 	if err := c.checkTag(tag); err != nil {
 		return err
 	}
-	return c.eng.send(c.worldRank(dest), envelope{source: c.rank, tag: c.efftag(tag), payload: payload})
+	return c.sendInternal(dest, tag, payload)
 }
 
 // sendInternal bypasses the user tag range check for collective traffic.
@@ -343,17 +270,24 @@ func (c *Comm) sendInternal(dest, tag int, payload any) error {
 // Recv blocks until a message matching (source, tag) arrives and returns its
 // payload. source may be AnySource and tag may be AnyTag.
 func (c *Comm) Recv(source, tag int) (any, Status, error) {
+	if err := c.checkRecv(source, tag); err != nil {
+		return nil, Status{}, err
+	}
+	return c.recvInternal(source, tag)
+}
+
+// checkRecv validates a receive's source and tag, either of which may be
+// a wildcard.
+func (c *Comm) checkRecv(source, tag int) error {
 	if source != AnySource {
 		if err := c.checkRank(source); err != nil {
-			return nil, Status{}, err
+			return err
 		}
 	}
 	if tag != AnyTag {
-		if err := c.checkTag(tag); err != nil {
-			return nil, Status{}, err
-		}
+		return c.checkTag(tag)
 	}
-	return c.recvInternal(source, tag)
+	return nil
 }
 
 func (c *Comm) recvInternal(source, tag int) (any, Status, error) {
@@ -366,7 +300,7 @@ func (c *Comm) recvInternal(source, tag int) (any, Status, error) {
 		return nil, Status{}, err
 	}
 	userTag := e.tag - c.ctxTag
-	return e.payload, Status{Source: e.source, Tag: userTag, count: payloadLen(e.payload)}, nil
+	return e.payload, Status{Source: e.source, Tag: userTag}, nil
 }
 
 // RecvFloat64 receives a []float64 payload, enforcing the payload type.
@@ -375,56 +309,25 @@ func (c *Comm) RecvFloat64(source, tag int) ([]float64, Status, error) {
 	if err != nil {
 		return nil, st, err
 	}
+	v, err := asFloat64s(p)
+	return v, st, err
+}
+
+// recvFloat64 is recvInternal for the []float64 a collective expects.
+func (c *Comm) recvFloat64(source, tag int) ([]float64, error) {
+	p, _, err := c.recvInternal(source, tag)
+	if err != nil {
+		return nil, err
+	}
+	return asFloat64s(p)
+}
+
+func asFloat64s(p any) ([]float64, error) {
 	v, ok := p.([]float64)
 	if !ok {
-		return nil, st, fmt.Errorf("%w: got %T, want []float64", ErrTypeMatch, p)
+		return nil, fmt.Errorf("%w: got %T, want []float64", ErrTypeMatch, p)
 	}
-	return v, st, nil
-}
-
-// Probe blocks until a matching message is available and returns its Status
-// without consuming it.
-func (c *Comm) Probe(source, tag int) (Status, error) {
-	et := tag
-	if tag != AnyTag {
-		if err := c.checkTag(tag); err != nil {
-			return Status{}, err
-		}
-		et = c.efftag(tag)
-	}
-	st, err := c.eng.probeWait(source, et)
-	if err != nil {
-		return Status{}, err
-	}
-	st.Tag -= c.ctxTag
-	return st, nil
-}
-
-// Iprobe is the nonblocking form of Probe.
-func (c *Comm) Iprobe(source, tag int) (Status, bool) {
-	et := tag
-	if tag != AnyTag {
-		et = c.efftag(tag)
-	}
-	st, ok := c.eng.iprobe(source, et)
-	if ok {
-		st.Tag -= c.ctxTag
-	}
-	return st, ok
-}
-
-// Sendrecv performs a combined send and receive, safe against the pairwise
-// exchange deadlock that naive Send-then-Recv causes.
-func (c *Comm) Sendrecv(dest, sendTag int, payload any, source, recvTag int) (any, Status, error) {
-	req, err := c.Isend(dest, sendTag, payload)
-	if err != nil {
-		return nil, Status{}, err
-	}
-	p, st, err := c.Recv(source, recvTag)
-	if werr := req.Wait(); werr != nil && err == nil {
-		err = werr
-	}
-	return p, st, err
+	return v, nil
 }
 
 // Run starts an SPMD "job" of n ranks over a fresh world communicator and
@@ -531,16 +434,9 @@ func (c *Comm) Split(color, key int) (*Comm, error) {
 			members = append(members, e)
 		}
 	}
-	for i := 1; i < len(members); i++ {
-		for j := i; j > 0; j-- {
-			a, b := members[j-1], members[j]
-			if b.Key < a.Key || (b.Key == a.Key && b.Rank < a.Rank) {
-				members[j-1], members[j] = b, a
-			} else {
-				break
-			}
-		}
-	}
+	slices.SortFunc(members, func(a, b entry) int {
+		return cmp.Or(cmp.Compare(a.Key, b.Key), cmp.Compare(a.Rank, b.Rank))
+	})
 	group := make([]int, len(members))
 	myNew := -1
 	for i, e := range members {
@@ -556,9 +452,3 @@ func (c *Comm) Split(color, key int) (*Comm, error) {
 // per-communicator context so concurrent Splits on different communicators
 // cannot cross-deliver.
 func (c *Comm) splitTag() int { return internalTagBase + 1 }
-
-// Dup returns a communicator with the same group but an isolated
-// communication context. Collective over c.
-func (c *Comm) Dup() (*Comm, error) {
-	return c.Split(0, c.rank)
-}

@@ -1,6 +1,8 @@
 package mpi
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -89,14 +91,6 @@ func (p *procWorld) recv(source, efftag int) (envelope, error) {
 	return p.box.take(source, efftag)
 }
 
-func (p *procWorld) probeWait(source, efftag int) (Status, error) {
-	return p.box.probeWait(source, efftag)
-}
-
-func (p *procWorld) iprobe(source, efftag int) (Status, bool) {
-	return p.box.probe(source, efftag)
-}
-
 // allocCtx asks the rendezvous service for a globally unique communicator
 // context: Split may run concurrently on disjoint subcommunicators whose
 // leaders are different processes, so no local counter can be safe.
@@ -114,7 +108,7 @@ func (p *procWorld) allocCtx() (int, error) {
 	if len(f) < 2 || f[0] != rvCtxRep {
 		return 0, fmt.Errorf("%w: bad ctx reply", ErrWire)
 	}
-	n, m := uvarint(f[1:])
+	n, m := binary.Uvarint(f[1:])
 	if m <= 0 {
 		return 0, fmt.Errorf("%w: truncated ctx reply", ErrWire)
 	}
@@ -211,23 +205,6 @@ func (p *procWorld) markBye(peer int) {
 	p.mu.Unlock()
 }
 
-// uvarint is binary.Uvarint without the import clutter at call sites.
-func uvarint(b []byte) (uint64, int) {
-	var x uint64
-	var s uint
-	for i, c := range b {
-		if c < 0x80 {
-			if i > 9 || i == 9 && c > 1 {
-				return 0, -(i + 1)
-			}
-			return x | uint64(c)<<s, i + 1
-		}
-		x |= uint64(c&0x7f) << s
-		s += 7
-	}
-	return 0, 0
-}
-
 // Proc is one rank's handle on a process-spanning cohort: lifecycle and
 // failure observation for the world Comm returned alongside it by Join.
 type Proc struct {
@@ -261,28 +238,13 @@ func (p *Proc) OnRankDeath(fn func(rank int, err error)) {
 	if err := p.pw.deadErr; err != nil {
 		p.pw.mu.Unlock()
 		var rd *RankDeadError
-		if asRankDead(err, &rd) {
+		if errors.As(err, &rd) {
 			fn(rd.Rank, err)
 		}
 		return
 	}
 	p.pw.deathFns = append(p.pw.deathFns, fn)
 	p.pw.mu.Unlock()
-}
-
-func asRankDead(err error, out **RankDeadError) bool {
-	for err != nil {
-		if rd, ok := err.(*RankDeadError); ok {
-			*out = rd
-			return true
-		}
-		u, ok := err.(interface{ Unwrap() error })
-		if !ok {
-			return false
-		}
-		err = u.Unwrap()
-	}
-	return false
 }
 
 // closeTimeout bounds how long Close waits for peers' finalize byes
@@ -306,7 +268,7 @@ func (p *Proc) Close() error {
 	pw.mu.Unlock()
 
 	// Phase 1: tell every peer we are leaving.
-	for r, conn := range pw.peers {
+	for _, conn := range pw.peers {
 		if conn == nil {
 			continue
 		}
@@ -314,7 +276,6 @@ func (p *Proc) Close() error {
 		if d, ok := conn.(writeDrainer); ok {
 			d.DrainWrites()
 		}
-		_ = r
 	}
 	// Phase 2: wait for their byes (or a recorded death) so closing our
 	// end cannot be observed as a crash mid-handshake.

@@ -7,6 +7,7 @@ package mpi
 // processes — joining, leaving, and dying.
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -98,7 +99,7 @@ func TestRendezvousRejectsBadJoins(t *testing.T) {
 		name  string
 		frame []byte
 	}{
-		{"rank out of range", appendString(appendUvarint(appendUvarint([]byte{rvJoin}, 7), 2), "inproc://nowhere")},
+		{"rank out of range", appendString(binary.AppendUvarint(binary.AppendUvarint([]byte{rvJoin}, 7), 2), "inproc://nowhere")},
 		{"not a join", []byte{rvCtxReq}},
 	} {
 		c, err := tr.Dial(rest)
@@ -174,13 +175,13 @@ func TestRendezvousGenerations(t *testing.T) {
 			wg.Add(1)
 			go func(r int, c *Comm) {
 				defer wg.Done()
-				sub, err := c.Dup()
+				sub, err := c.Split(0, r)
 				if err != nil {
-					t.Errorf("gen %d dup: %v", gen, err)
+					t.Errorf("gen %d split: %v", gen, err)
 					return
 				}
 				if got, err := sub.AllreduceScalar(float64(r), Sum); err != nil || got != 1 {
-					t.Errorf("gen %d dup allreduce = %v, %v", gen, got, err)
+					t.Errorf("gen %d split allreduce = %v, %v", gen, got, err)
 				}
 			}(r, c)
 		}

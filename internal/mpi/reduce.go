@@ -2,185 +2,45 @@ package mpi
 
 import "fmt"
 
-// Op is a reduction operator for Reduce/Allreduce/Scan. The built-in ops
-// (Sum, Prod, Max, Min, LAnd, LOr) operate elementwise on []float64, []int,
-// and the scalar types float64 and int; user code can define custom ops via
-// MakeOp.
+// Op is a reduction operator for AllreduceFloat64 and AllreduceScalar,
+// applied elementwise.
 type Op struct {
 	name string
-	// f64 combines b into a elementwise and returns a; a is owned by the
-	// reduction (already cloned), b must not be modified.
-	f64 func(a, b []float64) []float64
-	i   func(a, b []int) []int
+	// f combines b into a elementwise; a is owned by the reduction, b must
+	// not be modified.
+	f func(a, b []float64)
 }
 
 func (o Op) String() string { return o.name }
 
-// MakeOp builds a custom reduction operator from elementwise combiners.
-// Either combiner may be nil if that payload type is never reduced.
-func MakeOp(name string, f64 func(a, b []float64) []float64, i func(a, b []int) []int) Op {
-	return Op{name: name, f64: f64, i: i}
-}
-
-// Built-in reduction operators, mirroring MPI_SUM and friends.
+// Built-in reduction operators, mirroring MPI_SUM, MPI_MAX and MPI_MIN.
 var (
-	Sum = MakeOp("sum",
-		func(a, b []float64) []float64 {
-			for i := range a {
-				a[i] += b[i]
+	Sum = Op{"sum", func(a, b []float64) {
+		for i := range a {
+			a[i] += b[i]
+		}
+	}}
+	Max = Op{"max", func(a, b []float64) {
+		for i := range a {
+			if b[i] > a[i] {
+				a[i] = b[i]
 			}
-			return a
-		},
-		func(a, b []int) []int {
-			for i := range a {
-				a[i] += b[i]
+		}
+	}}
+	Min = Op{"min", func(a, b []float64) {
+		for i := range a {
+			if b[i] < a[i] {
+				a[i] = b[i]
 			}
-			return a
-		})
-	Prod = MakeOp("prod",
-		func(a, b []float64) []float64 {
-			for i := range a {
-				a[i] *= b[i]
-			}
-			return a
-		},
-		func(a, b []int) []int {
-			for i := range a {
-				a[i] *= b[i]
-			}
-			return a
-		})
-	Max = MakeOp("max",
-		func(a, b []float64) []float64 {
-			for i := range a {
-				if b[i] > a[i] {
-					a[i] = b[i]
-				}
-			}
-			return a
-		},
-		func(a, b []int) []int {
-			for i := range a {
-				if b[i] > a[i] {
-					a[i] = b[i]
-				}
-			}
-			return a
-		})
-	Min = MakeOp("min",
-		func(a, b []float64) []float64 {
-			for i := range a {
-				if b[i] < a[i] {
-					a[i] = b[i]
-				}
-			}
-			return a
-		},
-		func(a, b []int) []int {
-			for i := range a {
-				if b[i] < a[i] {
-					a[i] = b[i]
-				}
-			}
-			return a
-		})
-	// LAnd and LOr treat nonzero as true, following MPI_LAND/MPI_LOR.
-	LAnd = MakeOp("land", nil,
-		func(a, b []int) []int {
-			for i := range a {
-				if a[i] != 0 && b[i] != 0 {
-					a[i] = 1
-				} else {
-					a[i] = 0
-				}
-			}
-			return a
-		})
-	LOr = MakeOp("lor", nil,
-		func(a, b []int) []int {
-			for i := range a {
-				if a[i] != 0 || b[i] != 0 {
-					a[i] = 1
-				} else {
-					a[i] = 0
-				}
-			}
-			return a
-		})
+		}
+	}}
 )
 
-// clone copies a contribution so reductions never mutate caller data.
-// Scalars are promoted to one-element slices internally.
-func (o Op) clone(p any) any {
-	switch v := p.(type) {
-	case []float64:
-		return append([]float64(nil), v...)
-	case []int:
-		return append([]int(nil), v...)
-	case float64:
-		return []float64{v}
-	case int:
-		return []int{v}
-	case nil:
-		return nil
-	default:
-		return p
+// combine folds b into the owned accumulator a and returns it.
+func (o Op) combine(a, b []float64) ([]float64, error) {
+	if len(a) != len(b) {
+		return nil, fmt.Errorf("%w: reduce %d vs %d elements", ErrCountMatch, len(a), len(b))
 	}
-}
-
-// combine folds contribution b into accumulator a (a is owned).
-func (o Op) combine(a, b any) (any, error) {
-	if a == nil && b == nil {
-		return nil, nil
-	}
-	switch av := a.(type) {
-	case []float64:
-		bv, err := asFloat64s(b)
-		if err != nil {
-			return nil, err
-		}
-		if len(av) != len(bv) {
-			return nil, fmt.Errorf("%w: reduce %d vs %d elements", ErrCountMatch, len(av), len(bv))
-		}
-		if o.f64 == nil {
-			return nil, fmt.Errorf("mpi: op %s does not support float64", o.name)
-		}
-		return o.f64(av, bv), nil
-	case []int:
-		bv, err := asInts(b)
-		if err != nil {
-			return nil, err
-		}
-		if len(av) != len(bv) {
-			return nil, fmt.Errorf("%w: reduce %d vs %d elements", ErrCountMatch, len(av), len(bv))
-		}
-		if o.i == nil {
-			return nil, fmt.Errorf("mpi: op %s does not support int", o.name)
-		}
-		return o.i(av, bv), nil
-	default:
-		return nil, fmt.Errorf("%w: cannot reduce %T", ErrTypeMatch, a)
-	}
-}
-
-func asFloat64s(p any) ([]float64, error) {
-	switch v := p.(type) {
-	case []float64:
-		return v, nil
-	case float64:
-		return []float64{v}, nil
-	default:
-		return nil, fmt.Errorf("%w: got %T, want []float64", ErrTypeMatch, p)
-	}
-}
-
-func asInts(p any) ([]int, error) {
-	switch v := p.(type) {
-	case []int:
-		return v, nil
-	case int:
-		return []int{v}, nil
-	default:
-		return nil, fmt.Errorf("%w: got %T, want []int", ErrTypeMatch, p)
-	}
+	o.f(a, b)
+	return a, nil
 }

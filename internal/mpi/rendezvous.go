@@ -34,7 +34,7 @@ const (
 )
 
 func appendString(b []byte, s string) []byte {
-	b = appendUvarint(b, uint64(len(s)))
+	b = binary.AppendUvarint(b, uint64(len(s)))
 	return append(b, s...)
 }
 
@@ -48,8 +48,8 @@ func readString(b []byte) (string, []byte, error) {
 
 // appendJoin encodes a join frame.
 func appendJoin(rank, size uint64, addr string) []byte {
-	b := appendUvarint([]byte{rvJoin}, rank)
-	b = appendUvarint(b, size)
+	b := binary.AppendUvarint([]byte{rvJoin}, rank)
+	b = binary.AppendUvarint(b, size)
 	return appendString(b, addr)
 }
 
@@ -76,8 +76,8 @@ func parseJoin(b []byte) (rank, size uint64, addr string, err error) {
 
 // appendWorld encodes a world frame.
 func appendWorld(gen uint64, addrs []string) []byte {
-	b := appendUvarint([]byte{rvWorld}, gen)
-	b = appendUvarint(b, uint64(len(addrs)))
+	b := binary.AppendUvarint([]byte{rvWorld}, gen)
+	b = binary.AppendUvarint(b, uint64(len(addrs)))
 	for _, a := range addrs {
 		b = appendString(b, a)
 	}
@@ -223,7 +223,7 @@ func (r *Rendezvous) serve(c transport.Conn) {
 			r.ctx++
 			ctx := r.ctx
 			r.mu.Unlock()
-			if err := c.Send(appendUvarint([]byte{rvCtxRep}, uint64(ctx))); err != nil {
+			if err := c.Send(binary.AppendUvarint([]byte{rvCtxRep}, uint64(ctx))); err != nil {
 				r.drop(m)
 				c.Close()
 				return

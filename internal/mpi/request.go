@@ -1,12 +1,8 @@
 package mpi
 
-import "sync"
-
 // Request represents an outstanding nonblocking operation, mirroring
 // MPI_Request. Wait blocks for completion; Test polls.
 type Request struct {
-	mu      sync.Mutex
-	done    bool
 	doneCh  chan struct{}
 	err     error
 	payload any
@@ -17,16 +13,11 @@ func newRequest() *Request {
 	return &Request{doneCh: make(chan struct{})}
 }
 
+// complete records the outcome and releases the waiters. It runs once per
+// request; closing doneCh publishes the fields to them.
 func (r *Request) complete(payload any, st Status, err error) {
-	r.mu.Lock()
-	if !r.done {
-		r.done = true
-		r.payload = payload
-		r.status = st
-		r.err = err
-		close(r.doneCh)
-	}
-	r.mu.Unlock()
+	r.payload, r.status, r.err = payload, st, err
+	close(r.doneCh)
 }
 
 // Wait blocks until the operation completes and returns its error, if any.
@@ -56,29 +47,16 @@ func (r *Request) Test() bool {
 // mailbox never blocks, the request completes eagerly; the Request exists so
 // SPMD code keeps the familiar Isend/Wait structure.
 func (c *Comm) Isend(dest, tag int, payload any) (*Request, error) {
-	if err := c.checkRank(dest); err != nil {
-		return nil, err
-	}
-	if err := c.checkTag(tag); err != nil {
-		return nil, err
-	}
 	r := newRequest()
-	err := c.sendInternal(dest, tag, payload)
+	err := c.Send(dest, tag, payload)
 	r.complete(nil, Status{}, err)
 	return r, err
 }
 
 // Irecv starts a nonblocking receive serviced by a helper goroutine.
 func (c *Comm) Irecv(source, tag int) (*Request, error) {
-	if source != AnySource {
-		if err := c.checkRank(source); err != nil {
-			return nil, err
-		}
-	}
-	if tag != AnyTag {
-		if err := c.checkTag(tag); err != nil {
-			return nil, err
-		}
+	if err := c.checkRecv(source, tag); err != nil {
+		return nil, err
 	}
 	r := newRequest()
 	go func() {

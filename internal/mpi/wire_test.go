@@ -1,6 +1,6 @@
 package mpi
 
-// Wire codec tests: round-trip fidelity for the closed payload type set,
+// Wire codec tests: round-trip fidelity for the three payload kinds,
 // fail-fast on untransferable types, and — because a crashed or hostile
 // peer can hand the decoder any bytes — graceful ErrWire on every
 // truncation and corruption, never a panic or an absurd allocation.
@@ -10,7 +10,9 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"runtime"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -23,49 +25,57 @@ func encodeEnvelope(t *testing.T, e envelope) []byte {
 	return b
 }
 
-// wirePayloads covers the closed payload type set, empty and non-empty;
-// the round-trip test and the fuzz target's seed corpus share it.
+// wirePayloads covers the three payload kinds, empty and non-empty; the
+// round-trip test and the fuzz target's seed corpus share it.
 func wirePayloads() []any {
 	return []any{
 		nil,
-		[]byte{},
-		[]byte{1, 2, 3, 0xff},
 		[]float64{},
 		[]float64{1.5, -0.0, math.Inf(1), math.SmallestNonzeroFloat64},
+		[]float64{0, -1, 1 << 53, -(1 << 53)},
 		[]int{},
 		[]int{0, -1, math.MaxInt64, math.MinInt64},
-		[]complex128{complex(-1.25, 3e200)},
-		int(0),
-		int(-1 << 60),
-		float64(2.5),
-		"",
-		"ünïcode",
-		true,
-		false,
-		[]any{},
-		[]any{int(1), "two", []float64{3}, nil, []any{true}},
 	}
 }
 
-// nestedAnys returns levels []any values, each the only element of the
-// one around it.
-func nestedAnys(levels int) any {
-	v := []any{}
-	for i := 1; i < levels; i++ {
-		v = []any{v}
-	}
-	return v
+// msgBody is a kMsg body from source 1 with tag 2 whose value starts with
+// type tag typ.
+func msgBody(typ byte, data ...byte) []byte {
+	return append([]byte{1, 2, typ}, data...)
 }
 
-// nestedFrame is a kMsg body carrying levels nested [tAnys 1] headers
-// around a nil, built by hand so it can go deeper than the encoder allows.
+// nestedFrame is a kMsg body of levels nested [9 1] headers around a nil:
+// the shape of a deeply nested []any under type tag 9.
 func nestedFrame(levels int) []byte {
-	b := append([]byte{1, 2}, bytes.Repeat([]byte{tAnys, 1}, levels)...)
+	b := append([]byte{1, 2}, bytes.Repeat([]byte{9, 1}, levels)...)
 	return append(b, tNil)
 }
 
+// unassignedTagFrames carry the type tags no payload kind uses — 1 and
+// 4–9 — in the shapes a []byte, []complex128, int, float64, string, bool
+// or []any value would take under them, plus the counts and the nesting
+// that would make a decoder of those shapes allocate or recurse without
+// bound. The decoder must stop at the tag: ErrWire, nothing sized.
+var unassignedTagFrames = []struct {
+	name string
+	b    []byte
+}{
+	{"[]byte", msgBody(1, 4, 1, 2, 3, 0xff)},
+	{"[]complex128", msgBody(4, 1, 0, 0, 0, 0, 0, 0, 0xf0, 0x3f, 0, 0, 0, 0, 0, 0, 0, 0xc0)},
+	{"int", msgBody(5, 0x7f)},
+	{"float64", msgBody(6, 0, 0, 0, 0, 0, 0, 4, 0x40)},
+	{"string", msgBody(7, 2, 'h', 'i')},
+	{"bool", msgBody(8, 1)},
+	{"[]any", msgBody(9, 2, tNil, tF64s, 0)},
+	{"huge bytes count", msgBody(1, 0xff, 0xff, 0xff, 0xff, 0x0f)},
+	{"huge anys count", msgBody(9, 0xff, 0xff, 0xff, 0xff, 0x0f)},
+	// 2⁶³ elements: negative once it is an int.
+	{"anys count past MaxInt", msgBody(9, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01)},
+	{"65536-level anys nesting", nestedFrame(1 << 16)},
+}
+
 func TestWireRoundTrip(t *testing.T) {
-	for _, p := range append(wirePayloads(), nestedAnys(maxAnysDepth)) {
+	for _, p := range wirePayloads() {
 		b := encodeEnvelope(t, envelope{source: 3, tag: internalTagBase + 17, payload: p})
 		if b[0] != kMsg {
 			t.Fatalf("frame kind = %d", b[0])
@@ -101,14 +111,19 @@ func TestWireNaNPreservesBits(t *testing.T) {
 
 func TestWireUntransferableTypes(t *testing.T) {
 	for _, p := range []any{
+		[]byte{1},
+		[]complex128{1},
+		int(1),
+		float64(1),
+		"a",
+		true,
+		[]any{[]float64{1}},
 		struct{ X int }{1},
 		[]string{"a"},
 		map[string]int{"a": 1},
 		float32(1),
 		int32(1),
 		&struct{}{},
-		[]any{int(1), []string{"nested bad"}}, // failure inside a nested value
-		nestedAnys(maxAnysDepth + 1),          // deeper than a peer decodes
 	} {
 		if _, err := encodeMsg(nil, envelope{payload: p}); !errors.Is(err, ErrPayloadType) {
 			t.Errorf("encode %T = %v, want ErrPayloadType", p, err)
@@ -118,18 +133,7 @@ func TestWireUntransferableTypes(t *testing.T) {
 
 func TestWireTruncationNeverPanics(t *testing.T) {
 	// Every strict prefix of every valid encoding must decode to ErrWire.
-	payloads := []any{
-		[]byte{1, 2, 3},
-		[]float64{1, 2},
-		[]int{-5, 5},
-		[]complex128{complex(1, 2)},
-		int(300),
-		float64(1.5),
-		"abc",
-		true,
-		[]any{int(1), "x"},
-	}
-	for _, p := range payloads {
+	for _, p := range []any{[]float64{1, 2}, []int{-5, 300}} {
 		full := encodeEnvelope(t, envelope{source: 1, tag: 2, payload: p})[1:]
 		for cut := 0; cut < len(full); cut++ {
 			if _, err := decodeMsg(full[:cut]); !errors.Is(err, ErrWire) {
@@ -144,22 +148,29 @@ func TestWireCorruptFrames(t *testing.T) {
 		name string
 		b    []byte
 	}{
-		{"unknown type tag", []byte{1, 2, 99}},
-		{"trailing bytes", append(encodeEnvelope(t, envelope{payload: int(1)})[1:], 0xaa)},
+		{"unknown type tag", msgBody(99)},
+		{"trailing bytes", msgBody(tNil, 0xaa)},
 		// Length prefix far beyond the frame: must fail the bounds check,
 		// not attempt a multi-gigabyte make().
-		{"huge bytes count", []byte{1, 2, tBytes, 0xff, 0xff, 0xff, 0xff, 0x0f}},
-		{"huge f64 count", []byte{1, 2, tF64s, 0xff, 0xff, 0xff, 0xff, 0x0f}},
-		{"huge anys count", []byte{1, 2, tAnys, 0xff, 0xff, 0xff, 0xff, 0x0f}},
-		{"int element truncated", []byte{1, 2, tInts, 2, 0x80}},
-		// 2⁶³ elements: negative once it is an int, so a bound checked only
-		// after the conversion lets it through to make().
-		{"anys count past MaxInt", []byte{1, 2, tAnys, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01}},
-		{"anys nested past the cap", nestedFrame(maxAnysDepth + 1)},
+		{"huge f64 count", msgBody(tF64s, 0xff, 0xff, 0xff, 0xff, 0x0f)},
+		{"huge ints count", msgBody(tInts, 0xff, 0xff, 0xff, 0xff, 0x0f)},
+		{"int element truncated", msgBody(tInts, 2, 0x80)},
 	}
 	for _, tc := range cases {
 		if _, err := decodeMsg(tc.b); !errors.Is(err, ErrWire) {
 			t.Errorf("%s: err = %v, want ErrWire", tc.name, err)
+		}
+	}
+	for _, tc := range unassignedTagFrames {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := decodeMsg(tc.b)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrWire) || !strings.Contains(err.Error(), "unknown type tag") {
+			t.Errorf("%s: err = %v, want ErrWire for an unknown type tag", tc.name, err)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n > 64<<10 {
+			t.Errorf("%s: decoding allocated %d bytes", tc.name, n)
 		}
 	}
 }
@@ -178,11 +189,15 @@ func FuzzDecodeMsg(f *testing.F) {
 		f.Add(b[1:])
 		f.Add(b[1 : len(b)-len(b)/3])
 	}
-	f.Add([]byte{1, 2, 99})
-	f.Add([]byte{1, 2, tF64s, 0xff, 0xff, 0xff, 0xff, 0x0f})
-	f.Add([]byte{1, 2, tInts, 2, 0x80})
-	f.Add([]byte{1, 2, tAnys, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01})
-	f.Add(nestedFrame(1 << 16))
+	for _, tc := range unassignedTagFrames {
+		f.Add(tc.b)
+		f.Add(tc.b[:len(tc.b)-len(tc.b)/3])
+	}
+	f.Add(msgBody(99))
+	f.Add(msgBody(tNil, 0xaa))
+	f.Add(msgBody(tF64s, 0xff, 0xff, 0xff, 0xff, 0x0f))
+	f.Add(msgBody(tInts, 0xff, 0xff, 0xff, 0xff, 0x0f))
+	f.Add(msgBody(tInts, 2, 0x80))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		e, err := decodeMsg(b)
 		if err != nil {
