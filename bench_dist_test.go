@@ -26,7 +26,6 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/obs"
 	"repro/internal/orb"
-	"repro/internal/sidl/arena"
 	"repro/internal/simd"
 	"repro/internal/transport"
 )
@@ -219,8 +218,8 @@ func benchStream(b *testing.B, total int) {
 // can ride: the in-process loopback (upper bound), the shared-memory
 // rings (same host, different process — no kernel in the data path), and
 // TCP loopback (the general case). Payload size × concurrent in-flight
-// callers, the zero-allocation InvokeArena path, the raw 8-byte echo under
-// the ORB, and the SIMD kernels against their portable fallbacks.
+// callers, the raw 8-byte echo under the ORB, and the SIMD kernels against
+// their portable fallbacks.
 // ---------------------------------------------------------------------------
 
 func BenchmarkE12_TransportMatrix(b *testing.B) {
@@ -240,32 +239,6 @@ func BenchmarkE12_TransportMatrix(b *testing.B) {
 					c, _ := serveSum(b, be.tr, be.addr(b))
 					xs := make([]float64, n)
 					benchCallers(b, callers, func() error { return invokeSum(c.Invoke, xs) })
-				})
-			}
-		}
-		// Zero-allocation path: per-caller arenas from a pool, results
-		// decoded into arena storage, reset once per call. The 8 B shm row
-		// is the acceptance figure: 0 allocs/op at steady state.
-		for _, n := range []int{1, 4096} {
-			for _, callers := range []int{1, 4, 16} {
-				b.Run(fmt.Sprintf("arena/floats=%d/callers=%d/tr=%s", n, callers, be.name), func(b *testing.B) {
-					c, _ := serveSum(b, be.tr, be.addr(b))
-					arenas := sync.Pool{New: func() any { return new(arena.Arena) }}
-					outs := sync.Pool{New: func() any { s := make([]any, 0, 4); return &s }}
-					args := []any{make([]float64, n)}
-					benchCallers(b, callers, func() error {
-						ar := arenas.Get().(*arena.Arena)
-						outp := outs.Get().(*[]any)
-						out, err := c.InvokeArena(ar, (*outp)[:0], "sum", "sum", args)
-						if err == nil && len(out) != 1 {
-							err = fmt.Errorf("result arity %d", len(out))
-						}
-						*outp = out[:0]
-						outs.Put(outp)
-						ar.Reset()
-						arenas.Put(ar)
-						return err
-					})
 				})
 			}
 		}

@@ -145,7 +145,7 @@ func serveORB(b *testing.B, tr transport.Transport, addr string, opts orb.ServeO
 		b.Fatal(err)
 	}
 	srv := orb.ServeWith(oa, l, opts)
-	b.Cleanup(srv.Stop)
+	b.Cleanup(srv.Close)
 	return oa, srv.Addr()
 }
 
@@ -353,16 +353,9 @@ func BenchmarkE2_ORBInProcess(b *testing.B) {
 			if err := o.OA.Register("sum", info, sumServer{}); err != nil {
 				b.Fatal(err)
 			}
-			proxy := o.Proxy("sum")
 			xs := make([]float64, n)
 			b.SetBytes(int64(8 * n))
-			benchCalls(b, func() error {
-				res, err := proxy.Invoke("sum", xs)
-				if err == nil {
-					sink = res[0].(float64)
-				}
-				return err
-			})
+			benchCalls(b, func() error { return invokeSum(o.Invoke, xs) })
 		})
 	}
 }

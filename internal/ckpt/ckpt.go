@@ -199,8 +199,8 @@ func NewReader(r io.Reader) (*Reader, error) {
 		if payLen > maxSectionLen {
 			return nil, fmt.Errorf("%w: section %q claims %d bytes", ErrFormat, name, payLen)
 		}
-		payload := make([]byte, payLen)
-		if _, err := io.ReadFull(r, payload); err != nil {
+		payload, err := readPayload(r, payLen)
+		if err != nil {
 			return nil, fmt.Errorf("%w: section %q payload: %v", ErrTruncated, name, err)
 		}
 		var crcBuf [4]byte
@@ -217,6 +217,28 @@ func NewReader(r io.Reader) (*Reader, error) {
 		}
 		rd.sections[string(name)] = payload
 		rd.order = append(rd.order, string(name))
+	}
+}
+
+// readPayload reads an n-byte section payload into a buffer that grows,
+// doubling from at most 64 KiB, only as bytes actually arrive: a corrupt or
+// hostile length prefix costs what the stream holds, not what it claims,
+// and a genuine payload costs at most twice its size.
+func readPayload(r io.Reader, n uint64) ([]byte, error) {
+	buf := make([]byte, min(n, 64<<10))
+	got := 0
+	for {
+		m, err := io.ReadFull(r, buf[got:])
+		got += m
+		if err != nil {
+			return nil, err
+		}
+		if uint64(got) == n {
+			return buf, nil
+		}
+		next := make([]byte, min(n, 2*uint64(len(buf))))
+		copy(next, buf)
+		buf = next
 	}
 }
 

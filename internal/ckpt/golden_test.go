@@ -57,7 +57,7 @@ func goldenPath(name string) string {
 	return filepath.Join("testdata", "golden", "ckpt", name+".hex")
 }
 
-func readGolden(t *testing.T, name string) []byte {
+func readGolden(t testing.TB, name string) []byte {
 	t.Helper()
 	raw, err := os.ReadFile(goldenPath(name))
 	if err != nil {

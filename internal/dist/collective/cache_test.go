@@ -34,7 +34,7 @@ func TestCachePlanDedup(t *testing.T) {
 	const gl = 100
 	tr := &transport.InProc{}
 	srv, pub := serve(t, tr, "cache-dedup", "wave", cohort(array.NewBlockMap(gl, 2), make([]float64, gl)))
-	defer srv.Stop()
+	defer srv.Close()
 	defer pub.Close()
 
 	before := counters()
@@ -96,7 +96,7 @@ func TestCacheEpochStableUntilAdvance(t *testing.T) {
 			}
 			tr := &transport.InProc{}
 			srv, pub := serve(t, tr, "cache-epoch-"+tc.name, "wave", ports)
-			defer srv.Stop()
+			defer srv.Close()
 			defer pub.Close()
 
 			imp, err := Attach(tr, "cache-epoch-"+tc.name, "wave", array.NewSerialMap(gl), Options{})
@@ -156,7 +156,7 @@ func TestGenerationSharedAcrossPlans(t *testing.T) {
 	ports := cohort(array.NewBlockMap(gl, 3), global)
 	tr := &transport.InProc{}
 	srv, pub := serve(t, tr, "cache-shared", "wave", ports)
-	defer srv.Stop()
+	defer srv.Close()
 	defer pub.Close()
 
 	dists := []array.DataMap{array.NewSerialMap(gl), array.NewCyclicMap(gl, 2, 5), array.NewBlockMap(gl, 4)}
@@ -277,7 +277,7 @@ func TestUpdateIsAtomicWithBegin(t *testing.T) {
 	tr := &transport.InProc{}
 	var srv *orb.Server
 	srv, pub = serve(t, tr, "cache-tear", "wave", ports)
-	defer srv.Stop()
+	defer srv.Close()
 	defer pub.Close()
 
 	imps := make([]*Import, 2)
@@ -325,7 +325,7 @@ func TestPullAcrossUpdate(t *testing.T) {
 	port := &memPort{side: ccoll.Side{Map: array.NewSerialMap(gl)}, data: data}
 	tr := &transport.InProc{}
 	srv, pub := serve(t, tr, "cache-across", "wave", []ccoll.DistArrayPort{port})
-	defer srv.Stop()
+	defer srv.Close()
 	defer pub.Close()
 	c := rawClient(t, tr, "cache-across")
 	defer c.Close()
@@ -394,7 +394,7 @@ func TestPullsRacingUpdatesNeverMix(t *testing.T) {
 	ports := cohort(m, make([]float64, gl))
 	tr := &transport.InProc{}
 	srv, pub := serve(t, tr, "cache-race", "wave", ports)
-	defer srv.Stop()
+	defer srv.Close()
 	defer pub.Close()
 
 	stop := make(chan struct{})
@@ -460,7 +460,7 @@ func TestCacheFrameHitRate(t *testing.T) {
 	}
 	tr := &transport.InProc{}
 	srv, pub := serve(t, tr, "cache-rate", "wave", cohort(array.NewBlockMap(gl, 2), global))
-	defer srv.Stop()
+	defer srv.Close()
 	defer pub.Close()
 
 	// Small chunks so each pull issues several frame requests.
@@ -505,7 +505,7 @@ func TestCacheStalePlanAfterEviction(t *testing.T) {
 	}
 	tr := &transport.InProc{}
 	srv, pub := serve(t, tr, "cache-evict", "wave", cohort(array.NewBlockMap(gl, 2), global))
-	defer srv.Stop()
+	defer srv.Close()
 	defer pub.Close()
 
 	imp, err := Attach(tr, "cache-evict", "wave", array.NewSerialMap(gl), Options{})
@@ -537,6 +537,52 @@ func TestCacheStalePlanAfterEviction(t *testing.T) {
 	}
 }
 
+// TestCacheRestartedPublisherDoesNotAliasPlans restarts the publisher under
+// a live subscriber A and lets a subscriber B with a different distribution
+// exchange first. A's plan ID must not name B's plan on the restarted
+// publisher: A's next pull heals through the stale-plan sentinel and
+// returns A's own placement, not chunks cut for B.
+func TestCacheRestartedPublisherDoesNotAliasPlans(t *testing.T) {
+	const gl = 240
+	global := make([]float64, gl)
+	for i := range global {
+		global[i] = float64(i) + 0.5
+	}
+	tr := &transport.InProc{}
+	ports := cohort(array.NewBlockMap(gl, 2), global)
+	srv, pub := serve(t, tr, "cache-restart", "wave", ports)
+	defer srv.Close()
+
+	dstA := array.NewCyclicMap(gl, 3, 4)
+	a, err := Attach(tr, "cache-restart", "wave", dstA, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+
+	pub.Close()
+	restarted, err := Publish(srv.OA, "wave", ports)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer restarted.Close()
+	b, err := Attach(tr, "cache-restart", "wave", array.NewBlockMap(gl, 2), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+
+	outs, err := a.PullAll(context.Background())
+	if err != nil {
+		t.Fatalf("pull after publisher restart: %v", err)
+	}
+	for r := range outs {
+		if want := wantLocal(dstA, global, r); !floatsEqual(outs[r], want) {
+			t.Fatalf("rank %d after publisher restart: got %v…, want %v…", r, outs[r][:4], want[:4])
+		}
+	}
+}
+
 // TestCacheSeveredSubscriberDoesNotStallOthers is the chaos case: one
 // subscriber's connection is severed mid-broadcast while two healthy
 // subscribers keep pulling the same cached epochs. The healthy pulls must
@@ -550,7 +596,7 @@ func TestCacheSeveredSubscriberDoesNotStallOthers(t *testing.T) {
 	}
 	inner := transport.TCP{}
 	srv, pub := serve(t, inner, "127.0.0.1:0", "wave", cohort(array.NewBlockMap(gl, 2), global))
-	defer srv.Stop()
+	defer srv.Close()
 	defer pub.Close()
 	addr := srv.Addr()
 

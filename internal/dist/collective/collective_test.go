@@ -70,7 +70,7 @@ func serve(t *testing.T, tr transport.Transport, addr, name string, ports []ccol
 	srv := orb.Serve(oa, l)
 	pub, err := Publish(oa, name, ports)
 	if err != nil {
-		srv.Stop()
+		srv.Close()
 		t.Fatal(err)
 	}
 	return srv, pub
@@ -108,7 +108,7 @@ func TestCrossProcessRedistribution(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			tr := &transport.InProc{}
 			srv, pub := serve(t, tr, "coll-"+tc.name, "wave", cohort(tc.src, global))
-			defer srv.Stop()
+			defer srv.Close()
 			defer pub.Close()
 			// 4-element chunks force every pair message through many chunks.
 			imp, err := Attach(tr, "coll-"+tc.name, "wave", tc.dst, Options{ChunkBytes: 32})
@@ -149,7 +149,7 @@ func TestRedistributionOverTCP(t *testing.T) {
 	}
 	src := array.NewBlockMap(gl, 2)
 	srv, pub := serve(t, transport.TCP{}, "127.0.0.1:0", "wave", cohort(src, global))
-	defer srv.Stop()
+	defer srv.Close()
 	defer pub.Close()
 	dst := array.NewCyclicMap(gl, 3, 16)
 	imp, err := Attach(transport.TCP{}, srv.Addr(), "wave", dst, Options{})
@@ -171,7 +171,7 @@ func TestRedistributionOverTCP(t *testing.T) {
 func TestAttachGlobalLenMismatch(t *testing.T) {
 	tr := &transport.InProc{}
 	srv, pub := serve(t, tr, "coll-mismatch", "wave", cohort(array.NewBlockMap(100, 2), make([]float64, 100)))
-	defer srv.Stop()
+	defer srv.Close()
 	defer pub.Close()
 	_, err := Attach(tr, "coll-mismatch", "wave", array.NewBlockMap(50, 2), Options{})
 	if err == nil || !strings.Contains(err.Error(), "cardinality mismatch") {
@@ -233,7 +233,7 @@ func rawClient(t *testing.T, tr transport.Transport, addr string) *orb.Client {
 func TestProtocolRejectsMalformedRequests(t *testing.T) {
 	tr := &transport.InProc{}
 	srv, pub := serve(t, tr, "coll-proto", "wave", cohort(array.NewBlockMap(24, 2), make([]float64, 24)))
-	defer srv.Stop()
+	defer srv.Close()
 	defer pub.Close()
 	c := rawClient(t, tr, "coll-proto")
 	defer c.Close()
@@ -324,7 +324,7 @@ func TestBeginRejectsShortLocalData(t *testing.T) {
 	ports[1].(*memPort).data = ports[1].(*memPort).data[:3] // rank 1 lies
 	tr := &transport.InProc{}
 	srv, pub := serve(t, tr, "coll-short", "wave", ports)
-	defer srv.Stop()
+	defer srv.Close()
 	defer pub.Close()
 	imp, err := Attach(tr, "coll-short", "wave", array.NewSerialMap(20), Options{})
 	if err != nil {
@@ -356,7 +356,7 @@ func TestSnapshotPortServesAndValidates(t *testing.T) {
 	}
 	tr := &transport.InProc{}
 	srv, pub := serve(t, tr, "coll-snap", "wave", ports)
-	defer srv.Stop()
+	defer srv.Close()
 	defer pub.Close()
 
 	dst := array.NewCyclicMap(gl, 2, 4)
@@ -386,7 +386,7 @@ func TestSnapshotPortServesAndValidates(t *testing.T) {
 func TestPullBufferValidation(t *testing.T) {
 	tr := &transport.InProc{}
 	srv, pub := serve(t, tr, "coll-buf", "wave", cohort(array.NewBlockMap(10, 1), make([]float64, 10)))
-	defer srv.Stop()
+	defer srv.Close()
 	defer pub.Close()
 	imp, err := Attach(tr, "coll-buf", "wave", array.NewBlockMap(10, 2), Options{})
 	if err != nil {
@@ -415,7 +415,7 @@ func TestStalePlanReExchangesAfterRepublish(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := orb.Serve(oa, l)
-	defer srv.Stop()
+	defer srv.Close()
 	pub, err := Publish(oa, "wave", cohort(m, global))
 	if err != nil {
 		t.Fatal(err)
@@ -459,7 +459,7 @@ func TestEpochEviction(t *testing.T) {
 	// More live generations than the cache holds: the oldest goes stale.
 	tr := &transport.InProc{}
 	srv, pub := serve(t, tr, "coll-evict", "wave", cohort(array.NewBlockMap(16, 1), make([]float64, 16)))
-	defer srv.Stop()
+	defer srv.Close()
 	defer pub.Close()
 	c := rawClient(t, tr, "coll-evict")
 	defer c.Close()
@@ -495,7 +495,7 @@ func TestSeverMidPullHealsAndCompletes(t *testing.T) {
 	src := array.NewBlockMap(gl, 2)
 	inner := &transport.InProc{}
 	srv, pub := serve(t, inner, "coll-sever", "wave", cohort(src, global))
-	defer srv.Stop()
+	defer srv.Close()
 	defer pub.Close()
 
 	// The consumer dials through a faulty wrapper that severs its

@@ -28,8 +28,8 @@ func FuzzPublisherHandle(f *testing.F) {
 		f.Fatal(err)
 	}
 	defer pub.Close()
-	// Plan 1, epoch 1 are live for every input; the consumer-side twin of
-	// the plan is the oracle for served chunks.
+	// One plan and epoch 1 are live for every input; the consumer-side twin
+	// of the plan is the oracle for served chunks.
 	call := func(method string, args ...any) []any {
 		var reply orb.Encoder
 		if err := pub.handle(method, args, &reply); err != nil {

@@ -34,7 +34,7 @@ func TestInstallRemoteDistArray(t *testing.T) {
 	src := array.NewBlockMap(gl, 2)
 	inner := &transport.InProc{}
 	srv, pub := serve(t, inner, "coll-install", "wave", cohort(src, global))
-	defer srv.Stop()
+	defer srv.Close()
 	defer pub.Close()
 
 	faulty := transport.NewFaulty(inner, transport.Faults{})

@@ -3,6 +3,7 @@ package collective
 import (
 	"encoding/binary"
 	"fmt"
+	"math/rand/v2"
 	"slices"
 	"sync"
 
@@ -38,7 +39,7 @@ type provGen struct {
 }
 
 // release drops the cached frame references of plan, or of every plan when
-// plan is 0 (IDs start at 1). In-flight sends hold their own references,
+// plan is 0 (IDs are positive). In-flight sends hold their own references,
 // so eviction never tears a write.
 func (g *provGen) release(plan int64) {
 	for k, b := range g.frames {
@@ -75,7 +76,7 @@ type Publisher struct {
 	mu        sync.Mutex
 	closed    bool
 	gen       int64 // current generation, also the epoch ID begin answers
-	nextPlan  int64
+	nextPlan  int64 // last plan ID issued; starts at a random base (see exchange)
 	plans     map[int64]*ccoll.Plan
 	planKeys  map[string]int64 // distribution digest → plan ID
 	planOrder []int64          // LRU, oldest first
@@ -123,6 +124,7 @@ func Publish(oa *orb.ObjectAdapter, name string, ports []ccoll.DistArrayPort, _ 
 		side:     sideOf(m, 0),
 		wire:     wire,
 		gen:      1,
+		nextPlan: rand.Int64N(1 << 62),
 		plans:    make(map[int64]*ccoll.Plan),
 		planKeys: make(map[string]int64),
 		gens:     make(map[int64]*provGen),
@@ -263,6 +265,10 @@ func (p *Publisher) exchange(args []any, reply *orb.Encoder) error {
 	if cached() {
 		return nil
 	}
+	// IDs count up from a random per-publisher base, so a consumer still
+	// holding an ID from before a restart gets the stale-plan sentinel (and
+	// re-exchanges) instead of aliasing a plan issued to another
+	// distribution after the restart.
 	p.nextPlan++
 	id := p.nextPlan
 	p.plans[id] = plan

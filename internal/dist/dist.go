@@ -27,7 +27,7 @@ var (
 // a single *orb.Server or an *orb.ServerPool shard group.
 type exportServer interface {
 	Addr() string
-	Stop()
+	Close()
 }
 
 // Exporter publishes provides ports from a framework over a transport.
@@ -49,7 +49,7 @@ func NewExporter(fw *framework.Framework, l transport.Listener) *Exporter {
 // rendezvous-hashes object keys across the shards.
 func NewExporterShards(fw *framework.Framework, addr string, shards int) (*Exporter, error) {
 	oa := orb.NewObjectAdapter()
-	pool, err := orb.ServeShards(oa, addr, shards, orb.ServeOptions{})
+	pool, err := orb.ServeShards(oa, addr, shards)
 	if err != nil {
 		return nil, err
 	}
@@ -59,8 +59,9 @@ func NewExporterShards(fw *framework.Framework, addr string, shards int) (*Expor
 // Addr reports the served address for clients to dial.
 func (e *Exporter) Addr() string { return e.server.Addr() }
 
-// Close stops serving.
-func (e *Exporter) Close() { e.server.Stop() }
+// Close stops serving: in-flight calls drain (orb.Server.Close), then
+// every connection closes.
+func (e *Exporter) Close() { e.server.Close() }
 
 // Export publishes component's provides port under the object key
 // "component/port". The port's SIDL type must be registered in the global

@@ -1,7 +1,7 @@
 package orb
 
 // Tests for the serving-tier hardening: graceful drain on Close, typed
-// retryable overload shedding (queue-depth and per-key), the supervised
+// retryable overload shedding on queue depth, the supervised
 // client's backoff-without-redial on overload, and the sharded listener
 // group with its rendezvous dial.
 
@@ -18,7 +18,7 @@ import (
 
 // gateServer serves a dynamic servant "gate" with a blockable method:
 // wait() parks on release after signalling entered, ping() answers
-// immediately, nap() sleeps 2ms. Other keys can be added via oa.
+// immediately, nap() sleeps 2ms.
 func gateServer(t *testing.T, opts ServeOptions) (srv *Server, entered chan struct{}, release chan struct{}) {
 	t.Helper()
 	oa := NewObjectAdapter()
@@ -42,7 +42,6 @@ func gateServer(t *testing.T, opts ServeOptions) (srv *Server, entered chan stru
 		return errors.New("no such method: " + method)
 	}
 	oa.RegisterDynamic("gate", handler)
-	oa.RegisterDynamic("gate2", handler)
 	l, err := transport.TCP{}.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -55,7 +54,7 @@ func gateServer(t *testing.T, opts ServeOptions) (srv *Server, entered chan stru
 // while requests arriving during the drain are shed with the typed
 // retryable overload error.
 func TestGracefulCloseDrains(t *testing.T) {
-	srv, entered, release := gateServer(t, ServeOptions{DrainTimeout: 5 * time.Second})
+	srv, entered, release := gateServer(t, ServeOptions{})
 	c, err := DialClient(transport.TCP{}, srv.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -121,7 +120,7 @@ func TestGracefulCloseDrains(t *testing.T) {
 // and classified retryable.
 func TestOverloadShedTyped(t *testing.T) {
 	srv, entered, release := gateServer(t, ServeOptions{MaxInflight: 1})
-	defer srv.Stop()
+	defer srv.Close()
 
 	c0, err := DialClient(transport.TCP{}, srv.Addr())
 	if err != nil {
@@ -186,7 +185,7 @@ func TestOverloadShedTyped(t *testing.T) {
 // so the supervisor keeps its connection.
 func TestSupervisedBacksOffOnOverload(t *testing.T) {
 	srv, _, _ := gateServer(t, ServeOptions{MaxInflight: 1})
-	defer srv.Stop()
+	defer srv.Close()
 
 	opts, _ := fastOpts()
 	opts.MaxAttempts = 12
@@ -244,41 +243,6 @@ func TestSupervisedBacksOffOnOverload(t *testing.T) {
 	}
 }
 
-// TestPerKeyLimit saturates one servant key and checks a second key on
-// the same server still answers while the first sheds.
-func TestPerKeyLimit(t *testing.T) {
-	srv, entered, release := gateServer(t, ServeOptions{MaxPerKey: 1})
-	defer srv.Stop()
-
-	c, err := DialClient(transport.TCP{}, srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	hold := make(chan error, 1)
-	go func() {
-		_, err := c.Invoke("gate", "wait")
-		hold <- err
-	}()
-	<-entered // "gate" is at its per-key limit
-
-	c2, err := DialClient(transport.TCP{}, srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c2.Close()
-	if _, err := c2.Invoke("gate", "ping"); !IsOverloaded(err) {
-		t.Fatalf("second call on saturated key: err = %v, want ErrOverloaded", err)
-	}
-	if res, err := c2.Invoke("gate2", "ping"); err != nil || res[0].(int32) != 0 {
-		t.Fatalf("other key blocked by unrelated saturation: %v %v", res, err)
-	}
-	close(release)
-	if err := <-hold; err != nil {
-		t.Fatalf("held call: %v", err)
-	}
-}
-
 // TestPickShardSpread checks the rendezvous dial spreads successive picks
 // over the whole shard list and passes single addresses through.
 func TestPickShardSpread(t *testing.T) {
@@ -307,14 +271,11 @@ func TestServeShards(t *testing.T) {
 	if err := oa.Register("calc", calcInfo(t), calcImpl{}); err != nil {
 		t.Fatal(err)
 	}
-	pool, err := ServeShards(oa, "tcp://127.0.0.1:0", 3, ServeOptions{})
+	pool, err := ServeShards(oa, "tcp://127.0.0.1:0", 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer pool.Close()
-	if got := len(pool.Shards()); got != 3 {
-		t.Fatalf("shards = %d, want 3", got)
-	}
 	addr := pool.Addr()
 	if got := len(strings.Split(addr, ",")); got != 3 {
 		t.Fatalf("pool addr %q does not list 3 shards", addr)

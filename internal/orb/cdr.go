@@ -6,9 +6,11 @@
 //
 //   - cdr.go: a CDR-flavoured value codec (common data representation);
 //   - orb.go: an object adapter that dispatches marshaled requests to
-//     registered servants via SIDL dynamic invocation, an in-process ORB
-//     whose LocalProxy marshals every call (experiment E2's baseline), and
-//     a remote ORB over repro/internal/transport.
+//     registered servants via SIDL dynamic invocation, and an in-process
+//     ORB whose Invoke marshals every call (experiment E2's baseline);
+//   - client.go, server.go, supervisor.go: the remote ORB over
+//     repro/internal/transport — a multiplexed client, an
+//     admission-controlled server, and the self-healing supervised client.
 package orb
 
 import (

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/sidl/arena"
 	"repro/internal/transport"
 )
 
@@ -49,9 +48,14 @@ func DialClient(tr transport.Transport, addr string) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
+	return newClient(conn), nil
+}
+
+// newClient wraps an established connection and starts its demultiplexer.
+func newClient(conn transport.Conn) *Client {
 	c := &Client{conn: conn, calls: map[uint64]chan muxReply{}, done: make(chan struct{})}
 	go c.demux()
-	return c, nil
+	return c
 }
 
 // Done is closed when the connection has died (the demux loop exited) and
@@ -299,45 +303,6 @@ func (c *Client) InvokeOneway(key, method string, args ...any) error {
 	return err
 }
 
-// InvokeArena is the zero-allocation call path: results decode into the
-// caller-supplied arena and append to out (pass a reused buffer,
-// truncated to [:0]). Everything returned — the slice headers, strings,
-// and interface boxes in out — lives in arena storage and is valid only
-// until ar.Reset(); the caller owns the reset cadence, typically once per
-// iteration of its own loop. args is taken as a plain slice, not
-// variadic, so a caller can preassemble and reuse it: at steady state the
-// whole round trip (encode, send, receive, decode) allocates nothing.
-//
-// The path is deliberately uninstrumented (no RED sample, no span): it
-// exists for measured hot loops, and E12 measures it.
-func (c *Client) InvokeArena(ar *arena.Arena, out []any, key, method string, args []any) ([]any, error) {
-	frame, err := c.callFrame(context.Background(), 0, key, method, args)
-	if err != nil {
-		return out, err
-	}
-	d := NewDecoder(frame[frameHeader:])
-	d.SetArena(ar)
-	okv, err := d.Decode()
-	if err == nil {
-		if ok, isBool := okv.(bool); !isBool {
-			err = fmt.Errorf("%w: leading %T", ErrBadReply, okv)
-		} else if !ok {
-			var msg string
-			if msg, err = d.DecodeString(); err == nil {
-				err = fmt.Errorf("%w: %s", ErrRemote, msg)
-			}
-		}
-	}
-	for err == nil && d.More() {
-		var v any
-		if v, err = d.Decode(); err == nil {
-			out = append(out, v)
-		}
-	}
-	transport.ReleaseFrame(frame) // arena decode copied every value
-	return out, err
-}
-
 // RawReply is a successful reply left undecoded: Results is the
 // CDR-encoded results portion of the reply body, aliasing a pooled
 // transport frame. The caller parses it with NewDecoder (RawFloat64s for
@@ -353,11 +318,6 @@ func (r RawReply) Release() {
 	if r.frame != nil {
 		transport.ReleaseFrame(r.frame)
 	}
-}
-
-// InvokeRaw is InvokeRawContext with a background context.
-func (c *Client) InvokeRaw(key, method string, args ...any) (RawReply, error) {
-	return c.InvokeRawContext(context.Background(), key, method, args...)
 }
 
 // InvokeRawContext performs a remote call but hands back the reply's
@@ -403,11 +363,6 @@ func (c *Client) InvokeRawContext(ctx context.Context, key, method string, args 
 		}
 	}
 	return rr, err
-}
-
-// Proxy returns a remote object reference.
-func (c *Client) Proxy(key string) *Proxy {
-	return &Proxy{invoke: c.Invoke, key: key}
 }
 
 // Close releases the connection; pending calls fail with

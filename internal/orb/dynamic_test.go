@@ -5,6 +5,7 @@ package orb
 // through.
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"math"
@@ -60,7 +61,7 @@ func dynServer(t *testing.T, tr transport.Transport, addr string) (*Server, chan
 func TestDynamicServantInvoke(t *testing.T) {
 	tr := &transport.InProc{}
 	srv, _ := dynServer(t, tr, "dyn-basic")
-	defer srv.Stop()
+	defer srv.Close()
 	c, err := DialClient(tr, "dyn-basic")
 	if err != nil {
 		t.Fatal(err)
@@ -85,7 +86,7 @@ func TestDynamicServantInvoke(t *testing.T) {
 func TestDynamicServantError(t *testing.T) {
 	tr := &transport.InProc{}
 	srv, _ := dynServer(t, tr, "dyn-err")
-	defer srv.Stop()
+	defer srv.Close()
 	c, err := DialClient(tr, "dyn-err")
 	if err != nil {
 		t.Fatal(err)
@@ -113,7 +114,7 @@ func TestDynamicServantError(t *testing.T) {
 func TestDynamicServantOneway(t *testing.T) {
 	tr := &transport.InProc{}
 	srv, ch := dynServer(t, tr, "dyn-oneway")
-	defer srv.Stop()
+	defer srv.Close()
 	c, err := DialClient(tr, "dyn-oneway")
 	if err != nil {
 		t.Fatal(err)
@@ -166,14 +167,14 @@ func TestRawFloat64sRoundTrip(t *testing.T) {
 func TestInvokeRaw(t *testing.T) {
 	tr := &transport.InProc{}
 	srv, _ := dynServer(t, tr, "dyn-raw")
-	defer srv.Stop()
+	defer srv.Close()
 	c, err := DialClient(tr, "dyn-raw")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 
-	rep, err := c.InvokeRaw("dyn", "scale", 3.0, int32(5))
+	rep, err := c.InvokeRawContext(context.Background(), "dyn", "scale", 3.0, int32(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +194,7 @@ func TestInvokeRaw(t *testing.T) {
 	rep.Release() // double-release must be safe on the zero frame
 
 	// Remote errors surface identically to the decoded path.
-	if _, err := c.InvokeRaw("dyn", "fail", "raw-boom"); !errors.Is(err, ErrRemote) || !strings.Contains(err.Error(), "raw-boom") {
+	if _, err := c.InvokeRawContext(context.Background(), "dyn", "fail", "raw-boom"); !errors.Is(err, ErrRemote) || !strings.Contains(err.Error(), "raw-boom") {
 		t.Fatalf("raw err = %v", err)
 	}
 	var zero RawReply
@@ -204,7 +205,7 @@ func TestSupervisedInvokeRawRetriesAfterSever(t *testing.T) {
 	inner := &transport.InProc{}
 	tr := transport.NewFaulty(inner, transport.Faults{Seed: 11})
 	srv, _ := dynServer(t, tr, "dyn-sup")
-	defer srv.Stop()
+	defer srv.Close()
 	opts, states := fastOpts()
 	s, err := DialSupervised(tr, "dyn-sup", opts)
 	if err != nil {

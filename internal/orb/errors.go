@@ -48,8 +48,8 @@ func (c Class) String() string {
 var ErrCircuitOpen = errors.New("orb: circuit breaker open")
 
 // ErrOverloaded is the typed load-shed reply: an admission-controlled
-// server (ServeWith with a MaxInflight or MaxPerKey bound, or one
-// draining toward Close) refused the request before dispatching it. The
+// server (ServeWith with a MaxInflight bound, or one draining toward
+// Close) refused the request before dispatching it. The
 // request was never executed, so retrying is safe for any method —
 // idempotent or not — and the supervised client backs off and retries on
 // the same healthy connection instead of tearing it down.

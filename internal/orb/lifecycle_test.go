@@ -1,9 +1,9 @@
 package orb
 
 // Lifecycle audit tests: every goroutine and pooled resource started by
-// the remote path must be released by Close/Stop. The audit points are
+// the remote path must be released by Close. The audit points are
 // Client.Close (stops the demux goroutine), tcpConn.Close (terminates the
-// leader flush), Server.Stop (drains the dispatch pool), and
+// leader flush), Server.Close (drains the dispatch pool), and
 // Supervised.Close (stops watcher, redial, and heartbeat goroutines).
 
 import (
@@ -75,14 +75,14 @@ func TestLifecycleClientServerChurn(t *testing.T) {
 				srv := Serve(oa, l)
 				c, err := DialClient(tc.tr, srv.Addr())
 				if err != nil {
-					srv.Stop()
+					srv.Close()
 					t.Fatal(err)
 				}
 				if _, err := c.Invoke("calc", "add", 1.0, 2.0); err != nil {
 					t.Fatal(err)
 				}
 				c.Close()
-				srv.Stop()
+				srv.Close()
 			}
 			base := goroutineBaseline()
 			for i := 0; i < n; i++ {
@@ -93,7 +93,7 @@ func TestLifecycleClientServerChurn(t *testing.T) {
 				srv := Serve(oa, l)
 				c, err := DialClient(tc.tr, srv.Addr())
 				if err != nil {
-					srv.Stop()
+					srv.Close()
 					t.Fatal(err)
 				}
 				if i%10 == 0 { // exercise the dispatch pool on a sample
@@ -102,7 +102,7 @@ func TestLifecycleClientServerChurn(t *testing.T) {
 					}
 				}
 				c.Close()
-				srv.Stop()
+				srv.Close()
 			}
 			assertGoroutinesReturn(t, base)
 		})
@@ -123,7 +123,7 @@ func TestLifecycleSupervisedChurn(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := Serve(oa, l)
-	defer srv.Stop()
+	defer srv.Close()
 
 	base := goroutineBaseline()
 	for i := 0; i < 300; i++ {
@@ -155,8 +155,9 @@ func TestLifecycleSupervisedChurn(t *testing.T) {
 	assertGoroutinesReturn(t, base)
 }
 
-// TestLifecycleServerDrainsDispatch confirms Server.Stop waits for
-// in-flight dispatches instead of abandoning them.
+// TestLifecycleServerDrainsDispatch confirms Server.Close waits for
+// in-flight dispatches instead of abandoning them, and delivers their
+// replies.
 func TestLifecycleServerDrainsDispatch(t *testing.T) {
 	oa := NewObjectAdapter()
 	impl := &slowImpl{release: make(chan struct{}), started: make(chan struct{}, 1)}
@@ -184,24 +185,22 @@ func TestLifecycleServerDrainsDispatch(t *testing.T) {
 
 	stopped := make(chan struct{})
 	go func() {
-		srv.Stop()
+		srv.Close()
 		close(stopped)
 	}()
 	select {
 	case <-stopped:
-		t.Fatal("Stop returned while a dispatch was still running")
+		t.Fatal("Close returned while a dispatch was still running")
 	case <-time.After(20 * time.Millisecond):
 	}
 	close(impl.release)
 	select {
 	case <-stopped:
 	case <-time.After(5 * time.Second):
-		t.Fatal("Stop did not return after the dispatch finished")
+		t.Fatal("Close did not return after the dispatch finished")
 	}
 	if err := <-done; err != nil {
-		// The reply may lose the race with connection teardown; either a
-		// delivered reply or a connection error is acceptable, a hang is not.
-		t.Logf("in-flight call during Stop: %v", err)
+		t.Fatalf("in-flight call during Close: %v", err)
 	}
 }
 

@@ -111,10 +111,9 @@ var (
 	// admission control (total sheds plus the reason split), the server's
 	// in-flight dispatch gauge, and the supervised client's
 	// overload-backoff counter (retries that kept the connection).
-	gServerInflight   = obs.NewGauge("orb.server.inflight")
-	cServerShed       = obs.NewCounter("orb.server.shed")
-	cServerShedQueue  = obs.NewCounter("orb.server.shed.queue_full")
-	cServerShedPerKey = obs.NewCounter("orb.server.shed.per_key")
-	cServerShedDrain  = obs.NewCounter("orb.server.shed.draining")
-	cSupOverloads     = obs.NewCounter("orb.supervised.overload_backoffs")
+	gServerInflight  = obs.NewGauge("orb.server.inflight")
+	cServerShed      = obs.NewCounter("orb.server.shed")
+	cServerShedQueue = obs.NewCounter("orb.server.shed.queue_full")
+	cServerShedDrain = obs.NewCounter("orb.server.shed.draining")
+	cSupOverloads    = obs.NewCounter("orb.supervised.overload_backoffs")
 )

@@ -62,7 +62,7 @@ func eachORBTransport(t *testing.T, oa *ObjectAdapter, f func(t *testing.T, srv 
 			t.Fatal(err)
 		}
 		srv := Serve(oa, l)
-		defer srv.Stop()
+		defer srv.Close()
 		c, err := DialClient(tr, "mux")
 		if err != nil {
 			t.Fatal(err)
@@ -76,7 +76,7 @@ func eachORBTransport(t *testing.T, oa *ObjectAdapter, f func(t *testing.T, srv 
 			t.Fatal(err)
 		}
 		srv := Serve(oa, l)
-		defer srv.Stop()
+		defer srv.Close()
 		c, err := DialClient(transport.TCP{}, srv.Addr())
 		if err != nil {
 			t.Fatal(err)
@@ -209,12 +209,13 @@ func TestConnectionLossFailsPendingCalls(t *testing.T) {
 	if err := oa.Register("slow", slowInfo(t), slow); err != nil {
 		t.Fatal(err)
 	}
-	tr := &transport.InProc{}
+	tr := transport.NewFaulty(&transport.InProc{}, transport.Faults{})
 	l, err := tr.Listen("loss")
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv := Serve(oa, l)
+	defer srv.Close()
 	c, err := DialClient(tr, "loss")
 	if err != nil {
 		t.Fatal(err)
@@ -230,14 +231,12 @@ func TestConnectionLossFailsPendingCalls(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("call never reached the servant")
 	}
-	close(slow.release) // let the handler finish; Stop waits for workers
-	srv.Stop()
+	// Abrupt death while the call is still executing: no reply can win.
+	tr.SeverAll()
+	defer close(slow.release)
 	select {
 	case err := <-pending:
-		if err == nil {
-			// The reply may legitimately have won the race with the
-			// close — but only if the server flushed it before stopping.
-		} else if !errors.Is(err, transport.ErrClosed) {
+		if !errors.Is(err, transport.ErrClosed) {
 			t.Errorf("pending call err = %v, want ErrClosed", err)
 		}
 	case <-time.After(5 * time.Second):

@@ -13,10 +13,9 @@ import (
 
 // ORB errors.
 var (
-	ErrNoObject  = errors.New("orb: no such object")
-	ErrRemote    = errors.New("orb: remote exception")
-	ErrBadReply  = errors.New("orb: malformed reply")
-	ErrOAStopped = errors.New("orb: object adapter stopped")
+	ErrNoObject = errors.New("orb: no such object")
+	ErrRemote   = errors.New("orb: remote exception")
+	ErrBadReply = errors.New("orb: malformed reply")
 )
 
 // Servant is an exported object: an implementation bound to its SIDL
@@ -95,6 +94,17 @@ func (oa *ObjectAdapter) lookup(key string) (*Servant, error) {
 	return s, nil
 }
 
+// argsPool recycles decoded-argument slices across dispatches. Safe because
+// neither Call's fast paths nor the reflect path retain the slice beyond
+// the invocation (result values are always freshly boxed).
+var argsPool = sync.Pool{New: func() any { s := make([]any, 0, 8); return &s }}
+
+func putArgs(p *[]any, used []any) {
+	clear(used) // drop value references so boxed arguments can be collected
+	*p = used[:0]
+	argsPool.Put(p)
+}
+
 // dispatchBody decodes a request body (the frame after its correlation
 // header), invokes the servant, and encodes the reply frame with its
 // correlation header reserved but unstamped. Oneway requests produce a nil
@@ -109,17 +119,6 @@ func (oa *ObjectAdapter) lookup(key string) (*Servant, error) {
 // The returned encoder comes from the package pool; the caller must stamp
 // the correlation ID, send or copy its Bytes, and then release it with
 // PutEncoder.
-// argsPool recycles decoded-argument slices across dispatches. Safe because
-// neither Call's fast paths nor the reflect path retain the slice beyond
-// the invocation (result values are always freshly boxed).
-var argsPool = sync.Pool{New: func() any { s := make([]any, 0, 8); return &s }}
-
-func putArgs(p *[]any, used []any) {
-	clear(used) // drop value references so boxed arguments can be collected
-	*p = used[:0]
-	argsPool.Put(p)
-}
-
 func (oa *ObjectAdapter) dispatchBody(body []byte, oneway bool, trace uint64, recvMono int64) *Encoder {
 	metered := obs.MetricsEnabled()
 	if trace == 0 && !metered {
@@ -327,32 +326,4 @@ func (o *InProcessORB) Invoke(key, method string, args ...any) ([]any, error) {
 	out, err := decodeReply(rep.Bytes()[frameHeader:]) // decodeReply copies every value
 	PutEncoder(rep)
 	return out, err
-}
-
-// InvokeOneway performs a marshaled call discarding results and errors.
-func (o *InProcessORB) InvokeOneway(key, method string, args ...any) error {
-	req, err := encodeRequest(onewayID, 0, key, method, args)
-	if err != nil {
-		return err
-	}
-	PutEncoder(o.OA.dispatchBody(req.Bytes()[frameHeader:], true, 0, 0))
-	PutEncoder(req)
-	return nil
-}
-
-// Proxy is a client-side object reference bound to a key. Its Invoke is the
-// "generated stub" of a classic ORB: marshal, submit, unmarshal.
-type Proxy struct {
-	invoke func(key, method string, args ...any) ([]any, error)
-	key    string
-}
-
-// Invoke calls the named method on the referenced object.
-func (p *Proxy) Invoke(method string, args ...any) ([]any, error) {
-	return p.invoke(p.key, method, args...)
-}
-
-// Proxy returns a local proxy for an exported object.
-func (o *InProcessORB) Proxy(key string) *Proxy {
-	return &Proxy{invoke: o.Invoke, key: key}
 }

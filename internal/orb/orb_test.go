@@ -119,6 +119,7 @@ package demo {
     double add(in double a, in double b);
     double sum(in array<double,1> xs);
     string greet(in string who);
+    string echo(in string s);
   }
 }
 `
@@ -134,6 +135,7 @@ func (calcImpl) Sum(xs []float64) float64 {
 	return s
 }
 func (calcImpl) Greet(who string) string { return "hello " + who }
+func (calcImpl) Echo(s string) string    { return s }
 
 // BindSkeleton provides Babel-style direct bindings so dispatch (and the
 // zero-alloc tests that measure it) skips reflect method values.
@@ -141,6 +143,7 @@ func (c calcImpl) BindSkeleton(bind func(string, any)) {
 	bind("add", c.Add)
 	bind("sum", c.Sum)
 	bind("greet", c.Greet)
+	bind("echo", c.Echo)
 }
 
 func calcInfo(t testing.TB) *sreflect.TypeInfo {
@@ -179,8 +182,7 @@ func TestInProcessORBInvoke(t *testing.T) {
 	if err != nil || res[0].(float64) != 10 {
 		t.Errorf("sum = %v, %v", res, err)
 	}
-	p := o.Proxy("calc")
-	res, err = p.Invoke("greet", "world")
+	res, err = o.Invoke("calc", "greet", "world")
 	if err != nil || res[0].(string) != "hello world" {
 		t.Errorf("greet = %v, %v", res, err)
 	}
@@ -217,7 +219,7 @@ func TestRemoteORBOverInproc(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := Serve(oa, l)
-	defer srv.Stop()
+	defer srv.Close()
 
 	c, err := DialClient(tr, "orb")
 	if err != nil {
@@ -228,8 +230,7 @@ func TestRemoteORBOverInproc(t *testing.T) {
 	if err != nil || res[0].(float64) != 42 {
 		t.Fatalf("remote add = %v, %v", res, err)
 	}
-	proxy := c.Proxy("calc")
-	res, err = proxy.Invoke("sum", []float64{5, 5})
+	res, err = c.Invoke("calc", "sum", []float64{5, 5})
 	if err != nil || res[0].(float64) != 10 {
 		t.Fatalf("remote sum = %v, %v", res, err)
 	}
@@ -249,7 +250,7 @@ func TestRemoteORBOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := Serve(oa, l)
-	defer srv.Stop()
+	defer srv.Close()
 
 	c, err := DialClient(transport.TCP{}, srv.Addr())
 	if err != nil {
@@ -264,13 +265,14 @@ func TestRemoteORBOverTCP(t *testing.T) {
 	}
 }
 
+// TestServerStopIdempotent: shutting a server down twice is harmless.
 func TestServerStopIdempotent(t *testing.T) {
 	oa := NewObjectAdapter()
 	tr := &transport.InProc{}
 	l, _ := tr.Listen("x")
 	srv := Serve(oa, l)
-	srv.Stop()
-	srv.Stop()
+	srv.Close()
+	srv.Close()
 }
 
 // observer is a servant with a oneway-style void method.
@@ -310,23 +312,35 @@ func observerInfo(t testing.TB) *sreflect.TypeInfo {
 	return nil
 }
 
+// TestInProcessOneway drives the adapter's oneway dispatch — the path a
+// server's read loop takes for correlation ID 0 — without a transport:
+// the servant runs, no reply is produced, and errors are swallowed.
 func TestInProcessOneway(t *testing.T) {
-	o := NewInProcessORB()
+	oa := NewObjectAdapter()
 	obs := &observer{}
-	if err := o.OA.Register("mon", observerInfo(t), obs); err != nil {
+	if err := oa.Register("mon", observerInfo(t), obs); err != nil {
 		t.Fatal(err)
 	}
-	for i := int32(0); i < 3; i++ {
-		if err := o.InvokeOneway("mon", "observe", i, []float64{1}); err != nil {
+	oneway := func(key string, args ...any) *Encoder {
+		t.Helper()
+		req, err := encodeRequest(onewayID, 0, key, "observe", args)
+		if err != nil {
 			t.Fatal(err)
+		}
+		defer PutEncoder(req)
+		return oa.dispatchBody(req.Bytes()[frameHeader:], true, 0, 0)
+	}
+	for i := int32(0); i < 3; i++ {
+		if rep := oneway("mon", i, []float64{1}); rep != nil {
+			t.Fatal("oneway produced a reply")
 		}
 	}
 	if obs.count() != 3 {
 		t.Errorf("observed %d", obs.count())
 	}
 	// Oneway errors (unknown key) are swallowed by design.
-	if err := o.InvokeOneway("ghost", "observe", int32(0), []float64{}); err != nil {
-		t.Errorf("oneway to ghost: %v", err)
+	if rep := oneway("ghost", int32(0), []float64{}); rep != nil {
+		t.Error("oneway to ghost produced a reply")
 	}
 }
 
@@ -345,7 +359,7 @@ func TestRemoteOnewayOrderedWithTwoWay(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := Serve(oa, l)
-	defer srv.Stop()
+	defer srv.Close()
 	c, err := DialClient(tr, "oneway")
 	if err != nil {
 		t.Fatal(err)
@@ -367,7 +381,7 @@ func TestRemoteOnewayOrderedWithTwoWay(t *testing.T) {
 }
 
 func TestServerStopWithLiveConnections(t *testing.T) {
-	// Stop must not hang while a client connection is still open.
+	// Shutting down must not hang while a client connection is still open.
 	oa := NewObjectAdapter()
 	if err := oa.Register("calc", calcInfo(t), calcImpl{}); err != nil {
 		t.Fatal(err)
@@ -387,13 +401,13 @@ func TestServerStopWithLiveConnections(t *testing.T) {
 	}
 	done := make(chan struct{})
 	go func() {
-		srv.Stop() // must return even though c is still open
+		srv.Close() // must return even though c is still open
 		close(done)
 	}()
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):
-		t.Fatal("Stop hung with a live connection")
+		t.Fatal("Close hung with a live connection")
 	}
 	// Subsequent calls fail cleanly.
 	if _, err := c.Invoke("calc", "add", 1.0, 1.0); err == nil {
@@ -424,7 +438,7 @@ func TestServerSurvivesCorruptFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := Serve(oa, l)
-	defer srv.Stop()
+	defer srv.Close()
 
 	conn, err := tr.Dial("fuzz")
 	if err != nil {
@@ -492,7 +506,7 @@ func TestServerDropsHeaderlessConnection(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := Serve(oa, l)
-	defer srv.Stop()
+	defer srv.Close()
 
 	conn, err := tr.Dial("short")
 	if err != nil {

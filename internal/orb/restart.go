@@ -74,7 +74,7 @@ func RegisterRestore(oa *ObjectAdapter, fn func(state []byte) error) {
 	})
 }
 
-// restartLocked reports whether a restart sequence should run for the
+// restartBudgetLeft reports whether a restart sequence should run for the
 // current outage. Caller holds s.mu.
 func (s *Supervised) restartBudgetLeft() bool {
 	p := s.opts.Restart

@@ -101,7 +101,7 @@ func TestRestartPolicyRelaunchesAndReplays(t *testing.T) {
 
 	// Kill the only incarnation: redial probes fail, the breaker opens, and
 	// the restart policy takes over.
-	first.srv.Stop()
+	first.srv.Close()
 	waitState(t, states, StateBroken)
 	waitState(t, states, StateHealthy)
 
@@ -152,7 +152,7 @@ func TestRestartColdWithoutCheckpoint(t *testing.T) {
 	if _, err := s.Invoke("counter", "set", int64(7)); err != nil {
 		t.Fatal(err)
 	}
-	first.srv.Stop()
+	first.srv.Close()
 	waitState(t, states, StateBroken)
 	waitState(t, states, StateHealthy)
 	res, err := s.Invoke("counter", "get")
@@ -249,7 +249,7 @@ func TestRestartBudgetResetsPerOutage(t *testing.T) {
 	}
 	defer s.Close()
 
-	cur.srv.Stop()
+	cur.srv.Close()
 	waitState(t, states, StateBroken)
 	waitState(t, states, StateHealthy)
 
@@ -257,7 +257,7 @@ func TestRestartBudgetResetsPerOutage(t *testing.T) {
 	mu.Lock()
 	second := servers[len(servers)-1]
 	mu.Unlock()
-	second.srv.Stop()
+	second.srv.Close()
 	waitState(t, states, StateBroken)
 	waitState(t, states, StateHealthy)
 	if _, err := s.Invoke("counter", "get"); err != nil {

@@ -75,7 +75,7 @@ func PickShard(addr string) string {
 // ServerPool serves one object adapter from several listeners — the
 // connection-sharding layout of the high-fan-out serving tier. Each shard
 // is its own Server (own read loops, own accept loop) over the shared
-// adapter and options; Addr returns the comma-separated shard list that
+// adapter; Addr returns the comma-separated shard list that
 // DialAddr rendezvous-picks from.
 type ServerPool struct {
 	servers []*Server
@@ -88,7 +88,7 @@ type ServerPool struct {
 // addresses (shm, inproc) shards beyond the first get a "-s<i>" suffix.
 // An explicit tcp port cannot be shared — listening fails on the second
 // shard, and the error reports which shard.
-func ServeShards(oa *ObjectAdapter, addr string, shards int, opts ServeOptions) (*ServerPool, error) {
+func ServeShards(oa *ObjectAdapter, addr string, shards int) (*ServerPool, error) {
 	if shards < 1 {
 		shards = 1
 	}
@@ -104,10 +104,10 @@ func ServeShards(oa *ObjectAdapter, addr string, shards int, opts ServeOptions) 
 		}
 		l, err := ListenAddr(shardAddr)
 		if err != nil {
-			p.Stop()
+			p.Close()
 			return nil, fmt.Errorf("orb: shard %d of %q: %w", i, addr, err)
 		}
-		p.servers = append(p.servers, ServeWith(oa, l, opts))
+		p.servers = append(p.servers, Serve(oa, l))
 		p.addrs = append(p.addrs, scheme+l.Addr())
 	}
 	return p, nil
@@ -116,16 +116,6 @@ func ServeShards(oa *ObjectAdapter, addr string, shards int, opts ServeOptions) 
 // Addr returns the comma-separated shard addresses, each with the
 // original scheme prefix — the string clients hand to DialAddr.
 func (p *ServerPool) Addr() string { return strings.Join(p.addrs, ",") }
-
-// Shards returns the per-shard servers, for tests and metrics.
-func (p *ServerPool) Shards() []*Server { return p.servers }
-
-// Stop hard-stops every shard (Server.Stop).
-func (p *ServerPool) Stop() {
-	for _, s := range p.servers {
-		s.Stop()
-	}
-}
 
 // Close gracefully drains every shard (Server.Close).
 func (p *ServerPool) Close() {

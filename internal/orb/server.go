@@ -26,10 +26,9 @@ func dispatchCap() int {
 	return c
 }
 
-// ServeOptions configures a server's admission control and shutdown
-// behavior. The zero value reproduces the classic Serve: unbounded
-// admission (the blocking dispatch queue is the only backpressure) and a
-// 5-second drain bound on Close.
+// ServeOptions configures a server's admission control. The zero value
+// reproduces the classic Serve: unbounded admission (the blocking dispatch
+// queue is the only backpressure).
 type ServeOptions struct {
 	// MaxInflight bounds two-way requests admitted but not yet replied
 	// to (queued + executing), across all connections. Beyond it the
@@ -39,22 +38,16 @@ type ServeOptions struct {
 	// bound — the read loops block when the dispatch queue fills, which
 	// back-pressures each connection instead of answering it.
 	MaxInflight int
-	// MaxPerKey bounds concurrently executing requests per servant key,
-	// so one hot object cannot starve every other servant's dispatch
-	// slots. 0 means no per-key bound.
-	MaxPerKey int
-	// DrainTimeout bounds how long Close waits for in-flight requests
-	// before tearing connections down. 0 means 5s.
-	DrainTimeout time.Duration
 }
 
-const defaultDrainTimeout = 5 * time.Second
+// drainTimeout bounds how long Close waits for in-flight requests before
+// tearing connections down.
+const drainTimeout = 5 * time.Second
 
 // Shed causes, pre-built so the shed path does not allocate errors.
 var (
-	errShedQueue  = fmt.Errorf("%w: dispatch queue full", ErrOverloaded)
-	errShedPerKey = fmt.Errorf("%w: per-key concurrency limit", ErrOverloaded)
-	errShedDrain  = fmt.Errorf("%w: server draining", ErrOverloaded)
+	errShedQueue = fmt.Errorf("%w: dispatch queue full", ErrOverloaded)
+	errShedDrain = fmt.Errorf("%w: server draining", ErrOverloaded)
 )
 
 // Server serves object-adapter requests over a transport listener — the
@@ -87,32 +80,29 @@ type Server struct {
 
 	inflight atomic.Int64 // admitted two-way requests not yet replied to
 	draining atomic.Bool  // Close in progress: shed instead of admit
-	perKey   sync.Map     // servant key → *atomic.Int64 executing count
 }
 
 // dispatchItem is one two-way request handed from a read loop to the
 // dispatch workers. req is the pooled frame; the body follows its
 // correlation+trace header. recvMono is the read loop's arrival clock for
 // traced frames (0 otherwise) — the dispatch span turns it into queueing
-// delay. keyCtr, when non-nil, is the per-key concurrency cell the worker
-// must decrement after replying.
+// delay.
 type dispatchItem struct {
 	conn     transport.Conn
 	id       uint64
 	trace    uint64
 	recvMono int64
 	req      []byte
-	keyCtr   *atomic.Int64
 }
 
 // Serve starts accepting connections on l, dispatching each request frame
-// through the adapter. It returns immediately; Stop (or the graceful
-// Close) shuts the server down. Admission control is off — see ServeWith.
+// through the adapter. It returns immediately; Close shuts the server
+// down. Admission control is off — see ServeWith.
 func Serve(oa *ObjectAdapter, l transport.Listener) *Server {
 	return ServeWith(oa, l, ServeOptions{})
 }
 
-// ServeWith is Serve with explicit admission-control and drain options.
+// ServeWith is Serve with explicit admission-control options.
 func ServeWith(oa *ObjectAdapter, l transport.Listener, opts ServeOptions) *Server {
 	qcap := dispatchCap()
 	if opts.MaxInflight > qcap {
@@ -153,9 +143,6 @@ func ServeWith(oa *ObjectAdapter, l transport.Listener, opts ServeOptions) *Serv
 				}
 				PutEncoder(rep)
 				transport.ReleaseFrame(it.req)
-				if it.keyCtr != nil {
-					it.keyCtr.Add(-1)
-				}
 				if n := s.inflight.Add(-1); obs.MetricsEnabled() {
 					gServerInflight.Set(n)
 				}
@@ -224,68 +211,37 @@ func (s *Server) serveConn(conn transport.Conn) {
 			transport.ReleaseFrame(req)
 			continue
 		}
-		keyCtr, ok := s.admit(conn, id, trace, body)
-		if !ok {
+		if !s.admit(conn, id, trace) {
 			transport.ReleaseFrame(req)
 			continue
 		}
 		// Blocks when every worker is busy and the queue is full — the
 		// server's backpressure (with MaxInflight set, the shed check in
 		// admit fires first and this never blocks).
-		s.work <- dispatchItem{conn: conn, id: id, trace: trace, recvMono: recvMono,
-			req: req, keyCtr: keyCtr}
+		s.work <- dispatchItem{conn: conn, id: id, trace: trace, recvMono: recvMono, req: req}
 	}
 }
 
 // admit runs the admission checks for one two-way request, answering a
 // typed retryable ErrOverloaded reply on the request's own correlation ID
 // when it is shed. It reports whether the request may be dispatched; on
-// true the inflight count (and the returned per-key cell, when non-nil)
-// is already charged, and the dispatch worker un-charges both after
-// replying.
-func (s *Server) admit(conn transport.Conn, id, trace uint64, body []byte) (*atomic.Int64, bool) {
+// true the inflight count is already charged, and the dispatch worker
+// un-charges it after replying.
+func (s *Server) admit(conn transport.Conn, id, trace uint64) bool {
 	if s.draining.Load() {
 		s.shed(conn, id, trace, errShedDrain, cServerShedDrain)
-		return nil, false
+		return false
 	}
 	n := s.inflight.Add(1)
 	if max := int64(s.opts.MaxInflight); max > 0 && n > max {
 		s.inflight.Add(-1)
 		s.shed(conn, id, trace, errShedQueue, cServerShedQueue)
-		return nil, false
+		return false
 	}
 	if obs.MetricsEnabled() {
 		gServerInflight.Set(n)
 	}
-	ctr := s.keyCtrFor(body)
-	if ctr != nil && ctr.Add(1) > int64(s.opts.MaxPerKey) {
-		ctr.Add(-1)
-		s.inflight.Add(-1)
-		s.shed(conn, id, trace, errShedPerKey, cServerShedPerKey)
-		return nil, false
-	}
-	return ctr, true
-}
-
-// keyCtrFor returns the per-key concurrency cell for the request body's
-// servant key, or nil when per-key limiting is off or the key cannot be
-// decoded (dispatch will answer the decode error). The key peek reuses
-// the interned-string decode, so at steady state it costs one hash probe
-// and no allocation.
-func (s *Server) keyCtrFor(body []byte) *atomic.Int64 {
-	if s.opts.MaxPerKey <= 0 {
-		return nil
-	}
-	d := Decoder{buf: body}
-	key, err := d.decodeStringInterned()
-	if err != nil {
-		return nil
-	}
-	if v, ok := s.perKey.Load(key); ok {
-		return v.(*atomic.Int64)
-	}
-	v, _ := s.perKey.LoadOrStore(key, new(atomic.Int64))
-	return v.(*atomic.Int64)
+	return true
 }
 
 // shed answers a refused request immediately with the typed overload
@@ -303,20 +259,14 @@ func (s *Server) shed(conn transport.Conn, id, trace uint64, cause error, reason
 // Addr reports the served address.
 func (s *Server) Addr() string { return s.listener.Addr() }
 
-// Stop closes the listener and every live connection, waits for the read
-// loops to exit, then drains and retires the dispatch workers. Clients with
-// outstanding requests observe transport.ErrClosed; Close is the graceful
-// variant.
-func (s *Server) Stop() { s.shutdown(false) }
-
-// Close gracefully drains the server: stop accepting connections, answer
-// newly arriving requests with the typed retryable ErrOverloaded reply,
-// wait (bounded by DrainTimeout) for every in-flight dispatch to finish
-// and its reply to reach the socket, then tear down as Stop does. Clients
-// see their outstanding calls complete instead of transport.ErrClosed.
-func (s *Server) Close() { s.shutdown(true) }
-
-func (s *Server) shutdown(graceful bool) {
+// Close shuts the server down gracefully: stop accepting connections,
+// answer newly arriving requests with the typed retryable ErrOverloaded
+// reply, wait (bounded by drainTimeout) for every in-flight dispatch to
+// finish and its reply to reach the socket, then close every connection and
+// retire the dispatch workers. Clients see their outstanding calls complete
+// instead of transport.ErrClosed. With nothing in flight it returns as soon
+// as the connections are closed. Close is idempotent.
+func (s *Server) Close() {
 	s.mu.Lock()
 	if s.stopped {
 		s.mu.Unlock()
@@ -328,27 +278,19 @@ func (s *Server) shutdown(graceful bool) {
 		conns = append(conns, c)
 	}
 	s.mu.Unlock()
-	if graceful {
-		s.draining.Store(true)
-	}
+	s.draining.Store(true)
 	s.listener.Close()
-	if graceful {
-		// Read loops stay up through the drain so replies still flow and
-		// late requests are shed rather than torn off.
-		d := s.opts.DrainTimeout
-		if d <= 0 {
-			d = defaultDrainTimeout
-		}
-		deadline := time.Now().Add(d)
-		for s.inflight.Load() > 0 && time.Now().Before(deadline) {
-			time.Sleep(100 * time.Microsecond)
-		}
-		// Workers have handed their replies to the transport; wait for
-		// buffered write sides to reach the socket before closing them.
-		for _, c := range conns {
-			if wd, ok := c.(transport.WriteDrainer); ok {
-				wd.DrainWrites()
-			}
+	// Read loops stay up through the drain so replies still flow and late
+	// requests are shed rather than torn off.
+	deadline := time.Now().Add(drainTimeout)
+	for s.inflight.Load() > 0 && time.Now().Before(deadline) {
+		time.Sleep(100 * time.Microsecond)
+	}
+	// Workers have handed their replies to the transport; wait for buffered
+	// write sides to reach the socket before closing them.
+	for _, c := range conns {
+		if wd, ok := c.(transport.WriteDrainer); ok {
+			wd.DrainWrites()
 		}
 	}
 	for _, c := range conns {

@@ -57,8 +57,8 @@ const (
 // SupervisorOptions tunes a Supervised client. The zero value is usable:
 // every field has a documented default.
 type SupervisorOptions struct {
-	// ConnectTimeout bounds the initial DialSupervised: dial attempts are
-	// retried with backoff until one succeeds or this budget elapses.
+	// ConnectTimeout bounds the initial DialSupervised: dials that find no
+	// listener are retried until one succeeds or this budget elapses.
 	// Default 5s.
 	ConnectTimeout time.Duration
 	// RetryBase and RetryCap shape the capped exponential redial/retry
@@ -98,22 +98,11 @@ type SupervisorOptions struct {
 	// latest checkpoint through the reserved RestoreKey before adopting
 	// the connection. See RestartPolicy.
 	Restart *RestartPolicy
-	// Seed fixes the jitter RNG for reproducible schedules. Default 1.
-	Seed int64
 }
 
 // AllIdempotent marks every method idempotent — appropriate for read-only
 // port interfaces like the ESI operator surface.
 func AllIdempotent(string) bool { return true }
-
-// IdempotentMethods marks exactly the named methods idempotent.
-func IdempotentMethods(methods ...string) func(string) bool {
-	set := make(map[string]bool, len(methods))
-	for _, m := range methods {
-		set[m] = true
-	}
-	return func(m string) bool { return set[m] }
-}
 
 func (o SupervisorOptions) withDefaults() SupervisorOptions {
 	if o.ConnectTimeout <= 0 {
@@ -133,9 +122,6 @@ func (o SupervisorOptions) withDefaults() SupervisorOptions {
 	}
 	if o.BreakerCooldown <= 0 {
 		o.BreakerCooldown = 2 * time.Second
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
 	}
 	return o
 }
@@ -171,32 +157,24 @@ type Supervised struct {
 }
 
 // DialSupervised connects to a served address under supervision. The
-// initial dial is retried with backoff until ConnectTimeout elapses, so a
-// client may be started slightly before its server.
+// initial dial is retried (transport.DialRetry) while nothing listens there
+// yet, until ConnectTimeout elapses, so a client may be started slightly
+// before its server; any other dial failure is returned at once.
 func DialSupervised(tr transport.Transport, addr string, opts SupervisorOptions) (*Supervised, error) {
+	opts = opts.withDefaults()
+	conn, err := transport.DialRetry(tr, addr, opts.ConnectTimeout)
+	if err != nil {
+		return nil, fmt.Errorf("orb: supervised dial %s: %w", addr, err)
+	}
 	s := &Supervised{
 		tr:    tr,
 		addr:  addr,
-		opts:  opts.withDefaults(),
+		opts:  opts,
 		ready: make(chan struct{}),
 		stop:  make(chan struct{}),
+		rng:   rand.New(rand.NewSource(1)), // jitter only; a fixed seed keeps schedules reproducible
 	}
-	s.rng = rand.New(rand.NewSource(s.opts.Seed))
-	deadline := time.Now().Add(s.opts.ConnectTimeout)
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		c, err := DialClient(tr, addr)
-		if err == nil {
-			s.adopt(c)
-			break
-		}
-		lastErr = err
-		d := s.backoff(attempt)
-		if time.Now().Add(d).After(deadline) {
-			return nil, fmt.Errorf("orb: supervised dial %s: %w", addr, lastErr)
-		}
-		time.Sleep(d)
-	}
+	s.adopt(newClient(conn))
 	gSupStates[StateHealthy].Add(1) // the connection now exists, Healthy
 	if s.opts.Heartbeat > 0 {
 		s.wg.Add(1)
@@ -591,11 +569,6 @@ func (s *Supervised) InvokeOneway(key, method string, args ...any) error {
 	}
 	s.lastSend.Store(time.Now().UnixNano())
 	return nil
-}
-
-// Proxy returns a remote object reference whose calls are supervised.
-func (s *Supervised) Proxy(key string) *Proxy {
-	return &Proxy{invoke: s.Invoke, key: key}
 }
 
 // heartbeatLoop probes the connection with a oneway ping whenever it has

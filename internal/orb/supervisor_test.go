@@ -51,7 +51,8 @@ func waitState(t *testing.T, states <-chan ConnState, want ConnState) {
 }
 
 // calcServer serves a calc servant on an InProc transport and returns a
-// restart function that brings it back on the same address after Stop.
+// stop function and a restart function that brings it back on the same
+// address after stop.
 func calcServer(t *testing.T, tr transport.Transport, addr string) (stop func(), restart func()) {
 	t.Helper()
 	oa := NewObjectAdapter()
@@ -67,7 +68,7 @@ func calcServer(t *testing.T, tr transport.Transport, addr string) (stop func(),
 		srv = Serve(oa, l)
 	}
 	start()
-	return func() { srv.Stop() }, start
+	return func() { srv.Close() }, start
 }
 
 func TestSupervisedHappyPath(t *testing.T) {
@@ -86,6 +87,9 @@ func TestSupervisedHappyPath(t *testing.T) {
 	}
 	if res[0].(float64) != 5 {
 		t.Errorf("add = %v", res)
+	}
+	if res, err := s.Invoke("calc", "greet", "world"); err != nil || res[0].(string) != "hello world" {
+		t.Errorf("greet = %v, %v", res, err)
 	}
 	if got := s.State(); got != StateHealthy {
 		t.Errorf("state = %v, want healthy", got)
@@ -127,6 +131,21 @@ func TestSupervisedDialRetriesUntilServerUp(t *testing.T) {
 	defer s.Close()
 	if _, err := s.Invoke("calc", "add", 1.0, 1.0); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSupervisedDialFailsFastOnBadAddress: only "nothing listening yet" is
+// worth retrying at connect time. A malformed address fails on the first
+// dial instead of burning the whole ConnectTimeout.
+func TestSupervisedDialFailsFastOnBadAddress(t *testing.T) {
+	opts, _ := fastOpts()
+	opts.ConnectTimeout = 5 * time.Second
+	start := time.Now()
+	if _, err := DialSupervised(transport.TCP{}, "not a host port", opts); err == nil {
+		t.Fatal("dial of a malformed address succeeded")
+	}
+	if d := time.Since(start); d > 500*time.Millisecond {
+		t.Fatalf("malformed address failed after %v, want < 500ms", d)
 	}
 }
 
@@ -199,7 +218,7 @@ func TestSupervisedNonIdempotentFailsFast(t *testing.T) {
 	tr := &transport.InProc{}
 	stop, _ := calcServer(t, tr, "sup-nonidem")
 	opts, states := fastOpts()
-	opts.Idempotent = IdempotentMethods("sum") // add is NOT idempotent here
+	opts.Idempotent = func(m string) bool { return m == "sum" } // add is NOT idempotent here
 	s, err := DialSupervised(tr, "sup-nonidem", opts)
 	if err != nil {
 		t.Fatal(err)
@@ -326,25 +345,6 @@ func TestSupervisedCloseFailsCalls(t *testing.T) {
 	}
 	if got := Classify(err); got != ClassFatal {
 		t.Errorf("closed class = %v, want fatal", got)
-	}
-}
-
-func TestSupervisedProxy(t *testing.T) {
-	tr := &transport.InProc{}
-	stop, _ := calcServer(t, tr, "sup-proxy")
-	defer stop()
-	opts, _ := fastOpts()
-	s, err := DialSupervised(tr, "sup-proxy", opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	res, err := s.Proxy("calc").Invoke("greet", "world")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res[0].(string) != "hello world" {
-		t.Errorf("greet = %v", res)
 	}
 }
 

@@ -23,7 +23,7 @@ func TestTracePropagation(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := Serve(oa, l)
-	defer srv.Stop()
+	defer srv.Close()
 	c, err := DialClient(tr, "traced")
 	if err != nil {
 		t.Fatal(err)
@@ -97,7 +97,7 @@ func TestUntracedCallsRecordNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := Serve(oa, l)
-	defer srv.Stop()
+	defer srv.Close()
 	c, err := DialClient(tr, "untraced")
 	if err != nil {
 		t.Fatal(err)
@@ -134,7 +134,7 @@ func TestClientServerRED(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := Serve(oa, l)
-	defer srv.Stop()
+	defer srv.Close()
 	c, err := DialClient(tr, "red")
 	if err != nil {
 		t.Fatal(err)

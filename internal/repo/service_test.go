@@ -148,7 +148,7 @@ func startService(t *testing.T, s *Service) *Client {
 		t.Fatal(err)
 	}
 	srv := orb.Serve(oa, l)
-	t.Cleanup(srv.Stop)
+	t.Cleanup(srv.Close)
 	c, err := DialService("tcp://" + srv.Addr())
 	if err != nil {
 		t.Fatal(err)

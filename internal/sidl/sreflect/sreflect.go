@@ -319,8 +319,8 @@ type Object struct {
 // fastCall signatures and replaces the reflect method value for that
 // SIDL method in both Call and CallSink dispatch. The difference is not
 // just speed: a reflect-made method value allocates a receiver frame on
-// every invocation, so a servant that wants to sit under the ORB's
-// zero-allocation path (Client.InvokeArena) must bind skeletons.
+// every invocation, so a servant that wants the ORB's zero-allocation
+// server dispatch (ObjectAdapter + CallSink) must bind skeletons.
 type Skeleton interface {
 	BindSkeleton(bind func(sidlName string, fn any))
 }

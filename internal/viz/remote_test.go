@@ -62,7 +62,7 @@ func TestRemoteAttachmentsConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := orb.Serve(oa, l)
-	defer srv.Stop()
+	defer srv.Close()
 	ports := vizCohort(array.NewBlockMap(gl, 2), global)
 	pub, err := dcoll.Publish(oa, "field", ports)
 	if err != nil {

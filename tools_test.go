@@ -264,25 +264,36 @@ func TestRemoteExample(t *testing.T) {
 
 func TestDistvizExample(t *testing.T) {
 	// The two-process collective demo: a viz cohort in a child OS process
-	// pulls a block-distributed array from the simulation cohort over TCP,
-	// surviving one injected sever with a degraded→restored event pair.
-	out := runTool(t, "examples/distviz", "", "-len", "20000", "-frames", "3")
-	for _, want := range []string{
-		"sim: publishing wave",
-		"viz: attached",
-		"connection-degraded",
-		"connection-restored",
-		"viz: done",
-		"sim: viz exited cleanly",
+	// pulls a block-distributed array from the simulation cohort over each
+	// cross-process transport, surviving one injected sever with a
+	// degraded→restored event pair.
+	for _, tc := range []struct {
+		name string
+		args []string
+	}{
+		{"tcp", nil},
+		{"shm", []string{"-transport", "shm"}},
 	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("distviz output missing %q:\n%s", want, out)
-		}
-	}
-	// Every frame must verify: any placement or torn-epoch failure aborts
-	// before "done", but check a frame line made it out too.
-	if !strings.Contains(out, "frame 2 rank 2 consistent") {
-		t.Errorf("distviz missing final frame:\n%s", out)
+		t.Run(tc.name, func(t *testing.T) {
+			out := runTool(t, "examples/distviz", "", append([]string{"-len", "20000", "-frames", "3"}, tc.args...)...)
+			for _, want := range []string{
+				"sim: publishing wave",
+				"viz: attached",
+				"connection-degraded",
+				"connection-restored",
+				"viz: done",
+				"sim: viz exited cleanly",
+			} {
+				if !strings.Contains(out, want) {
+					t.Errorf("distviz output missing %q:\n%s", want, out)
+				}
+			}
+			// Every frame must verify: any placement or torn-epoch failure
+			// aborts before "done", but check a frame line made it out too.
+			if !strings.Contains(out, "frame 2 rank 2 consistent") {
+				t.Errorf("distviz missing final frame:\n%s", out)
+			}
+		})
 	}
 }
 
