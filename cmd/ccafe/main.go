@@ -194,8 +194,8 @@ func (sh *shell) exec(line string) bool {
 	case "quit", "exit":
 		return true
 	case "repository":
-		for _, n := range app.Repo.List() {
-			fmt.Println(" ", n)
+		for _, l := range app.Repo.List() {
+			fmt.Printf("  %-40s %s\n", l.Name, l.Version)
 		}
 	case "describe":
 		fmt.Print(app.Repo.Describe())

@@ -23,9 +23,10 @@
 //	-import <file>        start from a saved repository instead of the
 //	                      built-in ESI deposits
 //
-// `ccarepo serve` turns the repository into the networked component
-// repository: an ORB object answering list/describe/fetch/deposit with
-// monotonic versioning, which `ccafe load <file>.ccl` resolves against.
+// `ccarepo serve` binds the repository it seeded as the networked
+// component repository: an ORB object answering head/list/describe/fetch/
+// deposit with monotonic versioning, which `ccafe load <file>.ccl`
+// resolves against. Remote deposits land in that same store.
 // It prints "serving N entries at ADDR" on stdout (and writes the bare
 // address to -addr-file when given), then blocks until stdin closes or
 // SIGINT/SIGTERM arrives.
@@ -84,12 +85,8 @@ func serve(args []string) {
 			fatal(err)
 		}
 	}
-	svc, err := repo.NewServiceFrom(r)
-	if err != nil {
-		fatal(err)
-	}
 	oa := orb.NewObjectAdapter()
-	svc.Bind(oa)
+	r.Bind(oa)
 	l, err := orb.ListenAddr(*addr)
 	if err != nil {
 		fatal(err)
@@ -147,9 +144,7 @@ func query() {
 			if err != nil {
 				fatal(err)
 			}
-			for _, e := range ls {
-				fmt.Printf("%-40s %s\n", e.Name, e.Version)
-			}
+			printListing(ls)
 		}
 		return
 	}
@@ -225,9 +220,13 @@ func query() {
 		fmt.Printf("%s usable as %s: %v\n", parts[0], parts[1], ok)
 	default:
 		_ = list
-		for _, n := range r.List() {
-			fmt.Println(n)
-		}
+		printListing(r.List())
+	}
+}
+
+func printListing(ls []repo.Listing) {
+	for _, l := range ls {
+		fmt.Printf("%-40s %s\n", l.Name, l.Version)
 	}
 }
 

@@ -30,19 +30,6 @@ type Options struct {
 	// App is the target application container. Nil builds a fresh one
 	// (ESI and consumer deposits, in-process + distributed flavor).
 	App *repo.Builder
-	// Source overrides where typed components resolve from. Nil follows
-	// the document: the repository stanza's address when present
-	// (dialed and closed with the assembly), the local repository
-	// otherwise.
-	Source Source
-	// SourceName tags lockfile entries when Source is set ("local" or
-	// "repository"); ignored otherwise.
-	SourceName string
-	// Providers is merged over BuiltinProviders (same name shadows).
-	Providers map[string]Provider
-	// Transport overrides the remote transport chosen from address
-	// schemes — for fault-injecting wrappers. Nil follows the scheme.
-	Transport transport.Transport
 	// LockPath is the lockfile Compile verifies or creates. "" skips
 	// lockfile handling (tests, throwaway assemblies); Load-driven callers
 	// pass DefaultLockPath(doc.Path).
@@ -77,9 +64,8 @@ type Assembly struct {
 	Resolutions []Resolution
 	Exports     []ExportResult
 
-	opts      Options
-	providers map[string]Provider
-	closers   []func()
+	opts    Options
+	closers []func()
 }
 
 // Close releases the assembly's connections and servers, newest first.
@@ -111,11 +97,7 @@ func New(opts Options) (*Assembly, error) {
 		}
 		app = repo.NewBuilder(r, framework.Options{Flavor: cca.FlavorInProcess | cca.FlavorDistributed})
 	}
-	providers := BuiltinProviders()
-	for name, p := range opts.Providers {
-		providers[name] = p
-	}
-	return &Assembly{App: app, opts: opts, providers: providers}, nil
+	return &Assembly{App: app, opts: opts}, nil
 }
 
 // Compile lowers a whole document onto a new assembly: New, then Apply
@@ -152,19 +134,18 @@ func (a *Assembly) Apply(d *Document, lockPath string) error {
 		return err
 	}
 
-	// Resolve typed components and verify/create the lockfile.
-	src, srcName := a.opts.Source, a.opts.SourceName
-	if src == nil {
-		if d.Repository != nil {
-			client, err := repo.DialService(d.Repository.Address)
-			if err != nil {
-				return fmt.Errorf("%s: dialing repository: %w", d.pos(d.Repository.Line), err)
-			}
-			a.closers = append(a.closers, func() { client.Close() }) //nolint:errcheck
-			src, srcName = client, "repository"
-		} else {
-			src, srcName = LocalSource{R: app.Repo}, "local"
+	// Resolve typed components — against the repository stanza's address
+	// when present (dialed here, closed with the assembly), the local
+	// repository otherwise — and verify/create the lockfile.
+	var src Source = app.Repo
+	srcName := "local"
+	if d.Repository != nil {
+		client, err := repo.DialService(d.Repository.Address)
+		if err != nil {
+			return fmt.Errorf("%s: dialing repository: %w", d.pos(d.Repository.Line), err)
 		}
+		a.closers = append(a.closers, func() { client.Close() }) //nolint:errcheck
+		src, srcName = client, "repository"
 	}
 	res, rev, err := ResolveComponents(d, src, srcName)
 	if err != nil {
@@ -190,7 +171,7 @@ func (a *Assembly) Apply(d *Document, lockPath string) error {
 	}
 	for _, c := range d.Components {
 		if c.Provider != "" {
-			p, ok := a.providers[c.Provider]
+			p, ok := BuiltinProviders()[c.Provider]
 			if !ok {
 				return fail(fmt.Errorf("%s: %w: %q for component %q", d.pos(c.Line), ErrUnknownProvider, c.Provider, c.Name))
 			}
@@ -233,9 +214,6 @@ func (a *Assembly) Apply(d *Document, lockPath string) error {
 		tr, addr, err := transport.ForScheme(orb.PickShard(r.Address))
 		if err != nil {
 			return fail(fmt.Errorf("%s: %w: remote %q: %v", d.pos(r.Line), ErrBadValue, r.Name, err))
-		}
-		if a.opts.Transport != nil {
-			tr = a.opts.Transport
 		}
 		sup := supervisorOptions(a.opts.DefaultSupervisor, r.Supervise, addr)
 		var closer interface{ Close() error }

@@ -145,7 +145,7 @@ func startSim(t *testing.T, gl, ranks int, stepVal float64) string {
 	return srv.Addr()
 }
 
-// startRepoService serves a seeded repository over the ORB and returns its
+// startRepoService binds a seeded repository on the ORB and returns its
 // dial address.
 func startRepoService(t *testing.T) string {
 	t.Helper()
@@ -153,12 +153,8 @@ func startRepoService(t *testing.T) string {
 	if err := DepositConsumer(seed.Repo); err != nil {
 		t.Fatal(err)
 	}
-	svc, err := repo.NewServiceFrom(seed.Repo)
-	if err != nil {
-		t.Fatal(err)
-	}
 	oa := orb.NewObjectAdapter()
-	svc.Bind(oa)
+	seed.Repo.Bind(oa)
 	l, err := transport.TCP{}.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

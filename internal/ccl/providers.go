@@ -28,8 +28,7 @@ type Provider func(cfg Config) (cca.Component, error)
 //	           config: port (default "in"), type (default the collective
 //	           pull type)
 //
-// Compile merges Options.Providers over this table, so applications can
-// add or shadow providers.
+// A document's `provider` key names one of these.
 func BuiltinProviders() map[string]Provider {
 	return map[string]Provider{
 		"poisson": func(cfg Config) (cca.Component, error) {
@@ -161,7 +160,7 @@ func DepositConsumer(r *repo.Repository) error {
 		Flavor:      cca.FlavorInProcess | cca.FlavorDistributed,
 		Factory:     func() cca.Component { return NewConsumer("in", ccoll.PullPortType) },
 	})
-	if errors.Is(err, repo.ErrExists) {
+	if errors.Is(err, repo.ErrVersionOrder) {
 		return nil
 	}
 	return err

@@ -6,54 +6,21 @@ import (
 	"repro/internal/repo"
 )
 
-// Source is where typed components resolve from. Both the networked
-// repository client (*repo.Client) and the LocalSource adapter over an
-// in-process repository satisfy it.
+// Source is where typed components resolve from: the application
+// container's own *repo.Repository, or a networked repository's
+// *repo.Client.
 type Source interface {
 	// Resolve returns the best deposited version of name satisfying the
 	// constraint.
 	Resolve(name, constraint string) (*repo.Entry, repo.Version, error)
-	// Revision reports the store revision the resolutions come from
-	// (0 for stores without revisions).
+	// Revision reports the store revision the resolutions come from.
 	Revision() (int64, error)
 }
 
-var _ Source = (*repo.Client)(nil)
-
-// LocalSource adapts the in-process repository — which holds one version
-// per name — to the resolver's Source interface. An entry's version must
-// still satisfy the constraint (an unversioned entry counts as 0.0.0), so
-// an assembly pinned to `^2.0` fails loudly against a 1.x local deposit
-// instead of silently using it.
-type LocalSource struct {
-	R *repo.Repository
-}
-
-// Resolve implements Source.
-func (s LocalSource) Resolve(name, constraint string) (*repo.Entry, repo.Version, error) {
-	c, err := repo.ParseConstraint(constraint)
-	if err != nil {
-		return nil, repo.Version{}, err
-	}
-	e, err := s.R.Retrieve(name)
-	if err != nil {
-		return nil, repo.Version{}, err
-	}
-	v := repo.Version{}
-	if e.Version != "" {
-		if v, err = repo.ParseVersion(e.Version); err != nil {
-			return nil, repo.Version{}, fmt.Errorf("local entry %q: %w", name, err)
-		}
-	}
-	if !c.Match(v) {
-		return nil, repo.Version{}, fmt.Errorf("%w: %s v%s does not satisfy %q", repo.ErrNoMatch, name, v, c)
-	}
-	return e, v, nil
-}
-
-// Revision implements Source: the in-process repository has no revision
-// counter, so its resolutions are never cache-tagged.
-func (s LocalSource) Revision() (int64, error) { return 0, nil }
+var (
+	_ Source = (*repo.Repository)(nil)
+	_ Source = (*repo.Client)(nil)
+)
 
 // Resolution is one typed component's resolved (version, entry), the unit
 // the lockfile records.

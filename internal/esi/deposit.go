@@ -10,8 +10,8 @@ import (
 
 // Deposit deposits the embedded ESI interface standard plus factories for
 // the solver and preconditioner components into r (operators are
-// factory-less: they wrap concrete matrices), and registers the merged
-// SIDL world for reflection/DMI users.
+// factory-less: they wrap concrete matrices) into r as one DepositAll
+// batch, and registers the merged SIDL world for reflection/DMI users.
 func Deposit(r *repo.Repository) error {
 	deposits := []repo.Entry{
 		{
@@ -56,10 +56,8 @@ func Deposit(r *repo.Repository) error {
 		Uses:        []repo.PortSpec{{Name: "A", Type: TypeOperator}},
 		Factory:     func() cca.Component { return NewIterativeSolverComponent() },
 	})
-	for _, e := range deposits {
-		if err := r.Deposit(e); err != nil {
-			return fmt.Errorf("esi: deposit %s: %w", e.Name, err)
-		}
+	if err := r.DepositAll(deposits); err != nil {
+		return fmt.Errorf("esi: deposit: %w", err)
 	}
 	sreflect.Global.RegisterTable(r.Table())
 	return nil

@@ -12,9 +12,12 @@
 // collective operations the repository's components use.
 //
 // The API is the part of the MPI-1 surface those components call: Send,
-// Recv and RecvFloat64; nonblocking Isend/Irecv with Wait and WaitAll;
-// Barrier, Bcast, AllreduceFloat64 and AllreduceScalar (with the Sum, Max
-// and Min ops), Alltoall; and communicator Split.
+// Recv and RecvFloat64; Barrier, Bcast, AllreduceFloat64 and
+// AllreduceScalar (with the Sum, Max and Min ops), Alltoall; and
+// communicator Split. Send never waits for a matching Recv — delivery is
+// a mailbox append, or a frame the peer's reader drains into its mailbox —
+// so send-then-receive exchanges (and a halo send overlapped with interior
+// work) need no nonblocking request API, and there is none.
 //
 // # Backends
 //

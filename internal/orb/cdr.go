@@ -258,12 +258,13 @@ type Decoder struct {
 // NewDecoder wraps an encoded stream.
 func NewDecoder(b []byte) *Decoder { return &Decoder{buf: b} }
 
-// SetArena attaches (or, with nil, detaches) an arena. While attached,
-// every value Decode returns — slices, strings, and the interface boxes
-// holding scalars — lives in arena storage and is valid only until the
-// arena's next Reset; in exchange, steady-state decoding allocates
-// nothing. Callers that retain decoded values must use a plain decoder.
-func (d *Decoder) SetArena(a *arena.Arena) { d.arena = a }
+// setArena attaches an arena; the object adapter's dispatch is its one
+// caller. While attached, every value Decode returns — slices, strings,
+// and the interface boxes holding scalars — lives in arena storage and is
+// valid only until the arena's next Reset; in exchange, steady-state
+// decoding allocates nothing. Callers that retain decoded values must use
+// a plain decoder.
+func (d *Decoder) setArena(a *arena.Arena) { d.arena = a }
 
 // f64s returns an m-element result slice: arena-backed when an arena is
 // attached, freshly allocated otherwise.

@@ -212,7 +212,7 @@ var arenaPool = sync.Pool{New: func() any { return new(arena.Arena) }}
 func (oa *ObjectAdapter) dispatch(body []byte, oneway bool) (_ *Encoder, key, method string, _ error) {
 	d := NewDecoder(body)
 	ar := arenaPool.Get().(*arena.Arena)
-	d.SetArena(ar)
+	d.setArena(ar)
 	defer func() {
 		ar.Reset()
 		arenaPool.Put(ar)

@@ -32,7 +32,7 @@ type cachedResolution struct {
 	e   *Entry
 }
 
-// Client is a connection to a repository Service with an ETag-style
+// Client is a connection to a bound repository (Bind) with an ETag-style
 // resolution cache. The consistency model leans on two server guarantees:
 // deposits are append-only with per-name monotonic versions, and the
 // global revision bumps on every deposit. So a cached resolution is valid
@@ -47,7 +47,7 @@ type Client struct {
 	cache map[string]*cachedResolution
 }
 
-// DialService connects to a repository service at a scheme-qualified
+// DialService connects to a served repository at a scheme-qualified
 // address (tcp://host:port, shm:///dir, or a comma-separated shard list).
 func DialService(addr string) (*Client, error) {
 	c, err := orb.DialAddr(addr)
@@ -65,7 +65,7 @@ func NewClient(inv Invoker) *Client {
 // Close releases the underlying connection.
 func (c *Client) Close() error { return c.inv.Close() }
 
-// Head returns the service's current revision.
+// Head returns the repository's current revision.
 func (c *Client) Head() (int64, error) {
 	res, err := c.inv.Invoke(ServiceKey, "head")
 	if err != nil {

@@ -6,7 +6,6 @@ import (
 	"io"
 
 	"repro/internal/cca"
-	"repro/internal/sidl"
 )
 
 // Persistence: a repository's descriptions (not its factories — code cannot
@@ -56,7 +55,7 @@ func fromPersisted(pe persistedEntry) (*Entry, error) {
 	}
 	flavor, err := cca.ParseFlavor(pe.Flavor)
 	if err != nil {
-		return nil, fmt.Errorf("repo: entry %s: %w", pe.Name, err)
+		return nil, fmt.Errorf("%w: entry %s: %w", ErrBadEntry, pe.Name, err)
 	}
 	return &Entry{
 		Name:        pe.Name,
@@ -70,7 +69,7 @@ func fromPersisted(pe persistedEntry) (*Entry, error) {
 }
 
 // EncodeEntry marshals one entry in the persisted JSON form — the unit the
-// networked repository service (Service) ships over the ORB. Factories are
+// repository's wire protocol (Bind) ships over the ORB. Factories are
 // recorded only as a HasFactory marker; code does not serialize.
 func EncodeEntry(e *Entry) ([]byte, error) {
 	return json.Marshal(toPersisted(e))
@@ -82,30 +81,27 @@ func EncodeEntry(e *Entry) ([]byte, error) {
 func DecodeEntry(data []byte) (*Entry, error) {
 	var pe persistedEntry
 	if err := json.Unmarshal(data, &pe); err != nil {
-		return nil, fmt.Errorf("repo: decode entry: %w", err)
+		return nil, fmt.Errorf("%w: decode entry: %w", ErrBadEntry, err)
 	}
 	return fromPersisted(pe)
 }
 
-// Save writes the repository's entries as JSON. Factories are recorded only
-// as a HasFactory marker.
+// Save writes every deposited version as JSON, sorted by name then
+// version. Factories are recorded only as a HasFactory marker.
 func (r *Repository) Save(w io.Writer) error {
-	r.mu.RLock()
 	out := persistedRepo{FormatVersion: 1}
-	for _, name := range r.listLocked() {
-		out.Entries = append(out.Entries, toPersisted(r.entries[name]))
+	for _, e := range r.all() {
+		out.Entries = append(out.Entries, toPersisted(e))
 	}
-	r.mu.RUnlock()
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(out)
 }
 
-// Load deposits every entry from a stream produced by Save into the
-// repository, atomically: all SIDL sources merge first, then every entry's
-// port types are validated against the combined table (entries in a saved
-// repository may reference interfaces deposited by other entries, in any
-// order). Factories are not restored: callers re-bind them afterwards with
+// Load deposits every entry from a stream produced by Save as one
+// DepositAll batch: atomic, with all SIDL sources merged before any port
+// type validates, so saved entries may reference interfaces other entries
+// define. Factories are not restored: callers re-bind them afterwards with
 // BindFactory for the component types they can instantiate locally.
 func (r *Repository) Load(src io.Reader) error {
 	var in persistedRepo
@@ -115,63 +111,31 @@ func (r *Repository) Load(src io.Reader) error {
 	if in.FormatVersion != 1 {
 		return fmt.Errorf("%w: unsupported format version %d", ErrBadEntry, in.FormatVersion)
 	}
-
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	files := append([]*sidl.File(nil), r.files...)
-	entries := make([]*Entry, 0, len(in.Entries))
-	seen := map[string]bool{}
+	batch := make([]Entry, 0, len(in.Entries))
 	for _, pe := range in.Entries {
 		e, err := fromPersisted(pe)
 		if err != nil {
 			return err
 		}
-		if _, dup := r.entries[e.Name]; dup || seen[e.Name] {
-			return fmt.Errorf("%w: %q", ErrExists, e.Name)
-		}
-		seen[e.Name] = true
-		if e.SIDL != "" {
-			f, err := sidl.Parse(e.SIDL)
-			if err != nil {
-				return fmt.Errorf("repo: load %s: %w", e.Name, err)
-			}
-			files = append(files, f)
-		}
-		entries = append(entries, e)
+		batch = append(batch, *e)
 	}
-	table, err := sidl.Resolve(files...)
-	if err != nil {
-		return fmt.Errorf("repo: load: %w", err)
-	}
-	for _, e := range entries {
-		for _, ps := range append(append([]PortSpec(nil), e.Provides...), e.Uses...) {
-			if ps.Type == "" || ps.Name == "" {
-				return fmt.Errorf("%w: port %q/%q of %s", ErrBadEntry, ps.Name, ps.Type, e.Name)
-			}
-			if table.Lookup(ps.Type) == "" {
-				return fmt.Errorf("%w: %q (port %s of %s)", ErrUnknownTyp, ps.Type, ps.Name, e.Name)
-			}
-		}
-	}
-	// Commit.
-	for _, e := range entries {
-		r.entries[e.Name] = e
-	}
-	r.files = files
-	r.table = table
-	return nil
+	return r.DepositAll(batch)
 }
 
-// BindFactory attaches (or replaces) the instantiation factory of a
-// deposited entry — the step a site performs after Load for the component
-// implementations it actually has.
+// BindFactory attaches (or replaces) the instantiation factory of a name's
+// newest version — the step a site performs after Load for the component
+// implementations it actually has. The stored entry is replaced by a copy
+// carrying the factory, never written in place, so an Instantiate holding
+// the old entry is unaffected.
 func (r *Repository) BindFactory(name string, factory func() cca.Component) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	e, ok := r.entries[name]
-	if !ok {
+	have := r.entries[name]
+	if len(have) == 0 {
 		return fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
+	e := *have[len(have)-1].e
 	e.Factory = factory
+	have[len(have)-1].e = &e
 	return nil
 }

@@ -67,7 +67,7 @@ func TestLoadRejectsGarbage(t *testing.T) {
 		t.Fatal(err)
 	}
 	dst := depositSolverWorld(t) // already has the same names
-	if err := dst.Load(bytes.NewReader(buf.Bytes())); !errors.Is(err, ErrExists) {
+	if err := dst.Load(bytes.NewReader(buf.Bytes())); !errors.Is(err, ErrVersionOrder) {
 		t.Errorf("duplicate err = %v", err)
 	}
 }

@@ -1,9 +1,10 @@
 // Package repo implements the CCA Repository API of the paper's Figure 2 —
 // "the functionality necessary to search a framework repository for
 // components as well as to manipulate components within the repository" —
-// in two forms: an in-process Repository embedded in every application
-// container, and a networked, versioned Service (`ccarepo serve`) that
-// whole teams of frameworks resolve components from.
+// as one versioned component store, reachable in-process from every
+// application container and, bound to an ORB object adapter (Bind), over
+// the wire as the `cca/repo` object that `ccarepo serve` exposes and whole
+// teams of frameworks resolve components from.
 //
 // A repository entry couples a component's SIDL interface description with
 // its port specifications and an instantiation factory. Search supports
@@ -14,15 +15,16 @@
 // single target that the declarative assembly language in
 // repro/internal/ccl, cmd/ccafe's verbs and the examples lower onto.
 //
-// The networked half (service.go, client.go) runs the repository as an ORB
-// service: deposits are append-only with per-name monotonic semantic
-// versions (version.go), the store carries a global revision that bumps on
-// every deposit, and clients resolve version constraints ("^1.2", ">=1 <2")
-// through an ETag-style cache that one head() round trip revalidates
-// wholesale. Factories never cross the wire — code does not serialize —
-// so each site re-binds factories (BindFactory) or supplies providers for
-// the implementations it holds, exactly as with Save/Load persistence
-// (persist.go).
+// Deposits are append-only with per-name monotonic semantic versions
+// (version.go), and the store carries a global revision that bumps on
+// every deposited entry. Resolve picks the newest version satisfying a
+// constraint ("^1.2", ">=1 <2"); Retrieve, Instantiate, Search and the
+// Builder act on each name's newest version. Remote clients (client.go)
+// resolve through an ETag-style cache that one head() round trip
+// revalidates wholesale. Factories never cross the wire — code does not
+// serialize — so each site re-binds factories (BindFactory) or supplies
+// providers for the implementations it holds, exactly as with Save/Load
+// persistence (persist.go).
 package repo
 
 import (
@@ -38,11 +40,15 @@ import (
 
 // Repository errors.
 var (
-	ErrExists     = errors.New("repo: component already deposited")
 	ErrNotFound   = errors.New("repo: component not found")
 	ErrNoFactory  = errors.New("repo: component has no factory")
 	ErrBadEntry   = errors.New("repo: invalid entry")
 	ErrUnknownTyp = errors.New("repo: port type not described by any deposited SIDL")
+	// ErrVersionOrder rejects a deposit whose version does not exceed every
+	// already-deposited version of the same component name.
+	ErrVersionOrder = errors.New("repo: deposit version not monotonic")
+	// ErrNoMatch reports a constraint no deposited version satisfies.
+	ErrNoMatch = errors.New("repo: no deposited version matches constraint")
 )
 
 // PortSpec declares one port a component exposes or consumes.
@@ -57,7 +63,8 @@ type PortSpec struct {
 type Entry struct {
 	// Name is the component's type name (e.g. "esi.CGSolverComponent").
 	Name string
-	// Version is free-form ("1.0").
+	// Version is a semantic version (version.go); empty means 0.0.0. The
+	// store keeps it in canonical form ("1.0" is stored as "1.0.0").
 	Version string
 	// Description is a one-line summary for listings.
 	Description string
@@ -75,12 +82,21 @@ type Entry struct {
 	Factory func() cca.Component
 }
 
-// Repository stores component descriptions and their merged SIDL world.
+// stored is one deposited (name, version) pair. Stored entries are never
+// written in place, so readers may use them after dropping the lock.
+type stored struct {
+	v Version
+	e *Entry
+}
+
+// Repository stores every deposited version of every component and the
+// SIDL world their sources merge into.
 type Repository struct {
-	mu      sync.RWMutex
-	entries map[string]*Entry
-	files   []*sidl.File
-	table   *sidl.Table
+	mu       sync.RWMutex
+	revision int64
+	entries  map[string][]stored // per name, ascending by version
+	files    []*sidl.File
+	table    *sidl.Table
 }
 
 // New creates an empty repository.
@@ -89,82 +105,185 @@ func New() *Repository {
 	if err != nil {
 		panic("repo: resolving empty table: " + err.Error()) // cannot happen
 	}
-	return &Repository{entries: map[string]*Entry{}, table: tbl}
+	return &Repository{entries: map[string][]stored{}, table: tbl}
 }
 
-// Deposit adds a component description. Its SIDL source (if any) is parsed
-// and the repository-wide symbol table re-resolved, so a deposit with
-// definitions conflicting with earlier deposits is rejected atomically.
+// Revision returns the store revision: 0 when empty, plus one for every
+// deposited entry. Deposits are append-only and (name, version) pairs
+// immutable, so a resolution made at revision R stays valid until the
+// revision moves. The error is always nil; it is there so the repository
+// and a remote Client answer the same resolver interface.
+func (r *Repository) Revision() (int64, error) {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return r.revision, nil
+}
+
+// Deposit adds one component version; it is DepositAll of one entry.
 func (r *Repository) Deposit(e Entry) error {
-	if e.Name == "" {
-		return fmt.Errorf("%w: empty name", ErrBadEntry)
-	}
+	return r.DepositAll([]Entry{e})
+}
+
+// DepositAll deposits a batch atomically. Each entry's version must parse
+// and be strictly greater than every version of the same name deposited
+// before it, in the store or earlier in the batch (monotonic versioning —
+// the property that makes client caches revalidatable by revision alone).
+// All SIDL sources merge before any port type validates, so batch entries
+// may reference interfaces other batch entries define, in any order, and a
+// deposit whose definitions conflict with the store is rejected. On success
+// the revision advances by len(entries); on any error nothing is stored.
+func (r *Repository) DepositAll(entries []Entry) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, dup := r.entries[e.Name]; dup {
-		return fmt.Errorf("%w: %q", ErrExists, e.Name)
-	}
-	files := r.files
-	if e.SIDL != "" {
-		f, err := sidl.Parse(e.SIDL)
-		if err != nil {
-			return fmt.Errorf("repo: deposit %q: %w", e.Name, err)
+
+	// Phase 1: versions and SIDL sources.
+	top := map[string]Version{}
+	adds := make([]stored, 0, len(entries))
+	files := append([]*sidl.File(nil), r.files...)
+	for i := range entries {
+		e := entries[i] // copy; the stored entry is private to the store
+		if e.Name == "" {
+			return fmt.Errorf("%w: empty name", ErrBadEntry)
 		}
-		files = append(append([]*sidl.File(nil), r.files...), f)
+		v := Version{}
+		if strings.TrimSpace(e.Version) != "" {
+			var err error
+			if v, err = ParseVersion(e.Version); err != nil {
+				return fmt.Errorf("repo: deposit %q: %w", e.Name, err)
+			}
+		}
+		t, seen := top[e.Name]
+		if have := r.entries[e.Name]; !seen && len(have) > 0 {
+			t, seen = have[len(have)-1].v, true
+		}
+		if seen && !t.Less(v) {
+			return fmt.Errorf("%w: %s v%s does not exceed deposited v%s", ErrVersionOrder, e.Name, v, t)
+		}
+		top[e.Name] = v
+		e.Version = v.String()
+		if e.SIDL != "" {
+			f, err := sidl.Parse(e.SIDL)
+			if err != nil {
+				return fmt.Errorf("%w: deposit %q: %w", ErrBadEntry, e.Name, err)
+			}
+			files = append(files, f)
+		}
+		adds = append(adds, stored{v: v, e: &e})
 	}
+
+	// Phase 2: resolve the merged SIDL world, then validate every port
+	// type against it.
 	table, err := sidl.Resolve(files...)
 	if err != nil {
-		return fmt.Errorf("repo: deposit %q: %w", e.Name, err)
+		return fmt.Errorf("%w: deposit: %w", ErrBadEntry, err)
 	}
-	// Port types must be described somewhere in the merged SIDL world.
-	for _, ps := range append(append([]PortSpec(nil), e.Provides...), e.Uses...) {
-		if ps.Type == "" || ps.Name == "" {
-			return fmt.Errorf("%w: port %q/%q", ErrBadEntry, ps.Name, ps.Type)
-		}
-		if table.Lookup(ps.Type) == "" {
-			return fmt.Errorf("%w: %q (port %s of %s)", ErrUnknownTyp, ps.Type, ps.Name, e.Name)
+	for _, a := range adds {
+		for _, ps := range append(append([]PortSpec(nil), a.e.Provides...), a.e.Uses...) {
+			if ps.Type == "" || ps.Name == "" {
+				return fmt.Errorf("%w: port %q/%q of %s", ErrBadEntry, ps.Name, ps.Type, a.e.Name)
+			}
+			if table.Lookup(ps.Type) == "" {
+				return fmt.Errorf("%w: %q (port %s of %s)", ErrUnknownTyp, ps.Type, ps.Name, a.e.Name)
+			}
 		}
 	}
-	entry := e
-	r.entries[e.Name] = &entry
+
+	// Commit.
+	for _, a := range adds {
+		r.entries[a.e.Name] = append(r.entries[a.e.Name], a)
+		r.revision++
+	}
 	r.files = files
 	r.table = table
 	return nil
 }
 
-// Remove deletes a deposited component (its SIDL definitions remain merged;
-// interface definitions are append-only like a standards body's archive).
-func (r *Repository) Remove(name string) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.entries[name]; !ok {
-		return fmt.Errorf("%w: %q", ErrNotFound, name)
-	}
-	delete(r.entries, name)
-	return nil
-}
-
-// Retrieve fetches a deposited entry by exact name.
+// Retrieve fetches the newest deposited version of a name.
 func (r *Repository) Retrieve(name string) (*Entry, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	e, ok := r.entries[name]
-	if !ok {
+	have := r.entries[name]
+	if len(have) == 0 {
 		return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
-	return e, nil
+	return have[len(have)-1].e, nil
 }
 
-// List returns all deposited component names, sorted.
-func (r *Repository) List() []string {
+// Resolve returns the highest deposited version of name satisfying the
+// constraint.
+func (r *Repository) Resolve(name, constraint string) (*Entry, Version, error) {
+	c, err := ParseConstraint(constraint)
+	if err != nil {
+		return nil, Version{}, err
+	}
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.entries))
-	for n := range r.entries {
-		out = append(out, n)
+	have := r.entries[name]
+	if len(have) == 0 {
+		return nil, Version{}, fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
-	sort.Strings(out)
+	for i := len(have) - 1; i >= 0; i-- {
+		if c.Match(have[i].v) {
+			return have[i].e, have[i].v, nil
+		}
+	}
+	return nil, Version{}, fmt.Errorf("%w: %s has no version matching %q", ErrNoMatch, name, c)
+}
+
+// all returns every deposited entry, sorted by name then version.
+func (r *Repository) all() []*Entry {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	names := make([]string, 0, len(r.entries))
+	for n := range r.entries {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	var out []*Entry
+	for _, n := range names {
+		for _, s := range r.entries[n] {
+			out = append(out, s.e)
+		}
+	}
 	return out
+}
+
+// Listing is one row of a repository listing.
+type Listing struct {
+	Name        string `json:"name"`
+	Version     string `json:"version"`
+	Description string `json:"description,omitempty"`
+	HasFactory  bool   `json:"hasFactory,omitempty"`
+}
+
+// List returns every deposited (name, version) pair, sorted by name then
+// version.
+func (r *Repository) List() []Listing {
+	var out []Listing
+	for _, e := range r.all() {
+		out = append(out, Listing{Name: e.Name, Version: e.Version, Description: e.Description, HasFactory: e.Factory != nil})
+	}
+	return out
+}
+
+// Describe renders a human-readable listing of every deposited version
+// with its ports.
+func (r *Repository) Describe() string {
+	var b strings.Builder
+	for _, e := range r.all() {
+		fmt.Fprintf(&b, "%s v%s", e.Name, e.Version)
+		if e.Description != "" {
+			fmt.Fprintf(&b, " — %s", e.Description)
+		}
+		b.WriteString("\n")
+		for _, p := range e.Provides {
+			fmt.Fprintf(&b, "  provides %-16s %s\n", p.Name, p.Type)
+		}
+		for _, u := range e.Uses {
+			fmt.Fprintf(&b, "  uses     %-16s %s\n", u.Name, u.Type)
+		}
+	}
+	return b.String()
 }
 
 // Table returns the repository's merged SIDL symbol table.
@@ -190,12 +309,14 @@ type Query struct {
 	Flavor cca.Flavor
 }
 
-// Search returns matching entries sorted by name.
+// Search returns the newest version of every matching component, sorted by
+// name.
 func (r *Repository) Search(q Query) []*Entry {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	var out []*Entry
-	for _, e := range r.entries {
+	for _, have := range r.entries {
+		e := have[len(have)-1].e
 		if q.NameContains != "" && !strings.Contains(e.Name, q.NameContains) {
 			continue
 		}
@@ -232,7 +353,8 @@ func (r *Repository) Search(q Query) []*Entry {
 	return out
 }
 
-// Instantiate creates a fresh component instance from a deposited factory.
+// Instantiate creates a fresh component instance from the factory of a
+// name's newest version.
 func (r *Repository) Instantiate(name string) (cca.Component, error) {
 	e, err := r.Retrieve(name)
 	if err != nil {
@@ -262,38 +384,4 @@ func (r *Repository) TypeChecker() func(usesType, providesType string) error {
 		}
 		return fmt.Errorf("%w: provides %q is not usable as %q", cca.ErrTypeMismatch, providesType, usesType)
 	}
-}
-
-// Describe renders a human-readable repository listing.
-func (r *Repository) Describe() string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	var b strings.Builder
-	for _, name := range r.listLocked() {
-		e := r.entries[name]
-		fmt.Fprintf(&b, "%s", e.Name)
-		if e.Version != "" {
-			fmt.Fprintf(&b, " v%s", e.Version)
-		}
-		if e.Description != "" {
-			fmt.Fprintf(&b, " — %s", e.Description)
-		}
-		b.WriteString("\n")
-		for _, p := range e.Provides {
-			fmt.Fprintf(&b, "  provides %-16s %s\n", p.Name, p.Type)
-		}
-		for _, u := range e.Uses {
-			fmt.Fprintf(&b, "  uses     %-16s %s\n", u.Name, u.Type)
-		}
-	}
-	return b.String()
-}
-
-func (r *Repository) listLocked() []string {
-	out := make([]string, 0, len(r.entries))
-	for n := range r.entries {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -2,7 +2,9 @@ package repo
 
 import (
 	"errors"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/cca"
@@ -83,22 +85,80 @@ func depositSolverWorld(t *testing.T) *Repository {
 func TestDepositRetrieveList(t *testing.T) {
 	r := depositSolverWorld(t)
 	e, err := r.Retrieve("esi.CGComponent")
-	if err != nil || e.Version != "0.9" {
+	if err != nil || e.Version != "0.9.0" {
 		t.Fatalf("retrieve: %+v, %v", e, err)
 	}
 	if _, err := r.Retrieve("nope"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("err = %v", err)
 	}
-	want := []string{"chad.FlowComponent", "esi.CGComponent", "esi.Interfaces"}
-	got := r.List()
-	if len(got) != len(want) {
-		t.Fatalf("list = %v", got)
+	want := []Listing{
+		{Name: "chad.FlowComponent", Version: "0.0.0", HasFactory: true},
+		{Name: "esi.CGComponent", Version: "0.9.0", Description: "conjugate gradient solver component", HasFactory: true},
+		{Name: "esi.Interfaces", Version: "1.0.0", Description: "ESI interface standard (no factory)"},
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("list[%d] = %s", i, got[i])
+	if got := r.List(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("list = %+v, want %+v", got, want)
+	}
+}
+
+// TestRetrieveActsOnNewestVersion holds Retrieve, Instantiate, Search and
+// BindFactory to a name's newest version once several are deposited.
+func TestRetrieveActsOnNewestVersion(t *testing.T) {
+	r := depositSolverWorld(t)
+	if err := r.Deposit(Entry{
+		Name: "esi.CGComponent", Version: "1.0",
+		Provides: []PortSpec{{Name: "solver", Type: "esi.Solver"}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if e, err := r.Retrieve("esi.CGComponent"); err != nil || e.Version != "1.0.0" {
+		t.Fatalf("retrieve: %+v, %v", e, err)
+	}
+	if _, err := r.Instantiate("esi.CGComponent"); !errors.Is(err, ErrNoFactory) {
+		t.Fatalf("instantiate of the factory-less newest version: %v", err)
+	}
+	if hits := r.Search(Query{ProvidesType: "esi.Operator"}); len(hits) != 1 || hits[0].Version != "1.0.0" {
+		t.Fatalf("search hits %+v", hits)
+	}
+	if err := r.BindFactory("esi.CGComponent", func() cca.Component { return &stubComponent{} }); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Instantiate("esi.CGComponent"); err != nil {
+		t.Fatalf("instantiate after bind: %v", err)
+	}
+	// The older version keeps its own factory-bearing entry.
+	if e, v, err := r.Resolve("esi.CGComponent", "<1"); err != nil || v.String() != "0.9.0" || e.Factory == nil {
+		t.Fatalf("resolve <1: %+v %s %v", e, v, err)
+	}
+}
+
+// TestBindFactoryRacesInstantiate runs BindFactory against Instantiate.
+// Instantiate reads the entry's Factory after dropping the lock, so
+// BindFactory must replace the stored entry rather than write that field
+// in place; the in-place write is a data race under -race.
+func TestBindFactoryRacesInstantiate(t *testing.T) {
+	r := depositSolverWorld(t)
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 200; i++ {
+			if err := r.BindFactory("esi.CGComponent", func() cca.Component { return &stubComponent{} }); err != nil {
+				t.Error(err)
+				return
+			}
 		}
-	}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 200; i++ {
+			if _, err := r.Instantiate("esi.CGComponent"); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	wg.Wait()
 }
 
 func TestDepositValidation(t *testing.T) {
@@ -115,7 +175,7 @@ func TestDepositValidation(t *testing.T) {
 	if err := r.Deposit(Entry{Name: "y", SIDL: solverSIDL}); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Deposit(Entry{Name: "y"}); !errors.Is(err, ErrExists) {
+	if err := r.Deposit(Entry{Name: "y"}); !errors.Is(err, ErrVersionOrder) {
 		t.Errorf("dup err = %v", err)
 	}
 	// Conflicting SIDL rejected atomically: the first deposit stays valid.
@@ -195,20 +255,6 @@ func TestTypeCheckerSubtyping(t *testing.T) {
 	}
 	if err := check("a.B", "c.D"); !errors.Is(err, cca.ErrTypeMismatch) {
 		t.Errorf("unknown-type fallthrough: %v", err)
-	}
-}
-
-func TestRemove(t *testing.T) {
-	r := depositSolverWorld(t)
-	if err := r.Remove("esi.CGComponent"); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Remove("esi.CGComponent"); !errors.Is(err, ErrNotFound) {
-		t.Errorf("err = %v", err)
-	}
-	// SIDL world persists after removal.
-	if r.Table().Lookup("esi.Solver") != "interface" {
-		t.Error("types lost on removal")
 	}
 }
 

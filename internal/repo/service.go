@@ -4,248 +4,21 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
-	"strings"
-	"sync"
 
 	"repro/internal/orb"
-	"repro/internal/sidl"
 )
 
-// The networked repository: a Service is the repository run as a versioned
-// network service over the ORB (the `ccarepo serve` process), and a Client
-// is the resolver-facing connection to one. Unlike the in-process
-// Repository — which keys entries by name alone — a Service stores every
-// deposited version of a component, enforces monotonic versioning per
-// name, and stamps the whole store with a global revision that bumps on
-// every deposit. The revision is the cache-consistency token: deposits are
-// append-only and (name, version) pairs immutable, so any resolution made
-// at revision R stays valid until the revision moves.
-
-// ServiceKey is the reserved object key the repository service answers on.
+// ServiceKey is the reserved object key a bound repository answers on.
 const ServiceKey = "cca/repo"
 
-// Service errors.
-var (
-	// ErrVersionOrder rejects a deposit whose version does not exceed every
-	// already-deposited version of the same component name.
-	ErrVersionOrder = errors.New("repo: deposit version not monotonic")
-	// ErrNoMatch reports a constraint no deposited version satisfies.
-	ErrNoMatch = errors.New("repo: no deposited version matches constraint")
-)
+// ErrBadCall reports a wire call the protocol does not define: an unknown
+// method, a oneway invocation, or a missing or mistyped argument.
+var ErrBadCall = errors.New("repo: malformed call")
 
-// serviceEntry is one deposited (name, version) pair.
-type serviceEntry struct {
-	v Version
-	e *Entry
-}
-
-// Service is a multi-version component store served over the ORB.
-type Service struct {
-	mu       sync.RWMutex
-	revision int64
-	entries  map[string][]serviceEntry // per name, ascending by version
-	files    []*sidl.File
-	table    *sidl.Table
-}
-
-// NewService creates an empty repository service.
-func NewService() *Service {
-	tbl, err := sidl.Resolve()
-	if err != nil {
-		panic("repo: resolving empty table: " + err.Error()) // cannot happen
-	}
-	return &Service{entries: map[string][]serviceEntry{}, table: tbl}
-}
-
-// NewServiceFrom seeds a service with every entry of an in-process
-// repository (the `ccarepo serve -seed` path). Entries deposit as one
-// batch in the repository's sorted-name order — SIDL definitions merge
-// before any port types validate, so entries may reference interfaces
-// deposited by other entries — and the resulting revision is deterministic
-// for a given seed set.
-func NewServiceFrom(r *Repository) (*Service, error) {
-	s := NewService()
-	var batch []Entry
-	for _, name := range r.List() {
-		e, err := r.Retrieve(name)
-		if err != nil {
-			return nil, err
-		}
-		batch = append(batch, *e)
-	}
-	if err := s.DepositAll(batch); err != nil {
-		return nil, fmt.Errorf("repo: seeding service: %w", err)
-	}
-	return s, nil
-}
-
-// Revision returns the monotonic store revision (0 when empty). Every
-// successful deposit increments it.
-func (s *Service) Revision() int64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.revision
-}
-
-// Deposit adds one component version. The entry's Version must parse and
-// be strictly greater than every already-deposited version of the same
-// name (monotonic versioning — the property that makes client caches
-// revalidatable by revision alone). An empty version means 0.0.0; stored
-// versions are canonicalized ("1.0" deposits as "1.0.0"). SIDL sources
-// merge into the service-wide symbol table exactly as Repository.Deposit
-// does.
-func (s *Service) Deposit(e Entry) error {
-	return s.DepositAll([]Entry{e})
-}
-
-// DepositAll deposits a batch atomically: all SIDL sources merge before
-// any port type validates, so batch entries may reference interfaces other
-// batch entries define (the seeding path needs this — an entry sorted
-// before the interface standard it uses must still deposit). On success
-// the revision advances by len(entries); on any error nothing is stored.
-func (s *Service) DepositAll(entries []Entry) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-
-	// Phase 1: versions. Each entry must exceed the current top for its
-	// name, including tops established earlier in the same batch.
-	top := map[string]Version{}
-	for name, have := range s.entries {
-		top[name] = have[len(have)-1].v
-	}
-	type add struct {
-		v Version
-		e *Entry
-	}
-	adds := make([]add, 0, len(entries))
-	files := append([]*sidl.File(nil), s.files...)
-	for i := range entries {
-		e := entries[i] // copy; the stored entry is private to the service
-		if e.Name == "" {
-			return fmt.Errorf("%w: empty name", ErrBadEntry)
-		}
-		v := Version{}
-		if strings.TrimSpace(e.Version) != "" {
-			var err error
-			v, err = ParseVersion(e.Version)
-			if err != nil {
-				return fmt.Errorf("repo: deposit %q: %w", e.Name, err)
-			}
-		}
-		if t, seen := top[e.Name]; seen && !t.Less(v) {
-			return fmt.Errorf("%w: %s v%s does not exceed deposited v%s",
-				ErrVersionOrder, e.Name, v, t)
-		}
-		top[e.Name] = v
-		e.Version = v.String()
-		if e.SIDL != "" {
-			f, err := sidl.Parse(e.SIDL)
-			if err != nil {
-				return fmt.Errorf("repo: deposit %q: %w", e.Name, err)
-			}
-			files = append(files, f)
-		}
-		adds = append(adds, add{v: v, e: &e})
-	}
-
-	// Phase 2: resolve the merged SIDL world, then validate every port
-	// type against it.
-	table, err := sidl.Resolve(files...)
-	if err != nil {
-		return fmt.Errorf("repo: deposit: %w", err)
-	}
-	for _, a := range adds {
-		for _, ps := range append(append([]PortSpec(nil), a.e.Provides...), a.e.Uses...) {
-			if ps.Type == "" || ps.Name == "" {
-				return fmt.Errorf("%w: port %q/%q", ErrBadEntry, ps.Name, ps.Type)
-			}
-			if table.Lookup(ps.Type) == "" {
-				return fmt.Errorf("%w: %q (port %s of %s)", ErrUnknownTyp, ps.Type, ps.Name, a.e.Name)
-			}
-		}
-	}
-
-	// Commit.
-	for _, a := range adds {
-		s.entries[a.e.Name] = append(s.entries[a.e.Name], serviceEntry{v: a.v, e: a.e})
-		s.revision++
-	}
-	s.files = files
-	s.table = table
-	return nil
-}
-
-// Listing is one row of a service listing.
-type Listing struct {
-	Name        string `json:"name"`
-	Version     string `json:"version"`
-	Description string `json:"description,omitempty"`
-	HasFactory  bool   `json:"hasFactory,omitempty"`
-}
-
-// List returns every deposited (name, version) pair, sorted by name then
-// version.
-func (s *Service) List() []Listing {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	names := make([]string, 0, len(s.entries))
-	for n := range s.entries {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	var out []Listing
-	for _, n := range names {
-		for _, se := range s.entries[n] {
-			out = append(out, Listing{
-				Name:        n,
-				Version:     se.v.String(),
-				Description: se.e.Description,
-				HasFactory:  se.e.Factory != nil,
-			})
-		}
-	}
-	return out
-}
-
-// Describe renders a human-readable listing of every deposited version.
-func (s *Service) Describe() string {
-	var b strings.Builder
-	for _, l := range s.List() {
-		fmt.Fprintf(&b, "%s v%s", l.Name, l.Version)
-		if l.Description != "" {
-			fmt.Fprintf(&b, " — %s", l.Description)
-		}
-		b.WriteString("\n")
-	}
-	return b.String()
-}
-
-// Resolve returns the highest deposited version of name satisfying the
-// constraint, with the store revision the resolution was made at.
-func (s *Service) Resolve(name, constraint string) (*Entry, Version, error) {
-	c, err := ParseConstraint(constraint)
-	if err != nil {
-		return nil, Version{}, err
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	have := s.entries[name]
-	if len(have) == 0 {
-		return nil, Version{}, fmt.Errorf("%w: %q", ErrNotFound, name)
-	}
-	// Entries are ascending; scan from the top for the best match.
-	for i := len(have) - 1; i >= 0; i-- {
-		if c.Match(have[i].v) {
-			return have[i].e, have[i].v, nil
-		}
-	}
-	return nil, Version{}, fmt.Errorf("%w: %s has no version matching %q", ErrNoMatch, name, c)
-}
-
-// Bind registers the service's wire protocol on an object adapter under
-// ServiceKey. The protocol is five methods, all strings and int64s over
-// the ordinary CDR surface:
+// Bind registers the repository's wire protocol on an object adapter under
+// ServiceKey; `ccarepo serve` binds the store it seeded, so remote clients
+// and in-process callers see one store. The protocol is five methods, all
+// strings and int64s over the ordinary CDR surface:
 //
 //	head()                          -> (revision)
 //	list()                          -> (revision, listingsJSON)
@@ -257,38 +30,39 @@ func (s *Service) Resolve(name, constraint string) (*Entry, Version, error) {
 // equals the caller's etag the body comes back empty ("not modified"), so
 // revalidating a warm cache costs one small round trip. deposit returns
 // the post-deposit revision.
-func (s *Service) Bind(oa *orb.ObjectAdapter) {
-	oa.RegisterDynamic(ServiceKey, s.handle)
+func (r *Repository) Bind(oa *orb.ObjectAdapter) {
+	oa.RegisterDynamic(ServiceKey, r.handle)
 }
 
-func (s *Service) handle(method string, args []any, reply *orb.Encoder) error {
+func (r *Repository) handle(method string, args []any, reply *orb.Encoder) error {
 	if reply == nil {
-		return fmt.Errorf("repo: service method %q is not oneway", method)
+		return fmt.Errorf("%w: %q is not oneway", ErrBadCall, method)
 	}
 	argStr := func(i int) (string, error) {
 		if i >= len(args) {
-			return "", fmt.Errorf("repo: %s: missing argument %d", method, i)
+			return "", fmt.Errorf("%w: %s: missing argument %d", ErrBadCall, method, i)
 		}
 		v, ok := args[i].(string)
 		if !ok {
-			return "", fmt.Errorf("repo: %s: argument %d is %T, want string", method, i, args[i])
+			return "", fmt.Errorf("%w: %s: argument %d is %T, want string", ErrBadCall, method, i, args[i])
 		}
 		return v, nil
 	}
+	rev, _ := r.Revision()
 	switch method {
 	case "head":
-		return reply.Encode(s.Revision())
+		return reply.Encode(rev)
 	case "list":
-		body, err := json.Marshal(s.List())
+		body, err := json.Marshal(r.List())
 		if err != nil {
 			return err
 		}
-		if err := reply.Encode(s.Revision()); err != nil {
+		if err := reply.Encode(rev); err != nil {
 			return err
 		}
 		return reply.Encode(string(body))
 	case "describe":
-		return reply.Encode(s.Describe())
+		return reply.Encode(r.Describe())
 	case "fetch":
 		name, err := argStr(0)
 		if err != nil {
@@ -302,10 +76,9 @@ func (s *Service) handle(method string, args []any, reply *orb.Encoder) error {
 		if err != nil {
 			return err
 		}
-		s.mu.RLock()
-		rev := s.revision
-		s.mu.RUnlock()
-		e, v, err := s.Resolve(name, constraint)
+		// rev was read before resolving: a deposit landing in between
+		// tags the resolution older than it is, never newer.
+		e, v, err := r.Resolve(name, constraint)
 		if err != nil {
 			return err
 		}
@@ -333,11 +106,12 @@ func (s *Service) handle(method string, args []any, reply *orb.Encoder) error {
 		if err != nil {
 			return err
 		}
-		if err := s.Deposit(*e); err != nil {
+		if err := r.Deposit(*e); err != nil {
 			return err
 		}
-		return reply.Encode(s.Revision())
+		rev, _ = r.Revision()
+		return reply.Encode(rev)
 	default:
-		return fmt.Errorf("repo: service has no method %q", method)
+		return fmt.Errorf("%w: no method %q", ErrBadCall, method)
 	}
 }

@@ -12,8 +12,8 @@ import (
 	"repro/internal/transport"
 )
 
-// depositVersions fills a service with a version ladder of one component.
-func depositVersions(t *testing.T, s *Service, name string, versions ...string) {
+// depositVersions fills a repository with a version ladder of one component.
+func depositVersions(t *testing.T, s *Repository, name string, versions ...string) {
 	t.Helper()
 	for _, v := range versions {
 		err := s.Deposit(Entry{
@@ -29,9 +29,9 @@ func depositVersions(t *testing.T, s *Service, name string, versions ...string) 
 	}
 }
 
-func newSolverService(t *testing.T) *Service {
+func newSolverService(t *testing.T) *Repository {
 	t.Helper()
-	s := NewService()
+	s := New()
 	if err := s.Deposit(Entry{Name: "esi.Interfaces", Version: "1.0", SIDL: solverSIDL}); err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func newSolverService(t *testing.T) *Service {
 func TestServiceMonotonicVersioning(t *testing.T) {
 	s := newSolverService(t)
 	depositVersions(t, s, "esi.CG", "1.0", "1.1", "2.0")
-	if got := s.Revision(); got != 4 {
+	if got, _ := s.Revision(); got != 4 {
 		t.Fatalf("revision = %d, want 4", got)
 	}
 	// Equal and lower versions are rejected.
@@ -51,7 +51,7 @@ func TestServiceMonotonicVersioning(t *testing.T) {
 			t.Errorf("deposit v%s: %v, want ErrVersionOrder", v, err)
 		}
 	}
-	if got := s.Revision(); got != 4 {
+	if got, _ := s.Revision(); got != 4 {
 		t.Fatalf("revision moved on rejected deposits: %d", got)
 	}
 	// Unparseable versions and unknown port types are rejected.
@@ -123,23 +123,35 @@ func TestServiceListDescribe(t *testing.T) {
 	}
 }
 
-func TestNewServiceFrom(t *testing.T) {
-	// The solver world includes chad.FlowComponent, whose ports reference
-	// esi types deposited later in sorted order, and which carries no
-	// version (seeds as 0.0.0) — both must survive batch seeding.
-	r := depositSolverWorld(t)
-	s, err := NewServiceFrom(r)
-	if err != nil {
-		t.Fatalf("seed: %v", err)
+// TestDepositAllBatchOrdering deposits a store's entries into a fresh one
+// as one batch in sorted-name order: chad.FlowComponent's ports reference
+// esi types deposited later in that order, and it carries no version
+// (stored as 0.0.0) — both must survive, and a bound client sees the
+// batch's revision.
+func TestDepositAllBatchOrdering(t *testing.T) {
+	var batch []Entry
+	for _, e := range depositSolverWorld(t).all() {
+		batch = append(batch, *e)
 	}
-	if got := int(s.Revision()); got != len(r.List()) {
-		t.Fatalf("revision %d after seeding %d entries", s.Revision(), len(r.List()))
+	s := New()
+	if err := s.DepositAll(batch); err != nil {
+		t.Fatalf("batch: %v", err)
+	}
+	if rev, err := startService(t, s).Head(); err != nil || int(rev) != len(batch) {
+		t.Fatalf("revision %d (%v) after a batch of %d entries", rev, err, len(batch))
+	}
+	// A failing batch stores nothing.
+	if err := s.DepositAll([]Entry{{Name: "z.New", Version: "1"}, {Name: "chad.FlowComponent"}}); !errors.Is(err, ErrVersionOrder) {
+		t.Fatalf("re-deposit in a batch: %v", err)
+	}
+	if _, err := s.Retrieve("z.New"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("failed batch stored its first entry: %v", err)
 	}
 }
 
-// startService serves a repository service over a loopback transport and
-// returns a connected client.
-func startService(t *testing.T, s *Service) *Client {
+// startService binds a repository on a loopback transport and returns a
+// connected client.
+func startService(t *testing.T, s *Repository) *Client {
 	t.Helper()
 	oa := orb.NewObjectAdapter()
 	s.Bind(oa)
