@@ -426,8 +426,7 @@ func benchOverload(b *testing.B) {
 	imps := make([]*dcollective.Import, subs)
 	for i := range imps {
 		imps[i] = attach(b, addr, "field", array.NewSerialMap(gl), dcollective.Options{Supervisor: orb.SupervisorOptions{
-			RetryBase:   time.Millisecond,
-			RetryCap:    20 * time.Millisecond,
+			Retry:       transport.Backoff{Base: time.Millisecond, Cap: 20 * time.Millisecond},
 			MaxAttempts: 20,
 		}})
 	}

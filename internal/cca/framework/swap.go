@@ -9,11 +9,11 @@ package framework
 // topology.
 
 import (
-	"bytes"
 	"fmt"
 	"time"
 
 	"repro/internal/cca"
+	"repro/internal/ckpt"
 	"repro/internal/obs"
 )
 
@@ -315,19 +315,18 @@ func (f *Framework) Swap(name string, repl cca.Component, opts SwapOptions) erro
 	oldCk, oldOK := old.comp.(cca.Checkpointable)
 	newCk, newOK := repl.(cca.Checkpointable)
 	if state == nil && oldOK && newOK {
-		var buf bytes.Buffer
-		if err := oldCk.Checkpoint(&buf); err != nil {
+		var err error
+		if state, err = ckpt.Marshal(oldCk); err != nil {
 			resumeAll()
 			return fmt.Errorf("%w: checkpoint: %w", ErrSwap, err)
 		}
-		state = buf.Bytes()
 	}
 	if state != nil {
 		if !newOK {
 			resumeAll()
 			return fmt.Errorf("%w: replacement %T does not implement cca.Checkpointable", ErrSwap, repl)
 		}
-		if err := newCk.Restore(bytes.NewReader(state)); err != nil {
+		if err := ckpt.Unmarshal(state, newCk); err != nil {
 			resumeAll()
 			return fmt.Errorf("%w: restore: %w", ErrSwap, err)
 		}

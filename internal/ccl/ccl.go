@@ -138,11 +138,7 @@ type SuperviseDecl struct {
 	Timeout time.Duration
 	// Heartbeat probes an idle connection after this long (0 = off).
 	Heartbeat time.Duration
-	// Restarts, when positive, arms crash recovery: after the circuit
-	// opens the supervisor relaunches/redials the same address up to this
-	// many times per outage.
-	Restarts int
-	Line     int
+	Line      int
 }
 
 // ExportDecl publishes a local instance's provides port over the ORB for

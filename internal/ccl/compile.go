@@ -215,7 +215,7 @@ func (a *Assembly) Apply(d *Document, lockPath string) error {
 		if err != nil {
 			return fail(fmt.Errorf("%s: %w: remote %q: %v", d.pos(r.Line), ErrBadValue, r.Name, err))
 		}
-		sup := supervisorOptions(a.opts.DefaultSupervisor, r.Supervise, addr)
+		sup := supervisorOptions(a.opts.DefaultSupervisor, r.Supervise)
 		var closer interface{ Close() error }
 		if r.Dist != nil {
 			var dm array.DataMap
@@ -308,7 +308,7 @@ func applyConfig(d *Document, c *ComponentDecl, comp cca.Component) error {
 }
 
 // supervisorOptions folds a supervise block over the compile defaults.
-func supervisorOptions(def orb.SupervisorOptions, s *SuperviseDecl, addr string) orb.SupervisorOptions {
+func supervisorOptions(def orb.SupervisorOptions, s *SuperviseDecl) orb.SupervisorOptions {
 	o := def
 	if s == nil {
 		return o
@@ -324,16 +324,6 @@ func supervisorOptions(def orb.SupervisorOptions, s *SuperviseDecl, addr string)
 	}
 	if s.Heartbeat > 0 {
 		o.Heartbeat = s.Heartbeat
-	}
-	if s.Restarts > 0 {
-		// `restart N`: arm crash recovery. The declarative form assumes an
-		// external supervisor restarts the servant at the same address, so
-		// Relaunch re-offers it; checkpoint replay stays nil (cold
-		// restart) — live state recovery needs the programmatic API.
-		o.Restart = &orb.RestartPolicy{
-			MaxRestarts: s.Restarts,
-			Relaunch:    func(int) (string, error) { return addr, nil },
-		}
 	}
 	return o
 }

@@ -85,9 +85,6 @@ func Format(d *Document) string {
 			if s.Heartbeat != 0 {
 				fmt.Fprintf(&b, "    heartbeat %s\n", s.Heartbeat)
 			}
-			if s.Restarts != 0 {
-				fmt.Fprintf(&b, "    restart %d\n", s.Restarts)
-			}
 			b.WriteString("  }\n")
 		}
 		b.WriteString("}\n")

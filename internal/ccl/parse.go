@@ -397,7 +397,7 @@ func (p *parser) distKey(n int, toks []token) error {
 func (p *parser) superviseKey(n int, toks []token) error {
 	s := p.curRemote.Supervise
 	switch toks[0].text {
-	case "retries", "breaker", "restart":
+	case "retries", "breaker":
 		v, err := p.intValue(n, toks)
 		if err != nil {
 			return err
@@ -405,13 +405,10 @@ func (p *parser) superviseKey(n int, toks []token) error {
 		if v < 0 {
 			return p.errf(n, ErrBadValue, "%s = %d is negative", toks[0].text, v)
 		}
-		switch toks[0].text {
-		case "retries":
+		if toks[0].text == "retries" {
 			s.Retries = v
-		case "breaker":
+		} else {
 			s.Breaker = v
-		case "restart":
-			s.Restarts = v
 		}
 		return nil
 	case "timeout", "heartbeat":
@@ -426,7 +423,7 @@ func (p *parser) superviseKey(n int, toks []token) error {
 		}
 		return nil
 	default:
-		return p.errf(n, ErrUnknownKey, "%q in supervise (keys: retries, breaker, timeout, heartbeat, restart)", toks[0].text)
+		return p.errf(n, ErrUnknownKey, "%q in supervise (keys: retries, breaker, timeout, heartbeat)", toks[0].text)
 	}
 }
 

@@ -173,6 +173,20 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestSuperviseRestartIsUnknown pins the supervise block's four keys.
+// `restart` is not one: re-attaching to a servant restarted at the same
+// address is what the supervisor's half-open probe already does.
+func TestSuperviseRestartIsUnknown(t *testing.T) {
+	src := "ccl 1\nremote r {\n  address a\n  key k\n  supervise {\n    restart 2\n  }\n}\n"
+	_, err := Parse(src, ParseOptions{Path: "sup.ccl"})
+	if !errors.Is(err, ErrUnknownKey) {
+		t.Fatalf("restart in supervise = %v, want ErrUnknownKey", err)
+	}
+	if !strings.Contains(err.Error(), "(keys: retries, breaker, timeout, heartbeat)") {
+		t.Fatalf("error does not list the four supervise keys: %v", err)
+	}
+}
+
 // TestParseVars covers interpolation mechanics.
 func TestParseVars(t *testing.T) {
 	src := "ccl 1\napp a {\n  description \"run ${WHO} at \\$HOME, ${N}%\"\n}\n"

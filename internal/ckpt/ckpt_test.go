@@ -272,6 +272,11 @@ func (m *memComponent) Restore(rd io.Reader) error {
 	return err
 }
 
+// checkpointFunc adapts a function to Checkpointer.
+type checkpointFunc func(io.Writer) error
+
+func (f checkpointFunc) Checkpoint(w io.Writer) error { return f(w) }
+
 func TestMarshalUnmarshal(t *testing.T) {
 	src := &memComponent{v: []float64{4, 5, 6}, seq: 9}
 	state, err := Marshal(src)
@@ -287,23 +292,6 @@ func TestMarshalUnmarshal(t *testing.T) {
 	}
 	if err := Unmarshal(state[:len(state)-3], &dst); !errors.Is(err, ErrTruncated) {
 		t.Errorf("truncated unmarshal = %v", err)
-	}
-}
-
-func TestSaveLoadFile(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "solver.ckpt")
-	if err := SaveFile(path, func(w *Writer) error {
-		return w.Uint64("gen", 1)
-	}); err != nil {
-		t.Fatal(err)
-	}
-	var gen uint64
-	if err := LoadFile(path, func(r *Reader) (err error) {
-		gen, err = r.Uint64("gen")
-		return
-	}); err != nil || gen != 1 {
-		t.Fatalf("load: gen=%d err=%v", gen, err)
 	}
 }
 
@@ -323,11 +311,11 @@ func TestSaveFileAtomicOnError(t *testing.T) {
 	if err := SaveTo(path, &memComponent{seq: 2, fail: true}); err == nil {
 		t.Fatal("failing checkpoint reported success")
 	}
-	if err := SaveFile(path, func(w *Writer) error {
-		w.Uint64("gen", 3)
+	if err := SaveTo(path, checkpointFunc(func(wr io.Writer) error {
+		NewWriter(wr).Uint64("gen", 3)
 		return errors.New("crash mid-checkpoint")
-	}); err == nil {
-		t.Fatal("failing SaveFile reported success")
+	})); err == nil {
+		t.Fatal("checkpoint failing mid-stream reported success")
 	}
 
 	after, err := os.ReadFile(path)
@@ -371,7 +359,7 @@ func TestLoadFilePartial(t *testing.T) {
 	if victim.seq != 77 || len(victim.v) != 1 {
 		t.Errorf("torn load mutated component: %+v", victim)
 	}
-	if err := LoadFile(filepath.Join(dir, "missing.ckpt"), func(*Reader) error { return nil }); err == nil {
+	if err := LoadInto(filepath.Join(dir, "missing.ckpt"), &memComponent{}); err == nil {
 		t.Error("missing file load succeeded")
 	}
 }

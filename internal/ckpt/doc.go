@@ -1,8 +1,7 @@
 // Package ckpt implements the checkpoint wire format behind the
 // cca.Checkpointable port interface: a versioned, length-prefixed,
 // CRC-guarded binary stream of named sections, plus the atomic file
-// contract (temp file + rename) and the collective helpers that move
-// distributed-array state through the redistribution pack/unpack path.
+// contract (temp file + rename).
 //
 // # Wire format
 //
@@ -35,16 +34,15 @@
 // renames it over the target only after the stream (including the trailer)
 // has been flushed and synced. A crash mid-Checkpoint therefore leaves
 // either the previous complete checkpoint or a stray temp file — never a
-// partial file under the checkpoint's name. LoadFrom verifies the trailer,
+// partial file under the checkpoint's name. LoadInto verifies the trailer,
 // so even a partial file planted under the real name is rejected with a
 // typed error instead of restoring half a state.
 //
 // # Distributed arrays
 //
-// Gather and Scatter are the collective bridge: every cohort rank calls
-// them with its local chunk and the side's distribution, and the global
-// array flows through a collective.Plan — the same pack/send/recv/unpack
-// schedule the PR 5 redistribution path uses — to or from the checkpoint
-// root. Float64s payloads store raw IEEE-754 bits, so a gather/scatter
-// round trip is bit-identical.
+// A distributed array is checkpointed by composing a collective.Plan whose
+// other side is collective.Serial at one root rank, Transfer-ing the local
+// chunks there, and writing the global array as a Float64s section (and
+// the reverse to restore). Float64s payloads store raw IEEE-754 bits, so
+// the round trip is bit-identical.
 package ckpt

@@ -21,62 +21,11 @@ type Restorer interface {
 	Restore(r io.Reader) error
 }
 
-// SaveFile writes a checkpoint stream produced by fn to path atomically:
-// the stream is written to a temporary file in path's directory, synced,
-// and renamed over path only after the trailer is down. A crash at any
-// point leaves either the previous checkpoint or a stray ".ckpt-*" temp
-// file — never a partial file under path.
-func SaveFile(path string, fn func(*Writer) error) (err error) {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".ckpt-*")
-	if err != nil {
-		return fmt.Errorf("ckpt: save %s: %w", path, err)
-	}
-	defer func() {
-		if err != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-		}
-	}()
-	bw := bufio.NewWriter(tmp)
-	w := NewWriter(bw)
-	if err = fn(w); err != nil {
-		return fmt.Errorf("ckpt: save %s: %w", path, err)
-	}
-	if err = w.Close(); err != nil {
-		return fmt.Errorf("ckpt: save %s: %w", path, err)
-	}
-	if err = bw.Flush(); err != nil {
-		return fmt.Errorf("ckpt: save %s: %w", path, err)
-	}
-	if err = tmp.Sync(); err != nil {
-		return fmt.Errorf("ckpt: save %s: %w", path, err)
-	}
-	if err = tmp.Close(); err != nil {
-		return fmt.Errorf("ckpt: save %s: %w", path, err)
-	}
-	if err = os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("ckpt: save %s: %w", path, err)
-	}
-	return nil
-}
-
-// LoadFile opens, fully verifies, and hands the checkpoint at path to fn.
-func LoadFile(path string, fn func(*Reader) error) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return fmt.Errorf("ckpt: load %s: %w", path, err)
-	}
-	defer f.Close()
-	r, err := NewReader(bufio.NewReader(f))
-	if err != nil {
-		return fmt.Errorf("ckpt: load %s: %w", path, err)
-	}
-	return fn(r)
-}
-
-// SaveTo checkpoints a component to path under the atomic file contract.
+// SaveTo checkpoints a component to path atomically: the stream is
+// written to a temporary file in path's directory, synced, and renamed
+// over path only after Checkpoint returns. A crash at any point leaves
+// either the previous checkpoint or a stray ".ckpt-*" temp file — never a
+// partial file under path.
 func SaveTo(path string, c Checkpointer) (err error) {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, ".ckpt-*")

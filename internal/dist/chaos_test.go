@@ -31,12 +31,10 @@ import (
 func chaosOpts() orb.SupervisorOptions {
 	return orb.SupervisorOptions{
 		ConnectTimeout:   5 * time.Second,
-		RetryBase:        time.Millisecond,
-		RetryCap:         25 * time.Millisecond,
+		Retry:            transport.Backoff{Base: time.Millisecond, Cap: 25 * time.Millisecond},
 		MaxAttempts:      8,
 		CallTimeout:      100 * time.Millisecond,
 		BreakerThreshold: 3,
-		BreakerCooldown:  15 * time.Millisecond,
 	}
 }
 

@@ -507,8 +507,7 @@ func TestSeverMidPullHealsAndCompletes(t *testing.T) {
 	opts := Options{
 		ChunkBytes: 512, // many chunk calls, so the sever lands mid-pull
 		Supervisor: orb.SupervisorOptions{
-			RetryBase:   time.Millisecond,
-			RetryCap:    20 * time.Millisecond,
+			Retry:       transport.Backoff{Base: time.Millisecond, Cap: 20 * time.Millisecond},
 			MaxAttempts: 8,
 			OnState: func(s orb.ConnState, _ error) {
 				if s == orb.StateDegraded {

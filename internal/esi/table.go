@@ -2,10 +2,9 @@ package esi
 
 import (
 	_ "embed"
-	"fmt"
 	"sync"
 
-	"repro/internal/cca"
+	"repro/internal/repo"
 	"repro/internal/sidl"
 )
 
@@ -42,22 +41,9 @@ func Table() (*sidl.Table, error) {
 	return tableVal, tableErr
 }
 
-// TypeChecker returns a framework port-type checker implementing the
-// paper's §4 compatibility rule ("object-oriented type compatibility of the
-// port interfaces, as can be described in the SIDL") over the embedded ESI
-// definitions: a provides port connects to a uses port when its type is a
-// SIDL subtype of the uses type. Unknown types fall back to exact matching.
+// TypeChecker returns a framework port-type checker: repo.CheckPortType
+// over the embedded ESI definitions.
 func TypeChecker() func(usesType, providesType string) error {
-	return func(usesType, providesType string) error {
-		if usesType == "" || providesType == "" || usesType == providesType {
-			return nil
-		}
-		tbl, err := Table()
-		if err == nil && tbl.Lookup(usesType) != "" && tbl.Lookup(providesType) != "" {
-			if tbl.IsSubtype(providesType, usesType) {
-				return nil
-			}
-		}
-		return fmt.Errorf("%w: provides %q is not usable as %q", cca.ErrTypeMismatch, providesType, usesType)
-	}
+	tbl, _ := Table() // nil on a resolve error: exact matching only
+	return func(u, p string) error { return repo.CheckPortType(tbl, u, p) }
 }

@@ -143,8 +143,12 @@ func JoinConfig(cfg ProcConfig) (*Comm, *Proc, error) {
 		l.Close()
 		return nil, nil, fmt.Errorf("mpi: rank %d join: %w", cfg.Rank, err)
 	}
-	gen, addrs, err := recvWorldTimeout(ctl, timeout)
-	if err != nil {
+	var gen uint64
+	var addrs []string
+	if err := recvBounded(ctl, timeout, "", func() (err error) {
+		gen, addrs, err = recvWorld(ctl)
+		return err
+	}); err != nil {
 		ctl.Close()
 		l.Close()
 		return nil, nil, fmt.Errorf("mpi: rank %d world formation: %w", cfg.Rank, err)
@@ -191,7 +195,7 @@ func JoinConfig(cfg ProcConfig) (*Comm, *Proc, error) {
 		proc.Kill()
 		return nil, nil, fmt.Errorf("mpi: rank %d ready: %w", cfg.Rank, err)
 	}
-	if err := recvGoTimeout(ctl, timeout); err != nil {
+	if err := recvBounded(ctl, timeout, " (go barrier)", func() error { return recvGo(ctl) }); err != nil {
 		proc := &Proc{pw: pw}
 		proc.Kill()
 		return nil, nil, fmt.Errorf("mpi: rank %d go barrier: %w", cfg.Rank, err)
@@ -211,36 +215,12 @@ func JoinConfig(cfg ProcConfig) (*Comm, *Proc, error) {
 // budget would otherwise hang the survivors' re-joins forever.
 var ErrFormationTimeout = errors.New("mpi: world formation timeout")
 
-// recvWorldTimeout is recvWorld bounded by d: on expiry the control
-// connection is closed (unblocking the pending receive) and
-// ErrFormationTimeout returns.
-func recvWorldTimeout(ctl transport.Conn, d time.Duration) (uint64, []string, error) {
-	type reply struct {
-		gen   uint64
-		addrs []string
-		err   error
-	}
-	ch := make(chan reply, 1)
-	go func() {
-		gen, addrs, err := recvWorld(ctl)
-		ch <- reply{gen, addrs, err}
-	}()
-	tm := time.NewTimer(d)
-	defer tm.Stop()
-	select {
-	case r := <-ch:
-		return r.gen, r.addrs, r.err
-	case <-tm.C:
-		ctl.Close()
-		<-ch
-		return 0, nil, fmt.Errorf("%w after %s", ErrFormationTimeout, d)
-	}
-}
-
-// recvGoTimeout bounds the formation barrier the same way.
-func recvGoTimeout(ctl transport.Conn, d time.Duration) error {
+// recvBounded runs recv, a receive on ctl, bounded by d: on expiry the
+// control connection is closed (unblocking recv) and ErrFormationTimeout
+// returns, with detail naming the wait.
+func recvBounded(ctl transport.Conn, d time.Duration, detail string, recv func() error) error {
 	ch := make(chan error, 1)
-	go func() { ch <- recvGo(ctl) }()
+	go func() { ch <- recv() }()
 	tm := time.NewTimer(d)
 	defer tm.Stop()
 	select {
@@ -249,7 +229,7 @@ func recvGoTimeout(ctl transport.Conn, d time.Duration) error {
 	case <-tm.C:
 		ctl.Close()
 		<-ch
-		return fmt.Errorf("%w after %s (go barrier)", ErrFormationTimeout, d)
+		return fmt.Errorf("%w after %s%s", ErrFormationTimeout, d, detail)
 	}
 }
 

@@ -189,7 +189,7 @@ func TestSupervisedBacksOffOnOverload(t *testing.T) {
 
 	opts, _ := fastOpts()
 	opts.MaxAttempts = 12
-	opts.RetryCap = 10 * time.Millisecond
+	opts.Retry.Cap = 10 * time.Millisecond
 	const clients = 3
 	sups := make([]*Supervised, clients)
 	for i := range sups {

@@ -128,8 +128,7 @@ func TestLifecycleSupervisedChurn(t *testing.T) {
 	base := goroutineBaseline()
 	for i := 0; i < 300; i++ {
 		opts := SupervisorOptions{
-			RetryBase:  time.Millisecond,
-			RetryCap:   5 * time.Millisecond,
+			Retry:      transport.Backoff{Base: time.Millisecond, Cap: 5 * time.Millisecond},
 			Heartbeat:  2 * time.Millisecond,
 			Idempotent: AllIdempotent,
 		}

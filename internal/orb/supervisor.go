@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -61,11 +60,11 @@ type SupervisorOptions struct {
 	// listener are retried until one succeeds or this budget elapses.
 	// Default 5s.
 	ConnectTimeout time.Duration
-	// RetryBase and RetryCap shape the capped exponential redial/retry
-	// backoff: attempt n waits cap(RetryBase·2ⁿ) with jitter drawn in
-	// [d/2, d). Defaults 5ms and 1s.
-	RetryBase time.Duration
-	RetryCap  time.Duration
+	// Retry is the redial and call-retry schedule: attempt n waits
+	// Retry.Delay(n). Retry.Cap also paces an open circuit's half-open
+	// probes and bounds how long an idempotent call waits for a redial.
+	// Defaults 5ms and 1s.
+	Retry transport.Backoff
 	// MaxAttempts is the per-call attempt budget for idempotent-marked
 	// methods (first try included). Non-idempotent methods always get
 	// exactly one attempt. Default 4.
@@ -77,9 +76,6 @@ type SupervisorOptions struct {
 	// BreakerThreshold opens the circuit after this many consecutive
 	// failed dials. Default 5.
 	BreakerThreshold int
-	// BreakerCooldown is how long an open circuit rests before the next
-	// half-open probe dial. Default 2s.
-	BreakerCooldown time.Duration
 	// Heartbeat, when nonzero, probes the connection with a oneway ping
 	// after this much idle time, so a silently dead peer is detected (and
 	// redial begins) without waiting for the next real call. Default 0.
@@ -108,11 +104,11 @@ func (o SupervisorOptions) withDefaults() SupervisorOptions {
 	if o.ConnectTimeout <= 0 {
 		o.ConnectTimeout = 5 * time.Second
 	}
-	if o.RetryBase <= 0 {
-		o.RetryBase = 5 * time.Millisecond
+	if o.Retry.Base <= 0 {
+		o.Retry.Base = 5 * time.Millisecond
 	}
-	if o.RetryCap <= 0 {
-		o.RetryCap = time.Second
+	if o.Retry.Cap <= 0 {
+		o.Retry.Cap = time.Second
 	}
 	if o.MaxAttempts <= 0 {
 		o.MaxAttempts = 4
@@ -120,17 +116,14 @@ func (o SupervisorOptions) withDefaults() SupervisorOptions {
 	if o.BreakerThreshold <= 0 {
 		o.BreakerThreshold = 5
 	}
-	if o.BreakerCooldown <= 0 {
-		o.BreakerCooldown = 2 * time.Second
-	}
 	return o
 }
 
 // Supervised is a self-healing multiplexed ORB client: the paper's
 // framework-interposed proxy made resilient. It wraps Client with a
 // supervisor that (1) classifies every failure as Retryable, Timeout, or
-// Fatal; (2) redials lost connections with capped exponential backoff plus
-// jitter; (3) transparently retries idempotent-marked methods under the
+// Fatal; (2) redials lost connections with capped exponential backoff;
+// (3) transparently retries idempotent-marked methods under the
 // caller's context deadline; (4) sheds load through a closed → open →
 // half-open circuit breaker once the peer looks truly dead; and (5)
 // optionally probes idle connections with a oneway heartbeat. All methods
@@ -149,7 +142,6 @@ type Supervised struct {
 	restarts    int  // RestartPolicy relaunches this outage
 	redialing   bool // a redial loop is running
 	closed      bool // Close called
-	rng         *rand.Rand
 
 	stop     chan struct{} // closed by Close
 	wg       sync.WaitGroup
@@ -172,7 +164,6 @@ func DialSupervised(tr transport.Transport, addr string, opts SupervisorOptions)
 		opts:  opts,
 		ready: make(chan struct{}),
 		stop:  make(chan struct{}),
-		rng:   rand.New(rand.NewSource(1)), // jitter only; a fixed seed keeps schedules reproducible
 	}
 	s.adopt(newClient(conn))
 	gSupStates[StateHealthy].Add(1) // the connection now exists, Healthy
@@ -275,14 +266,14 @@ func (s *Supervised) dropClient(c *Client, g uint64, cause error) {
 	c.Close()
 }
 
-// redialLoop re-establishes the connection with capped exponential backoff
-// and jitter. After BreakerThreshold consecutive failures the circuit
-// opens (state Broken: calls shed immediately) and further attempts become
-// half-open probes paced by BreakerCooldown.
+// redialLoop re-establishes the connection on the Retry schedule. After
+// BreakerThreshold consecutive failures the circuit opens (state Broken:
+// calls shed immediately) and further attempts become half-open probes
+// paced at Retry.Cap.
 func (s *Supervised) redialLoop(cause error) {
 	defer s.wg.Done()
 	for attempt := 0; ; attempt++ {
-		var delay time.Duration
+		delay := s.opts.Retry.Delay(attempt)
 		s.mu.Lock()
 		if s.closed {
 			s.redialing = false
@@ -294,15 +285,13 @@ func (s *Supervised) redialLoop(cause error) {
 			notify = s.setStateLocked(StateBroken, cause)
 		}
 		if s.state == StateBroken {
-			delay = s.opts.BreakerCooldown // rest until the half-open probe
-		} else {
-			delay = s.backoffLocked(attempt)
+			delay = s.opts.Retry.Cap // rest until the half-open probe
 		}
 		s.mu.Unlock()
 		if notify != nil {
 			notify()
 		}
-		if !s.sleep(delay) {
+		if !s.sleepCtx(context.Background(), delay) {
 			s.mu.Lock()
 			s.redialing = false
 			s.mu.Unlock()
@@ -342,41 +331,7 @@ func (s *Supervised) redialLoop(cause error) {
 	}
 }
 
-// sleep waits d unless Close interrupts; reports whether the wait ran full.
-func (s *Supervised) sleep(d time.Duration) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-s.stop:
-		return false
-	}
-}
-
-func (s *Supervised) backoff(attempt int) time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.backoffLocked(attempt)
-}
-
-// backoffLocked computes cap(RetryBase·2ᵃᵗᵗᵉᵐᵖᵗ) jittered into [d/2, d).
-func (s *Supervised) backoffLocked(attempt int) time.Duration {
-	d := s.opts.RetryBase
-	for i := 0; i < attempt && d < s.opts.RetryCap; i++ {
-		d *= 2
-	}
-	if d > s.opts.RetryCap {
-		d = s.opts.RetryCap
-	}
-	half := int64(d / 2)
-	if half <= 0 {
-		return d
-	}
-	return time.Duration(half + s.rng.Int63n(half))
-}
-
-// acquire returns the live client, waiting (bounded by RetryCap and ctx)
+// acquire returns the live client, waiting (bounded by Retry.Cap and ctx)
 // for a reconnect when wait is set. Broken state fails fast — that is the
 // breaker shedding load.
 func (s *Supervised) acquire(ctx context.Context, wait bool) (*Client, uint64, error) {
@@ -401,7 +356,7 @@ func (s *Supervised) acquire(ctx context.Context, wait bool) (*Client, uint64, e
 			return nil, 0, classed(ClassRetryable,
 				fmt.Errorf("%w: reconnecting to %s", transport.ErrClosed, addr))
 		}
-		t := time.NewTimer(s.opts.RetryCap)
+		t := time.NewTimer(s.opts.Retry.Cap)
 		select {
 		case <-ready:
 			t.Stop()
@@ -481,7 +436,7 @@ func (s *Supervised) supervisedDo(ctx context.Context, method string, call func(
 	for attempt := 0; attempt < attempts; attempt++ {
 		if attempt > 0 {
 			cSupRetries.Inc()
-			if !s.sleepCtx(ctx, s.backoff(attempt-1)) {
+			if !s.sleepCtx(ctx, s.opts.Retry.Delay(attempt-1)) {
 				return classed(ClassTimeout, ctx.Err())
 			}
 		}

@@ -20,11 +20,9 @@ func fastOpts() (SupervisorOptions, <-chan ConnState) {
 	states := make(chan ConnState, 64)
 	return SupervisorOptions{
 		ConnectTimeout:   2 * time.Second,
-		RetryBase:        time.Millisecond,
-		RetryCap:         20 * time.Millisecond,
+		Retry:            transport.Backoff{Base: time.Millisecond, Cap: 20 * time.Millisecond},
 		MaxAttempts:      6,
 		BreakerThreshold: 3,
-		BreakerCooldown:  10 * time.Millisecond,
 		Idempotent:       AllIdempotent,
 		OnState: func(s ConnState, _ error) {
 			select {

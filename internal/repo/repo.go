@@ -366,22 +366,24 @@ func (r *Repository) Instantiate(name string) (cca.Component, error) {
 	return e.Factory(), nil
 }
 
-// TypeChecker returns a port-compatibility checker backed by the
-// repository's SIDL subtype relation, suitable for framework.Options:
-// a uses port of type U may connect to a provides port of type P when P is
-// usable as U. Types absent from the table fall back to exact matching;
-// empty names are wildcards (untyped ports).
-func (r *Repository) TypeChecker() func(usesType, providesType string) error {
-	return func(usesType, providesType string) error {
-		if usesType == "" || providesType == "" || usesType == providesType {
-			return nil
-		}
-		tbl := r.Table()
-		if tbl.Lookup(usesType) != "" && tbl.Lookup(providesType) != "" {
-			if tbl.IsSubtype(providesType, usesType) {
-				return nil
-			}
-		}
-		return fmt.Errorf("%w: provides %q is not usable as %q", cca.ErrTypeMismatch, providesType, usesType)
+// CheckPortType is the paper's §4 port compatibility rule ("object-oriented
+// type compatibility of the port interfaces, as can be described in the
+// SIDL") over tbl: a uses port of type U may connect to a provides port of
+// type P when P is a SIDL subtype of U. Types absent from tbl (or a nil
+// tbl) fall back to exact matching; empty names are wildcards (untyped
+// ports).
+func CheckPortType(tbl *sidl.Table, usesType, providesType string) error {
+	if usesType == "" || providesType == "" || usesType == providesType {
+		return nil
 	}
+	if tbl != nil && tbl.Lookup(usesType) != "" && tbl.Lookup(providesType) != "" && tbl.IsSubtype(providesType, usesType) {
+		return nil
+	}
+	return fmt.Errorf("%w: provides %q is not usable as %q", cca.ErrTypeMismatch, providesType, usesType)
+}
+
+// TypeChecker returns CheckPortType over the repository's current SIDL
+// table, suitable for framework.Options.
+func (r *Repository) TypeChecker() func(usesType, providesType string) error {
+	return func(u, p string) error { return CheckPortType(r.Table(), u, p) }
 }
