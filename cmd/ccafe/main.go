@@ -45,10 +45,10 @@
 //	                              install a supervised proxy component for a
 //	                              remotely exported port (type default
 //	                              esi.MatrixData; addr as for export, or the
-//	                              comma-separated list a sharded export
-//	                              prints); the connection redials with
-//	                              backoff, retries idempotent calls, and
-//	                              circuit-breaks per the flags above
+//	                              address an export prints); the connection
+//	                              redials with backoff, retries idempotent
+//	                              calls, and circuit-breaks per the flags
+//	                              above
 //	health <instance> <port>      show a provides port's connection health
 //	checkpoint <instance> <file>  save a Checkpointable instance's state to
 //	                              a checkpoint file (atomic temp+rename)

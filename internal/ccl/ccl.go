@@ -66,8 +66,8 @@ type Document struct {
 // RepositoryDecl names the networked repository the document resolves
 // typed components from.
 type RepositoryDecl struct {
-	// Address is a scheme-qualified ORB address (tcp://host:port,
-	// shm:///dir, or a comma-separated shard list).
+	// Address is a scheme-qualified ORB address (tcp://host:port or
+	// shm:///dir).
 	Address string
 	Line    int
 }
@@ -149,10 +149,7 @@ type ExportDecl struct {
 	// Address is the scheme-qualified listen address
 	// (default tcp://127.0.0.1:0).
 	Address string
-	// Shards is the shard-group size (default 1; >1 serves a
-	// comma-joinable shard list via the ORB's shard serving).
-	Shards int
-	Line   int
+	Line    int
 }
 
 // ConnectDecl wires user.usesPort to provider.providesPort.

@@ -44,9 +44,8 @@ type ExportResult struct {
 	Instance, Port string
 	// Key is the exported object key ("instance/port").
 	Key string
-	// Addr is the bound address (comma-separated list for shard groups).
-	Addr   string
-	Shards int
+	// Addr is the bound address.
+	Addr string
 }
 
 // Assembly is a live application: every document applied so far, lowered
@@ -207,11 +206,9 @@ func (a *Assembly) Apply(d *Document, lockPath string) error {
 		}
 	}
 
-	// Remote proxies. The address goes through the one resolver: a shard
-	// list (what a sharded export reports) rendezvous-picks one shard, then
-	// the scheme picks the transport.
+	// Remote proxies. The address's scheme picks the transport.
 	for _, r := range d.Remotes {
-		tr, addr, err := transport.ForScheme(orb.PickShard(r.Address))
+		tr, addr, err := transport.ForScheme(r.Address)
 		if err != nil {
 			return fail(fmt.Errorf("%s: %w: remote %q: %v", d.pos(r.Line), ErrBadValue, r.Name, err))
 		}
@@ -238,19 +235,11 @@ func (a *Assembly) Apply(d *Document, lockPath string) error {
 	// Exports.
 	var exports []ExportResult
 	for _, e := range d.Exports {
-		var exp *dist.Exporter
-		if e.Shards > 1 {
-			exp, err = dist.NewExporterShards(app.Fw, e.Address, e.Shards)
-			if err != nil {
-				return fail(fmt.Errorf("%s: export %s.%s: %w", d.pos(e.Line), e.Instance, e.Port, err))
-			}
-		} else {
-			l, err := orb.ListenAddr(e.Address)
-			if err != nil {
-				return fail(fmt.Errorf("%s: export %s.%s: %w", d.pos(e.Line), e.Instance, e.Port, err))
-			}
-			exp = dist.NewExporter(app.Fw, l)
+		l, err := orb.ListenAddr(e.Address)
+		if err != nil {
+			return fail(fmt.Errorf("%s: export %s.%s: %w", d.pos(e.Line), e.Instance, e.Port, err))
 		}
+		exp := dist.NewExporter(app.Fw, l)
 		key, err := exp.Export(e.Instance, e.Port)
 		if err != nil {
 			exp.Close()
@@ -258,7 +247,7 @@ func (a *Assembly) Apply(d *Document, lockPath string) error {
 		}
 		a.closers = append(a.closers, exp.Close)
 		exports = append(exports, ExportResult{
-			Instance: e.Instance, Port: e.Port, Key: key, Addr: exp.Addr(), Shards: e.Shards,
+			Instance: e.Instance, Port: e.Port, Key: key, Addr: exp.Addr(),
 		})
 	}
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"net"
 	"strings"
 	"testing"
 
@@ -264,9 +265,9 @@ func TestCompileDistvizMatchesProgrammatic(t *testing.T) {
 }
 
 // TestCompilePipelineExports compiles the pipeline golden (typed solver +
-// provider operator + sharded export), checks the export came up as a
-// shard group, and that a `remote` in a second assembly can dial the shard
-// list the export reports.
+// provider operator + export), checks the export came up on one bound
+// address, and that a `remote` in a second assembly can dial the address
+// the export reports.
 func TestCompilePipelineExports(t *testing.T) {
 	doc, err := Load("testdata/pipeline.ccl", nil)
 	if err != nil {
@@ -281,11 +282,11 @@ func TestCompilePipelineExports(t *testing.T) {
 		t.Fatalf("exports %+v", asm.Exports)
 	}
 	e := asm.Exports[0]
-	if e.Instance != "op" || e.Port != "A" || e.Shards != 2 {
+	if e.Instance != "op" || e.Port != "A" {
 		t.Fatalf("export %+v", e)
 	}
-	if !strings.Contains(e.Addr, ",") {
-		t.Fatalf("sharded export bound a single address %q", e.Addr)
+	if _, port, err := net.SplitHostPort(e.Addr); err != nil || port == "0" {
+		t.Fatalf("export reports %q, want the one bound host:port (%v)", e.Addr, err)
 	}
 	if e.Key == "" {
 		t.Fatal("export key empty")
@@ -295,7 +296,7 @@ func TestCompilePipelineExports(t *testing.T) {
 		t.Fatalf("unexpected lock handling %q %v", asm.LockPath, asm.LockCreated)
 	}
 
-	// A `remote` dials the shard list the export reports, and registers its
+	// A `remote` dials the address the export reports, and registers its
 	// proxy's provides port under the name its `port` key declares.
 	for _, tc := range []struct {
 		name, portKey, connectTo string
@@ -331,7 +332,7 @@ connect caller.A -> %s
 				return
 			}
 			if err != nil {
-				t.Fatalf("remote at the sharded export's address %q: %v", e.Addr, err)
+				t.Fatalf("remote at the export's address %q: %v", e.Addr, err)
 			}
 			defer casm.Close()
 			port, err := casm.App.Port("caller", "A")

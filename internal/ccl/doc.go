@@ -27,8 +27,8 @@
 //   - Compile (compile.go) lowers the document onto repo.Builder, the
 //     one application container: Builder.Create and framework connects
 //     for components and wirings, supervised remote-port installs (scalar
-//     and collective) for remote stanzas, ORB exporters (single or
-//     sharded) for exports. An Assembly is live — Compile is New plus
+//     and collective) for remote stanzas, one ORB listener per
+//     export. An Assembly is live — Compile is New plus
 //     Apply, and Apply takes further documents or single-declaration
 //     fragments, which is how cmd/ccafe runs its assembling verbs.
 //     Factories never serialize, so typed components always instantiate

@@ -94,9 +94,6 @@ func Format(d *Document) string {
 		if e.Address != "" {
 			fmt.Fprintf(&b, "  address %s\n", quote(e.Address))
 		}
-		if e.Shards != 0 {
-			fmt.Fprintf(&b, "  shards %d\n", e.Shards)
-		}
 		b.WriteString("}\n")
 	}
 	if len(d.Connects) > 0 {

@@ -59,8 +59,7 @@ func splitLine(pos string, line string, vars map[string]string) ([]token, error)
 			start := i
 			for i < len(rs) && isBare(rs[i]) {
 				// `->` terminates a bare word and lexes as the arrow; a
-				// lone `-` inside a word (shard lists, "in-process") does
-				// not.
+				// lone `-` inside a word ("in-process") does not.
 				if rs[i] == '-' && i+1 < len(rs) && rs[i+1] == '>' {
 					break
 				}

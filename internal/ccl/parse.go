@@ -437,15 +437,8 @@ func (p *parser) exportKey(n int, toks []token) error {
 		}
 		e.Address = v
 		return nil
-	case "shards":
-		v, err := p.intValue(n, toks)
-		if err != nil {
-			return err
-		}
-		e.Shards = v
-		return nil
 	default:
-		return p.errf(n, ErrUnknownKey, "%q in export (keys: address, shards)", toks[0].text)
+		return p.errf(n, ErrUnknownKey, "%q in export (keys: address)", toks[0].text)
 	}
 }
 

@@ -123,7 +123,6 @@ func TestParseErrors(t *testing.T) {
 		{"unknown dist key", h + "remote r {\n  dist {\n    stripes 4\n  }\n}\n", ErrUnknownKey},
 		{"unknown supervise key", h + "remote r {\n  supervise {\n    lives 9\n  }\n}\n", ErrUnknownKey},
 
-		{"shards not a number", h + "component c {\n  provider poisson\n}\nexport c.A {\n  shards many\n}\n", ErrBadValue},
 		{"negative supervise", h + "remote r {\n  supervise {\n    retries -1\n  }\n}\n", ErrBadValue},
 		{"bad duration", h + "remote r {\n  supervise {\n    timeout fast\n  }\n}\n", ErrBadValue},
 		{"type and provider", h + "component c {\n  type t.T\n  provider poisson\n}\n", ErrBadValue},
@@ -184,6 +183,19 @@ func TestSuperviseRestartIsUnknown(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "(keys: retries, breaker, timeout, heartbeat)") {
 		t.Fatalf("error does not list the four supervise keys: %v", err)
+	}
+}
+
+// TestExportHasOnlyAddressKey pins the export block's one key. `shards` is
+// not one: an export serves one listener at its one address.
+func TestExportHasOnlyAddressKey(t *testing.T) {
+	src := "ccl 1\ncomponent c {\n  provider poisson\n}\nexport c.A {\n  shards 2\n}\n"
+	_, err := Parse(src, ParseOptions{Path: "export.ccl"})
+	if !errors.Is(err, ErrUnknownKey) {
+		t.Fatalf("shards in export = %v, want ErrUnknownKey", err)
+	}
+	if !strings.HasSuffix(err.Error(), "(keys: address)") {
+		t.Fatalf("error does not list address as the only export key: %v", err)
 	}
 }
 

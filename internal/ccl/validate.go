@@ -123,14 +123,8 @@ func validate(d *Document, live func(instance string) bool) error {
 		if !declared(e.Instance) {
 			return fmt.Errorf("%s: %w: export references %q", d.pos(e.Line), ErrUndefined, e.Instance)
 		}
-		if e.Shards < 0 {
-			return fmt.Errorf("%s: %w: shards = %d is negative", d.pos(e.Line), ErrBadValue, e.Shards)
-		}
 		if e.Address == "" {
 			e.Address = "tcp://127.0.0.1:0"
-		}
-		if e.Shards == 0 {
-			e.Shards = 1
 		}
 	}
 

@@ -23,37 +23,17 @@ var (
 	cRemoteInstalls = obs.NewCounter("dist.remote_installs")
 )
 
-// exportServer is the serving surface an Exporter publishes through —
-// a single *orb.Server or an *orb.ServerPool shard group.
-type exportServer interface {
-	Addr() string
-	Close()
-}
-
 // Exporter publishes provides ports from a framework over a transport.
 type Exporter struct {
 	FW     *framework.Framework
 	OA     *orb.ObjectAdapter
-	server exportServer
+	server *orb.Server
 }
 
 // NewExporter creates an exporter for fw and starts serving on l.
 func NewExporter(fw *framework.Framework, l transport.Listener) *Exporter {
 	oa := orb.NewObjectAdapter()
 	return &Exporter{FW: fw, OA: oa, server: orb.Serve(oa, l)}
-}
-
-// NewExporterShards creates an exporter serving a shard group at a
-// scheme-qualified address (orb.ServeShards): Addr returns the
-// comma-separated shard list clients hand to orb.DialAddr, which
-// rendezvous-hashes object keys across the shards.
-func NewExporterShards(fw *framework.Framework, addr string, shards int) (*Exporter, error) {
-	oa := orb.NewObjectAdapter()
-	pool, err := orb.ServeShards(oa, addr, shards)
-	if err != nil {
-		return nil, err
-	}
-	return &Exporter{FW: fw, OA: oa, server: pool}, nil
 }
 
 // Addr reports the served address for clients to dial.
@@ -315,19 +295,4 @@ func InstallSupervisedRemoteOperator(fw *framework.Framework, instance, port str
 	}
 	cRemoteInstalls.Inc()
 	return rp, nil
-}
-
-// RemoteMonitor adapts an exported cca.ports.Monitor provides port: Observe
-// is forwarded as a oneway (fire-and-forget) invocation, matching the SIDL
-// declaration `oneway void observe(...)` — the paper's loosely coupled
-// monitoring channel, where the simulation must never block on a slow
-// visualization consumer.
-type RemoteMonitor struct {
-	R *RemotePort
-}
-
-// Observe forwards one frame without awaiting completion.
-func (m *RemoteMonitor) Observe(step int32, data []float64) {
-	// Errors are deliberately dropped: oneway semantics.
-	_ = m.R.Client.InvokeOneway(m.R.Key, "observe", step, data)
 }

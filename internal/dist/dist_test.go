@@ -4,7 +4,6 @@ import (
 	"errors"
 	"math"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/cca"
@@ -200,74 +199,4 @@ func TestRemoteErrorsPropagate(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "apply") {
 		t.Errorf("err = %v", err)
 	}
-}
-
-// frameStore is a Monitor servant collecting observed frames.
-type frameStore struct {
-	mu     sync.Mutex
-	frames map[int32][]float64
-}
-
-func (f *frameStore) Observe(step int32, data []float64) {
-	f.mu.Lock()
-	if f.frames == nil {
-		f.frames = map[int32][]float64{}
-	}
-	f.frames[step] = data
-	f.mu.Unlock()
-}
-
-func (f *frameStore) have(step int32) bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	_, ok := f.frames[step]
-	return ok
-}
-
-func TestRemoteMonitorOneway(t *testing.T) {
-	// Server: a framework hosting the monitor servant.
-	tr := &transport.InProc{}
-	server := framework.New(framework.Options{})
-	store := &frameStore{}
-	if err := server.Install("viz", &monitorComponent{store: store}); err != nil {
-		t.Fatal(err)
-	}
-	l, err := tr.Listen("mon")
-	if err != nil {
-		t.Fatal(err)
-	}
-	exp := NewExporter(server, l)
-	defer exp.Close()
-	key, err := exp.Export("viz", "monitor")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	rp, err := DialSupervised(tr, "mon", key, "cca.ports.Monitor", orb.SupervisorOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rp.Close()
-	remote := &RemoteMonitor{R: rp}
-	remote.Observe(1, []float64{0.5, 0.25})
-	remote.Observe(2, []float64{0.4})
-	// Oneway: confirm delivery via a two-way call on the same connection
-	// (ordered), then inspect the store.
-	if _, err := rp.Call("observe", int32(3), []float64{}); err != nil {
-		t.Fatal(err)
-	}
-	for _, step := range []int32{1, 2, 3} {
-		if !store.have(step) {
-			t.Errorf("frame %d not delivered", step)
-		}
-	}
-}
-
-// monitorComponent provides the Monitor port backed by a frameStore.
-type monitorComponent struct {
-	store *frameStore
-}
-
-func (m *monitorComponent) SetServices(svc cca.Services) error {
-	return svc.AddProvidesPort(m.store, cca.PortInfo{Name: "monitor", Type: "cca.ports.Monitor"})
 }

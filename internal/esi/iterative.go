@@ -10,9 +10,9 @@ package esi
 // RestartPolicy's reserved restore key.
 
 import (
+	"errors"
 	"fmt"
 	"io"
-	"math"
 	"sync"
 
 	"repro/internal/cca"
@@ -23,9 +23,9 @@ import (
 // TypeIterativeSolver is the provides-port type of the step-wise solver.
 const TypeIterativeSolver = "esi.IterativeSolver"
 
-// ckptSections: the checkpoint stream layout written by Checkpoint.
-// "meta" packs the counters; the five vectors carry the full mid-Krylov
-// CG state — everything Step needs to continue exactly where the
+// ckptSections: the checkpoint stream layout written by Checkpoint. The
+// counters and the five vectors of the linalg.CGState carry the full
+// mid-Krylov state — everything Step needs to continue exactly where the
 // checkpointed instance stopped.
 const (
 	ckSecIt    = "it"
@@ -41,10 +41,10 @@ const (
 )
 
 // IterativeSolverComponent provides an "esi.IterativeSolver" port named
-// "solver" and uses an "A" operator port. Plain (unpreconditioned) CG:
-// the per-iteration recurrence matches linalg.CG with the identity
-// preconditioner, so an uninterrupted Step loop and a single
-// linalg.CG.Solve produce the same iterates.
+// "solver" and uses an "A" operator port. Plain (unpreconditioned) CG
+// with the default inner product: it holds one linalg.CGState, so an
+// uninterrupted Step loop produces bit for bit the iterates of
+// linalg.CG.Solve — and of SolverComponent "cg" with no preconditioner.
 type IterativeSolverComponent struct {
 	svc cca.Services
 
@@ -54,14 +54,8 @@ type IterativeSolverComponent struct {
 
 	started bool
 	done    bool
-	n       int
-	it      int
 	resid   float64
-	rz      float64
-	bnorm   float64
-	b, x    []float64
-	r, z, p []float64
-	ap      []float64
+	cg      linalg.CGState
 }
 
 var (
@@ -93,47 +87,22 @@ func (s *IterativeSolverComponent) SetTolerance(tol float64) {
 	s.mu.Unlock()
 }
 
-// operator fetches the connected A port through the framework.
-func (s *IterativeSolverComponent) operator() (EsiOperator, func(), error) {
-	aport, err := s.svc.GetPort("A")
-	if err != nil {
-		return nil, nil, solveErrf("iterative solver has no operator: %v", err)
-	}
-	op, ok := aport.(EsiOperator)
-	if !ok {
-		s.svc.ReleasePort("A")
-		return nil, nil, solveErrf("A port is %T, not esi.Operator", aport)
-	}
-	return op, func() { s.svc.ReleasePort("A") }, nil
-}
-
 // Begin initializes the CG recurrence for A x = b from x₀ = 0.
 func (s *IterativeSolverComponent) Begin(b []float64) error {
-	op, release, err := s.operator()
+	op, release, err := operatorPort(s.svc, "iterative solver")
 	if err != nil {
 		return err
 	}
 	defer release()
-	n := int(op.Rows())
-	if len(b) != n {
-		return solveErrf("begin: rhs has %d entries, operator has %d rows", len(b), n)
+	// A failed Begin leaves any solve in progress as it was.
+	var cg linalg.CGState
+	if err := cg.Begin(&opAdapter{p: op}, append([]float64(nil), b...), make([]float64, len(b)), linalg.Options{}); err != nil {
+		return solveErrf("begin: %v", err)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.started, s.done = true, false
-	s.n, s.it = n, 0
-	s.b = append([]float64(nil), b...)
-	s.x = make([]float64, n)
-	s.r = append([]float64(nil), b...) // r₀ = b - A·0 = b
-	s.z = append([]float64(nil), b...) // identity preconditioner: z = r
-	s.p = append([]float64(nil), b...)
-	s.ap = make([]float64, n)
-	s.rz = linalg.DotSerial(s.r, s.z)
-	s.bnorm = linalg.Norm2(linalg.DotSerial, b)
-	if s.bnorm == 0 {
-		s.bnorm = 1
-	}
-	s.resid = linalg.Norm2(linalg.DotSerial, s.r) / s.bnorm
+	s.cg, s.started, s.done = cg, true, false
+	s.resid = s.cg.Residual()
 	return nil
 }
 
@@ -141,7 +110,7 @@ func (s *IterativeSolverComponent) Begin(b []float64) error {
 // convergence. It returns the total iteration count so far, the current
 // relative residual, and whether the solve has converged.
 func (s *IterativeSolverComponent) Step(k int) (it int, resid float64, done bool, err error) {
-	op, release, err := s.operator()
+	op, release, err := operatorPort(s.svc, "iterative solver")
 	if err != nil {
 		return 0, 0, false, err
 	}
@@ -151,60 +120,34 @@ func (s *IterativeSolverComponent) Step(k int) (it int, resid float64, done bool
 	if !s.started {
 		return 0, 0, false, solveErrf("step before begin")
 	}
-	for stepped := 0; stepped < k; stepped++ {
-		if s.done || s.it >= s.maxIter {
-			break
+	a := &opAdapter{p: op}
+	for stepped := 0; stepped < k && !s.done && s.cg.It < s.maxIter; stepped++ {
+		if s.resid > s.tol {
+			if err := s.cg.Step(a); err != nil {
+				if errors.Is(err, linalg.ErrBreakdown) {
+					err = solveErrf("%v", err)
+				}
+				return s.cg.It, s.resid, s.done, err
+			}
+			s.resid = s.cg.Residual()
 		}
-		if s.resid <= s.tol {
-			s.done = true
-			break
-		}
-		out := s.ap
-		if err := op.Apply(s.p, &out); err != nil {
-			return s.it, s.resid, s.done, err
-		}
-		if len(out) == len(s.ap) && (len(out) == 0 || &out[0] == &s.ap[0]) {
-			// in place, nothing to do
-		} else if len(out) == len(s.ap) {
-			copy(s.ap, out)
-		} else {
-			return s.it, s.resid, s.done, solveErrf("apply changed vector length %d -> %d", len(s.ap), len(out))
-		}
-		pap := linalg.DotSerial(s.p, s.ap)
-		if pap == 0 || math.IsNaN(pap) {
-			return s.it, s.resid, s.done, solveErrf("cg breakdown: pᵀAp=%v at iter %d", pap, s.it)
-		}
-		alpha := s.rz / pap
-		linalg.Axpy(alpha, s.p, s.x)
-		linalg.Axpy(-alpha, s.ap, s.r)
-		copy(s.z, s.r) // identity preconditioner
-		rzNew := linalg.DotSerial(s.r, s.z)
-		beta := rzNew / s.rz
-		s.rz = rzNew
-		for i := range s.p {
-			s.p[i] = s.z[i] + beta*s.p[i]
-		}
-		s.it++
-		s.resid = linalg.Norm2(linalg.DotSerial, s.r) / s.bnorm
-		if s.resid <= s.tol {
-			s.done = true
-		}
+		s.done = s.resid <= s.tol
 	}
-	return s.it, s.resid, s.done, nil
+	return s.cg.It, s.resid, s.done, nil
 }
 
 // Solution returns a copy of the current iterate.
 func (s *IterativeSolverComponent) Solution() []float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return append([]float64(nil), s.x...)
+	return append([]float64(nil), s.cg.X...)
 }
 
 // Iterations reports the iterations completed so far.
 func (s *IterativeSolverComponent) Iterations() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.it
+	return s.cg.It
 }
 
 // Residual reports the current relative residual.
@@ -232,20 +175,20 @@ func (s *IterativeSolverComponent) Checkpoint(wr io.Writer) error {
 	if !s.started {
 		return w.Close() // an unstarted solver checkpoints to an empty stream
 	}
-	w.Uint64(ckSecIt, uint64(s.it))
-	w.Float64(ckSecRZ, s.rz)
+	w.Uint64(ckSecIt, uint64(s.cg.It))
+	w.Float64(ckSecRZ, s.cg.RZ)
 	w.Float64(ckSecTol, s.tol)
-	w.Float64(ckSecBNorm, s.bnorm)
+	w.Float64(ckSecBNorm, s.cg.BNorm)
 	var doneBit uint64
 	if s.done {
 		doneBit = 1
 	}
 	w.Uint64(ckSecDone, doneBit)
-	w.Float64s(ckSecB, s.b)
-	w.Float64s(ckSecX, s.x)
-	w.Float64s(ckSecR, s.r)
-	w.Float64s(ckSecZ, s.z)
-	w.Float64s(ckSecP, s.p)
+	w.Float64s(ckSecB, s.cg.B)
+	w.Float64s(ckSecX, s.cg.X)
+	w.Float64s(ckSecR, s.cg.R)
+	w.Float64s(ckSecZ, s.cg.Z)
+	w.Float64s(ckSecP, s.cg.P)
 	return w.Close()
 }
 
@@ -261,43 +204,32 @@ func (s *IterativeSolverComponent) Restore(rd io.Reader) error {
 		s.started, s.done = false, false
 		return nil
 	}
-	read := func(name string) []float64 {
-		if err != nil {
-			return nil
-		}
-		var v []float64
-		v, err = r.Float64s(name)
-		return v
+	it, done := read(&err, r.Uint64, ckSecIt), read(&err, r.Uint64, ckSecDone)
+	tol := read(&err, r.Float64, ckSecTol)
+	cg := linalg.CGState{
+		B: read(&err, r.Float64s, ckSecB), X: read(&err, r.Float64s, ckSecX),
+		R: read(&err, r.Float64s, ckSecR), Z: read(&err, r.Float64s, ckSecZ), P: read(&err, r.Float64s, ckSecP),
+		RZ: read(&err, r.Float64, ckSecRZ), BNorm: read(&err, r.Float64, ckSecBNorm),
 	}
-	var it, doneBit uint64
-	if it, err = r.Uint64(ckSecIt); err != nil {
-		return err
-	}
-	if s.rz, err = r.Float64(ckSecRZ); err != nil {
-		return err
-	}
-	if s.tol, err = r.Float64(ckSecTol); err != nil {
-		return err
-	}
-	if s.bnorm, err = r.Float64(ckSecBNorm); err != nil {
-		return err
-	}
-	if doneBit, err = r.Uint64(ckSecDone); err != nil {
-		return err
-	}
-	s.b, s.x = read(ckSecB), read(ckSecX)
-	s.r, s.z, s.p = read(ckSecR), read(ckSecZ), read(ckSecP)
 	if err != nil {
 		return err
 	}
-	if len(s.x) != len(s.b) || len(s.r) != len(s.b) || len(s.z) != len(s.b) || len(s.p) != len(s.b) {
+	n := len(cg.B)
+	if len(cg.X) != n || len(cg.R) != n || len(cg.Z) != n || len(cg.P) != n {
 		return fmt.Errorf("%w: inconsistent vector lengths", ckpt.ErrFormat)
 	}
-	s.n = len(s.b)
-	s.it = int(it)
-	s.done = doneBit != 0
-	s.started = true
-	s.ap = make([]float64, s.n)
-	s.resid = linalg.Norm2(linalg.DotSerial, s.r) / s.bnorm
+	cg.It = int(it)
+	cg.Resume(linalg.Options{})
+	s.cg, s.tol, s.done, s.started = cg, tol, done != 0, true
+	s.resid = s.cg.Residual()
 	return nil
+}
+
+// read returns f(name) unless an earlier read failed; *err keeps the
+// first failure.
+func read[T any](err *error, f func(string) (T, error), name string) (v T) {
+	if *err == nil {
+		v, *err = f(name)
+	}
+	return v
 }

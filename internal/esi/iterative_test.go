@@ -42,6 +42,9 @@ func stepToConvergence(t *testing.T, s *IterativeSolverComponent) {
 	t.Fatal("step loop never converged")
 }
 
+// TestIterativeStepMatchesBatchSolve: the step-wise component and the
+// one-shot "cg" component run the one linalg CG recurrence, so the same
+// system takes the same iteration count to a bit-identical solution.
 func TestIterativeStepMatchesBatchSolve(t *testing.T) {
 	m := linalg.Poisson2D(16, 16)
 	b := manufactured(t, m)
@@ -70,15 +73,15 @@ func TestIterativeStepMatchesBatchSolve(t *testing.T) {
 	if iter.Residual() > 1e-10 {
 		t.Errorf("residual = %v", iter.Residual())
 	}
-	if it := iter.Iterations(); it == 0 || int32(it) > 2*batchIters+2 {
+	if it := iter.Iterations(); int32(it) != batchIters {
 		t.Errorf("iterations = %d, batch took %d", it, batchIters)
 	}
 	for i := range xi {
 		if math.Abs(xi[i]-1) > 1e-6 {
 			t.Fatalf("x[%d] = %v, want 1", i, xi[i])
 		}
-		if math.Abs(xi[i]-xb[i]) > 1e-8 {
-			t.Fatalf("step x[%d]=%v diverges from batch %v", i, xi[i], xb[i])
+		if math.Float64bits(xi[i]) != math.Float64bits(xb[i]) {
+			t.Fatalf("step x[%d]=%v, batch %v (not bit-identical)", i, xi[i], xb[i])
 		}
 	}
 }
@@ -147,6 +150,19 @@ func TestIterativeBeginRejectsWrongLength(t *testing.T) {
 	var se *SolveError
 	if err := s.Begin([]float64{1, 2, 3}); !errors.As(err, &se) {
 		t.Fatalf("err = %v, want SolveError", err)
+	}
+	// A rejected Begin leaves the solve in progress untouched.
+	if err := s.Begin(manufactured(t, m)); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := s.Step(2); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Begin([]float64{1, 2, 3}); !errors.As(err, &se) {
+		t.Fatalf("err = %v, want SolveError", err)
+	}
+	if it, _, _, err := s.Step(1); err != nil || it != 3 {
+		t.Fatalf("step after rejected begin: it=%d err=%v, want it=3", it, err)
 	}
 }
 

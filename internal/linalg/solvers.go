@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"errors"
 	"fmt"
 	"math"
 )
@@ -37,63 +38,111 @@ type CG struct{}
 // Name implements Solver.
 func (CG) Name() string { return "cg" }
 
-// Solve implements Solver.
+// Solve implements Solver: Begin, then Step until the relative residual
+// reaches opts.Tol or opts.MaxIter steps have run.
 func (CG) Solve(a Operator, b, x []float64, opts Options) (Result, error) {
+	var s CGState
+	if err := s.Begin(a, b, x, opts); err != nil {
+		return Result{}, err
+	}
+	for {
+		res := s.Residual()
+		if res <= s.o.Tol {
+			return Result{Iterations: s.It, Residual: res, Converged: true}, nil
+		}
+		if s.It >= s.o.MaxIter {
+			return Result{Iterations: s.It, Residual: res}, ErrNonConverge
+		}
+		if err := s.Step(a); err != nil {
+			if errors.Is(err, ErrBreakdown) {
+				return Result{Iterations: s.It, Residual: res}, err
+			}
+			return Result{}, err
+		}
+	}
+}
+
+// CGState is one preconditioned conjugate-gradient solve, advanced an
+// iteration at a time: CG.Solve is Begin plus a loop over Step. The
+// exported fields are the whole recurrence, so a step-wise component can
+// checkpoint them, set them back, and continue with Resume and Step.
+type CGState struct {
+	// B and X are the slices given to Begin (not copies); Step updates X.
+	// R, Z and P are the residual, M⁻¹r and the search direction.
+	B, X, R, Z, P []float64
+	// RZ is rᵀz, BNorm is ‖b‖ (1 when b = 0), It counts completed steps.
+	RZ, BNorm float64
+	It        int
+
+	ap []float64
+	o  Options
+}
+
+// Begin starts the recurrence for A x = b from the guess in x:
+// r₀ = b − A·x₀, z₀ = M⁻¹r₀, p₀ = z₀. opts supplies the inner product
+// and the preconditioner; Tol and MaxIter are the caller's to check.
+func (s *CGState) Begin(a Operator, b, x []float64, opts Options) error {
 	n := a.Rows()
 	if len(b) != n || len(x) != n {
-		return Result{}, fmt.Errorf("%w: cg n=%d b=%d x=%d", ErrDim, n, len(b), len(x))
+		return fmt.Errorf("%w: cg n=%d b=%d x=%d", ErrDim, n, len(b), len(x))
 	}
-	o := opts.fill(n)
+	s.o, s.B, s.X, s.It = opts.fill(n), b, x, 0
+	s.R = make([]float64, n)
+	if err := a.Apply(x, s.R); err != nil {
+		return err
+	}
+	for i := range s.R {
+		s.R[i] = b[i] - s.R[i]
+	}
+	s.BNorm = Norm2(s.o.Dot, b)
+	if s.BNorm == 0 {
+		s.BNorm = 1
+	}
+	s.Z = make([]float64, n)
+	if err := s.o.Prec.Solve(s.R, s.Z); err != nil {
+		return err
+	}
+	s.P, s.ap = CopyVec(s.Z), make([]float64, n)
+	s.RZ = s.o.Dot(s.R, s.Z)
+	return nil
+}
 
-	r := make([]float64, n)
-	if err := a.Apply(x, r); err != nil {
-		return Result{}, err
-	}
-	for i := range r {
-		r[i] = b[i] - r[i]
-	}
-	bnorm := Norm2(o.Dot, b)
-	if bnorm == 0 {
-		bnorm = 1
-	}
-	z := make([]float64, n)
-	if err := o.Prec.Solve(r, z); err != nil {
-		return Result{}, err
-	}
-	p := CopyVec(z)
-	ap := make([]float64, n)
-	rz := o.Dot(r, z)
+// Resume readies a state whose exported fields were set directly (from
+// a checkpoint) for Step, with opts' inner product and preconditioner.
+func (s *CGState) Resume(opts Options) {
+	s.o = opts.fill(len(s.B))
+	s.ap = make([]float64, len(s.B))
+}
 
-	for it := 0; it < o.MaxIter; it++ {
-		res := Norm2(o.Dot, r) / bnorm
-		if res <= o.Tol {
-			return Result{Iterations: it, Residual: res, Converged: true}, nil
-		}
-		if err := a.Apply(p, ap); err != nil {
-			return Result{}, err
-		}
-		pap := o.Dot(p, ap)
-		if pap == 0 || math.IsNaN(pap) {
-			return Result{Iterations: it, Residual: res}, fmt.Errorf("%w: cg pᵀAp=%v at iter %d", ErrBreakdown, pap, it)
-		}
-		alpha := rz / pap
-		Axpy(alpha, p, x)
-		Axpy(-alpha, ap, r)
-		if err := o.Prec.Solve(r, z); err != nil {
-			return Result{}, err
-		}
-		rzNew := o.Dot(r, z)
-		beta := rzNew / rz
-		rz = rzNew
-		for i := range p {
-			p[i] = z[i] + beta*p[i]
-		}
+// Residual returns ‖r‖/‖b‖, the relative residual of the current iterate.
+func (s *CGState) Residual() float64 { return Norm2(s.o.Dot, s.R) / s.BNorm }
+
+// Step runs one iteration. A zero or NaN pᵀAp is ErrBreakdown, returned
+// before the state changes.
+func (s *CGState) Step(a Operator) error {
+	p, ap := s.P, s.ap
+	if err := a.Apply(p, ap); err != nil {
+		return err
 	}
-	res := Norm2(o.Dot, r) / bnorm
-	if res <= o.Tol {
-		return Result{Iterations: o.MaxIter, Residual: res, Converged: true}, nil
+	pap := s.o.Dot(p, ap)
+	if pap == 0 || math.IsNaN(pap) {
+		return fmt.Errorf("%w: cg pᵀAp=%v at iter %d", ErrBreakdown, pap, s.It)
 	}
-	return Result{Iterations: o.MaxIter, Residual: res}, ErrNonConverge
+	alpha := s.RZ / pap
+	Axpy(alpha, p, s.X)
+	Axpy(-alpha, ap, s.R)
+	if err := s.o.Prec.Solve(s.R, s.Z); err != nil {
+		return err
+	}
+	rzNew := s.o.Dot(s.R, s.Z)
+	beta := rzNew / s.RZ
+	s.RZ = rzNew
+	z := s.Z
+	for i := range p {
+		p[i] = z[i] + beta*p[i]
+	}
+	s.It++
+	return nil
 }
 
 // BiCGStab is the stabilized bi-conjugate gradient method for general

@@ -298,11 +298,7 @@ func TestVectorKernels(t *testing.T) {
 	if y[0] != 12 || y[2] != 36 {
 		t.Errorf("axpy: %v", y)
 	}
-	w := make([]float64, 3)
-	Waxpby(1, x, -1, y, w)
-	if w[0] != 1-12 {
-		t.Errorf("waxpby: %v", w)
-	}
+	w := []float64{1 - 12, 2 - 24, 3 - 36}
 	Scale(0.5, w)
 	if w[0] != (1-12)/2.0 {
 		t.Errorf("scale: %v", w)
@@ -312,5 +308,124 @@ func TestVectorKernels(t *testing.T) {
 	}
 	if n := Norm2(DotSerial, []float64{3, 4}); n != 5 {
 		t.Errorf("norm = %v", n)
+	}
+}
+
+// TestCGStateStepsAreSolve drives Begin and Step by hand with a counting
+// inner product and a Jacobi preconditioner: the iterate must be
+// bit-identical to CG.Solve's, with the same Result, and Solve must make
+// exactly 3 + 3·iters inner products — ‖b‖ and r₀ᵀz₀ in Begin, then
+// ‖r‖, pᵀAp and rᵀz per iteration, and the final ‖r‖ that converges.
+// Each inner product is one allreduce in an SPMD solve, so this pins
+// mpi.allreduce_calls_per_step at the unit-test tier.
+func TestCGStateStepsAreSolve(t *testing.T) {
+	a := Poisson2D(96, 96) // 9216 rows: above VecGrain, so DotPar splits
+	b := make([]float64, a.NRows)
+	for i := range b {
+		b[i] = math.Sin(0.37 * float64(i))
+	}
+	prec, err := NewJacobi(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls := 0
+	dot := func(u, v []float64) float64 { calls++; return DotPar(u, v) }
+	opts := Options{Tol: 1e-9, Dot: dot, Prec: prec}
+
+	xs := make([]float64, a.NRows)
+	want, err := CG{}.Solve(a, b, xs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if calls != 3+3*want.Iterations {
+		t.Errorf("Solve made %d inner products in %d iterations, want %d", calls, want.Iterations, 3+3*want.Iterations)
+	}
+
+	var s CGState
+	xt := make([]float64, a.NRows)
+	if err := s.Begin(a, b, xt, opts); err != nil {
+		t.Fatal(err)
+	}
+	res := s.Residual()
+	for res > opts.Tol {
+		if err := s.Step(a); err != nil {
+			t.Fatal(err)
+		}
+		res = s.Residual()
+	}
+	got := Result{Iterations: s.It, Residual: res, Converged: true}
+	if got != want {
+		t.Errorf("stepped %+v, Solve %+v", got, want)
+	}
+	for i := range xs {
+		if math.Float64bits(xs[i]) != math.Float64bits(xt[i]) {
+			t.Fatalf("x[%d]: stepped %v, Solve %v (not bit-identical)", i, xt[i], xs[i])
+		}
+	}
+}
+
+// TestCGStateResumeFromFields continues a solve from a state rebuilt out
+// of the exported fields alone, as a checkpoint restore does, and must
+// land on the uninterrupted iterate bit for bit.
+func TestCGStateResumeFromFields(t *testing.T) {
+	a := Poisson2D(12, 12)
+	b := manufactured(t, a)
+	run := func(s *CGState) {
+		for s.Residual() > 1e-10 {
+			if err := s.Step(a); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	var ref CGState
+	if err := ref.Begin(a, b, make([]float64, a.NRows), Options{}); err != nil {
+		t.Fatal(err)
+	}
+	run(&ref)
+
+	var first CGState
+	if err := first.Begin(a, b, make([]float64, a.NRows), Options{}); err != nil {
+		t.Fatal(err)
+	}
+	for range 5 {
+		if err := first.Step(a); err != nil {
+			t.Fatal(err)
+		}
+	}
+	second := CGState{
+		B: CopyVec(first.B), X: CopyVec(first.X), R: CopyVec(first.R),
+		Z: CopyVec(first.Z), P: CopyVec(first.P),
+		RZ: first.RZ, BNorm: first.BNorm, It: first.It,
+	}
+	second.Resume(Options{})
+	run(&second)
+	if second.It != ref.It {
+		t.Errorf("resumed took %d iterations, uninterrupted %d", second.It, ref.It)
+	}
+	for i := range ref.X {
+		if math.Float64bits(ref.X[i]) != math.Float64bits(second.X[i]) {
+			t.Fatalf("x[%d]: resumed %v, uninterrupted %v", i, second.X[i], ref.X[i])
+		}
+	}
+}
+
+// TestCGStateBreakdownLeavesState: a zero pᵀAp is ErrBreakdown and the
+// iterate and counter are untouched; Solve reports the residual it
+// broke down at.
+func TestCGStateBreakdownLeavesState(t *testing.T) {
+	a := &CSR{NRows: 2, NCols: 2, RowPtr: []int{0, 0, 0}} // A = 0
+	var s CGState
+	if err := s.Begin(a, []float64{1, 2}, []float64{0, 0}, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Step(a); !errors.Is(err, ErrBreakdown) {
+		t.Fatalf("step on A = 0: %v, want ErrBreakdown", err)
+	}
+	if s.It != 0 || s.X[0] != 0 || s.X[1] != 0 {
+		t.Errorf("breakdown changed the state: it=%d x=%v", s.It, s.X)
+	}
+	res, err := (CG{}).Solve(a, []float64{1, 2}, []float64{0, 0}, Options{})
+	if !errors.Is(err, ErrBreakdown) || res != (Result{Iterations: 0, Residual: 1}) {
+		t.Errorf("Solve on A = 0: %+v, %v; want 0 iterations at residual 1, ErrBreakdown", res, err)
 	}
 }

@@ -90,16 +90,6 @@ func Scale(alpha float64, v []float64) {
 	})
 }
 
-// Waxpby computes w = alpha*x + beta*y elementwise (parallel over chunks,
-// elementwise exact).
-func Waxpby(alpha float64, x []float64, beta float64, y, w []float64) {
-	par.For(len(w), VecGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			w[i] = alpha*x[i] + beta*y[i]
-		}
-	})
-}
-
 // CopyVec copies src into a fresh slice.
 func CopyVec(src []float64) []float64 { return append([]float64(nil), src...) }
 

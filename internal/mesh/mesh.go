@@ -9,7 +9,6 @@ package mesh
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 )
 
@@ -27,8 +26,6 @@ type Mesh struct {
 
 	// nodeAdj[i] lists the nodes sharing an edge with node i (sorted).
 	nodeAdj [][]int
-	// nodeCells[i] lists the cells touching node i.
-	nodeCells [][]int
 }
 
 // New validates and indexes a mesh.
@@ -51,8 +48,7 @@ func New(coords [][2]float64, cells [][]int) (*Mesh, error) {
 func (m *Mesh) buildAdjacency() {
 	n := len(m.Coords)
 	adjSet := make([]map[int]struct{}, n)
-	m.nodeCells = make([][]int, n)
-	for ci, cell := range m.Cells {
+	for _, cell := range m.Cells {
 		k := len(cell)
 		for i, a := range cell {
 			b := cell[(i+1)%k]
@@ -64,7 +60,6 @@ func (m *Mesh) buildAdjacency() {
 			}
 			adjSet[a][b] = struct{}{}
 			adjSet[b][a] = struct{}{}
-			m.nodeCells[a] = append(m.nodeCells[a], ci)
 		}
 	}
 	m.nodeAdj = make([][]int, n)
@@ -84,9 +79,6 @@ func (m *Mesh) NumCells() int { return len(m.Cells) }
 
 // NodeNeighbors returns the edge-adjacent nodes of node i (sorted, shared).
 func (m *Mesh) NodeNeighbors(i int) []int { return m.nodeAdj[i] }
-
-// NodeCells returns the cells incident on node i (shared).
-func (m *Mesh) NodeCells(i int) []int { return m.nodeCells[i] }
 
 // CellCentroid returns the centroid of cell ci.
 func (m *Mesh) CellCentroid(ci int) [2]float64 {
@@ -206,21 +198,4 @@ func (m *Mesh) GraphLaplacianEntries() []Entry {
 		out = append(out, Entry{i, i, float64(deg)})
 	}
 	return out
-}
-
-// MinMaxCoords returns the bounding box of the node coordinates.
-func (m *Mesh) MinMaxCoords() (min, max [2]float64) {
-	min = [2]float64{math.Inf(1), math.Inf(1)}
-	max = [2]float64{math.Inf(-1), math.Inf(-1)}
-	for _, c := range m.Coords {
-		for d := 0; d < 2; d++ {
-			if c[d] < min[d] {
-				min[d] = c[d]
-			}
-			if c[d] > max[d] {
-				max[d] = c[d]
-			}
-		}
-	}
-	return min, max
 }

@@ -28,7 +28,3 @@ var wallBase = time.Now().UnixNano() - nanotime()
 // to line up with each other; not a substitute for time.Now where absolute
 // accuracy matters.
 func MonoToWall(mono int64) int64 { return wallBase + mono }
-
-// WallNow is MonoToWall(Nanotime()): a current wall-clock estimate at
-// roughly half the cost of time.Now where no vDSO fast path exists.
-func WallNow() int64 { return wallBase + nanotime() }

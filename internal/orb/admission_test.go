@@ -1,9 +1,8 @@
 package orb
 
 // Tests for the serving-tier hardening: graceful drain on Close, typed
-// retryable overload shedding on queue depth, the supervised
-// client's backoff-without-redial on overload, and the sharded listener
-// group with its rendezvous dial.
+// retryable overload shedding on queue depth, and the supervised
+// client's backoff-without-redial on overload.
 
 import (
 	"errors"
@@ -240,58 +239,5 @@ func TestSupervisedBacksOffOnOverload(t *testing.T) {
 	}
 	if got := after["orb.server.shed.queue_full"] - before["orb.server.shed.queue_full"]; got == 0 {
 		t.Fatal("server shed counter did not grow")
-	}
-}
-
-// TestPickShardSpread checks the rendezvous dial spreads successive picks
-// over the whole shard list and passes single addresses through.
-func TestPickShardSpread(t *testing.T) {
-	if got := PickShard("tcp://one:1"); got != "tcp://one:1" {
-		t.Fatalf("single address rewritten to %q", got)
-	}
-	counts := map[string]int{}
-	for i := 0; i < 300; i++ {
-		counts[PickShard("a,b,c")]++
-	}
-	if len(counts) != 3 {
-		t.Fatalf("picks landed on %d shards, want 3: %v", len(counts), counts)
-	}
-	for shard, n := range counts {
-		if n < 30 { // uniform would be 100; catch gross skew only
-			t.Fatalf("shard %q picked %d of 300", shard, n)
-		}
-	}
-}
-
-// TestServeShards runs a sharded listener group end to end: N listeners,
-// a comma-joined address, and rendezvous dials that all reach a working
-// servant.
-func TestServeShards(t *testing.T) {
-	oa := NewObjectAdapter()
-	if err := oa.Register("calc", calcInfo(t), calcImpl{}); err != nil {
-		t.Fatal(err)
-	}
-	pool, err := ServeShards(oa, "tcp://127.0.0.1:0", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pool.Close()
-	addr := pool.Addr()
-	if got := len(strings.Split(addr, ",")); got != 3 {
-		t.Fatalf("pool addr %q does not list 3 shards", addr)
-	}
-	for i := 0; i < 12; i++ {
-		c, err := DialAddr(addr)
-		if err != nil {
-			t.Fatalf("dial %d: %v", i, err)
-		}
-		res, err := c.Invoke("calc", "add", 2.0, float64(i))
-		c.Close()
-		if err != nil {
-			t.Fatalf("invoke %d: %v", i, err)
-		}
-		if res[0].(float64) != float64(2+i) {
-			t.Fatalf("add = %v", res)
-		}
 	}
 }

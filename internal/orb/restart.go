@@ -21,9 +21,8 @@ const (
 // repairing the assembly rather than only reporting on it.
 type RestartPolicy struct {
 	// Relaunch starts (or locates) a replacement servant and returns the
-	// address to redial — a single address or a comma-separated shard
-	// list, which the supervisor resolves by the same rendezvous hash
-	// DialAddr uses. attempt counts restarts within one outage, from 1.
+	// one address to redial on the supervisor's transport. attempt counts
+	// restarts within one outage, from 1.
 	Relaunch func(attempt int) (addr string, err error)
 	// Checkpoint returns the latest checkpoint to replay through
 	// RestoreKey after the redial succeeds. Nil (or a nil return) skips
@@ -95,7 +94,6 @@ func (s *Supervised) tryRestart() (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("orb: relaunch attempt %d: %w", attempt, err)
 	}
-	addr = PickShard(addr)
 	c, err := DialClient(s.tr, addr)
 	if err != nil {
 		return nil, fmt.Errorf("orb: redial after relaunch: %w", err)

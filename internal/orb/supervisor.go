@@ -506,26 +506,6 @@ func (s *Supervised) sleepCtx(ctx context.Context, d time.Duration) bool {
 	}
 }
 
-// InvokeOneway performs a supervised fire-and-forget call. Oneways are
-// never retried (their contract is at-most-once, best effort); a
-// connection-level failure tears the connection down for the supervisor to
-// heal and is reported to the caller.
-func (s *Supervised) InvokeOneway(key, method string, args ...any) error {
-	c, g, err := s.acquire(context.Background(), false)
-	if err != nil {
-		return err
-	}
-	if err := c.InvokeOneway(key, method, args...); err != nil {
-		if Classify(err) == ClassRetryable {
-			s.dropClient(c, g, err)
-			return classed(ClassRetryable, err)
-		}
-		return classed(ClassFatal, err)
-	}
-	s.lastSend.Store(time.Now().UnixNano())
-	return nil
-}
-
 // heartbeatLoop probes the connection with a oneway ping whenever it has
 // been idle for a full Heartbeat interval. The ping carries correlation
 // ID 0 and no reply; detection works because writing is the one operation

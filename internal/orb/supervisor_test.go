@@ -377,24 +377,3 @@ func TestClassify(t *testing.T) {
 		t.Error("CallError does not unwrap to its cause")
 	}
 }
-
-func TestSupervisedOnewayNotRetried(t *testing.T) {
-	tr := &transport.InProc{}
-	stop, _ := calcServer(t, tr, "sup-oneway")
-	opts, states := fastOpts()
-	s, err := DialSupervised(tr, "sup-oneway", opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	// A live connection accepts the oneway (server drops unknown-key
-	// oneways silently — the same path the heartbeat ping uses).
-	if err := s.InvokeOneway("calc", "observe", 1.0); err != nil {
-		t.Fatalf("oneway on live conn: %v", err)
-	}
-	stop()
-	waitState(t, states, StateDegraded)
-	if err := s.InvokeOneway("calc", "observe", 2.0); err == nil {
-		t.Error("oneway with dead server succeeded")
-	}
-}

@@ -48,7 +48,7 @@ type Client struct {
 }
 
 // DialService connects to a served repository at a scheme-qualified
-// address (tcp://host:port, shm:///dir, or a comma-separated shard list).
+// address (tcp://host:port or shm:///dir).
 func DialService(addr string) (*Client, error) {
 	c, err := orb.DialAddr(addr)
 	if err != nil {

@@ -122,8 +122,6 @@ var (
 	protoI32Slice any = []int32(nil)
 	protoBytes    any = []byte(nil)
 
-	boxTrue  any = true
-	boxFalse any = false
 	emptyStr any = ""
 )
 
@@ -131,14 +129,6 @@ func box(proto any, data unsafe.Pointer) any {
 	a := proto
 	(*eface)(unsafe.Pointer(&a)).data = data
 	return a
-}
-
-// AnyBool boxes a bool (statically — booleans never allocate).
-func (a *Arena) AnyBool(v bool) any {
-	if v {
-		return boxTrue
-	}
-	return boxFalse
 }
 
 // AnyFloat64 boxes v in slab storage.

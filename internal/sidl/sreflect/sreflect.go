@@ -306,8 +306,8 @@ type Object struct {
 	// construction per call, which dominates hot dispatch paths.
 	meths map[string]reflect.Value
 	// funcs caches each bound method extracted as a plain func value, so
-	// Call can monomorphize common signatures (see fastCall) instead of
-	// paying reflect.Value.Call's per-invocation frame allocation.
+	// CallSink can monomorphize common signatures instead of paying
+	// reflect.Value.Call's per-invocation frame allocation.
 	funcs map[string]any
 }
 
@@ -316,7 +316,7 @@ type Object struct {
 // equivalent of Babel's generated IOR skeletons in the CCA toolchain,
 // with reflection as the fallback for everything unbound. BindSkeleton
 // is called once, at NewObject time; each fn must have one of the
-// fastCall signatures and replaces the reflect method value for that
+// CallSink signatures and replaces the reflect method value for that
 // SIDL method in both Call and CallSink dispatch. The difference is not
 // just speed: a reflect-made method value allocates a receiver frame on
 // every invocation, so a servant that wants the ORB's zero-allocation
@@ -365,12 +365,16 @@ type ResultSink interface {
 	ResultString(string)
 }
 
-// CallSink invokes a method by SIDL name, delivering results directly to
-// sink. It handles exactly the monomorphic signatures fastCall does —
-// handled reports whether the call ran; when it is false nothing was
-// invoked and the caller should fall back to Call. A handled call with
-// these signatures cannot fail, so err is reserved for future error-
-// returning fast paths.
+// CallSink invokes a method by SIDL name through a direct typed call when
+// its Go signature is one of the common scalar/array shapes of SIDL
+// interfaces — a monomorphic thunk, skipping reflect.Value.Call and its
+// per-invocation argument frame — delivering results directly to sink.
+// A shape is taken only when every argument matches the formal type
+// exactly, so the reflect path's conversion and inout conventions are
+// unaffected. handled reports whether the call ran; when it is false
+// nothing was invoked and the caller should fall back to Call. A handled
+// call with these signatures cannot fail, so err is reserved for future
+// error-returning fast paths.
 func (o *Object) CallSink(method string, args []any, sink ResultSink) (handled bool, err error) {
 	f, ok := o.funcs[method]
 	if !ok {
@@ -450,10 +454,9 @@ func (o *Object) Call(method string, args ...any) ([]any, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s.%s", ErrNoMethod, o.Info.QName, method)
 	}
-	if f, ok := o.funcs[method]; ok {
-		if out, handled, err := fastCall(f, args); handled {
-			return out, err
-		}
+	sink := &anySink{}
+	if handled, err := o.CallSink(method, args, sink); handled {
+		return sink.out, err
 	}
 	if mv, ok := o.meths[method]; ok {
 		return invokeMethod(mv, m, args)
@@ -461,72 +464,16 @@ func (o *Object) Call(method string, args ...any) ([]any, error) {
 	return Invoke(o.Impl, m, args...)
 }
 
-// fastCall dispatches methods whose Go signature matches one of the common
-// scalar/array shapes of SIDL interfaces through a direct typed call —
-// a monomorphic thunk, skipping reflect.Value.Call and its per-invocation
-// argument frame. Signatures outside the set report handled == false and
-// take the generic reflect path; a fast path is only taken when every
-// argument matches the formal type exactly, so the reflect path's
-// conversion and inout conventions are unaffected.
-func fastCall(f any, args []any) (out []any, handled bool, err error) {
-	switch fn := f.(type) {
-	case func():
-		if len(args) == 0 {
-			fn()
-			return nil, true, nil
-		}
-	case func() float64:
-		if len(args) == 0 {
-			return []any{fn()}, true, nil
-		}
-	case func(float64) float64:
-		if len(args) == 1 {
-			if a, ok := args[0].(float64); ok {
-				return []any{fn(a)}, true, nil
-			}
-		}
-	case func(float64, float64) float64:
-		if len(args) == 2 {
-			a, ok1 := args[0].(float64)
-			b, ok2 := args[1].(float64)
-			if ok1 && ok2 {
-				return []any{fn(a, b)}, true, nil
-			}
-		}
-	case func([]float64) float64:
-		if len(args) == 1 {
-			if xs, ok := args[0].([]float64); ok {
-				return []any{fn(xs)}, true, nil
-			}
-		}
-	case func([]float64):
-		if len(args) == 1 {
-			if xs, ok := args[0].([]float64); ok {
-				fn(xs)
-				return nil, true, nil
-			}
-		}
-	case func(int32, []float64):
-		if len(args) == 2 {
-			a, ok1 := args[0].(int32)
-			xs, ok2 := args[1].([]float64)
-			if ok1 && ok2 {
-				fn(a, xs)
-				return nil, true, nil
-			}
-		}
-	case func(string) string:
-		if len(args) == 1 {
-			if s, ok := args[0].(string); ok {
-				return []any{fn(s)}, true, nil
-			}
-		}
-	case func(int32) int32:
-		if len(args) == 1 {
-			if a, ok := args[0].(int32); ok {
-				return []any{fn(a)}, true, nil
-			}
-		}
-	}
-	return nil, false, nil
+// anySink boxes CallSink's results into the slice Call returns. Every
+// CallSink shape has at most one result, so the slice lives in buf and
+// the sink replaces the one-element []any a boxed call would allocate;
+// a call with no results leaves out nil.
+type anySink struct {
+	buf [1]any
+	out []any
 }
+
+func (s *anySink) add(v any)               { s.out = append(s.buf[:len(s.out):1], v) }
+func (s *anySink) ResultFloat64(v float64) { s.add(v) }
+func (s *anySink) ResultInt32(v int32)     { s.add(v) }
+func (s *anySink) ResultString(v string)   { s.add(v) }

@@ -239,3 +239,95 @@ func TestInvokeNilInoutGetsFreshPointer(t *testing.T) {
 		t.Errorf("pointee = %v", got)
 	}
 }
+
+// shapes implements one method per CallSink shape.
+type shapes struct{ last []float64 }
+
+func (s *shapes) Scale(xs []float64)         { s.last = xs }
+func (s *shapes) Twice(x float64) float64    { return 2 * x }
+func (s *shapes) Succ(n int32) int32         { return n + 1 }
+func (s *shapes) Shout(m string) string      { return m + "!" }
+func (s *shapes) Sum(a, b float64) float64   { return a + b }
+func (s *shapes) Total(xs []float64) float64 { return xs[0] + xs[1] }
+func (s *shapes) Fill(n int32, xs []float64) { xs[0] = float64(n) }
+func (s *shapes) Nothing()                   {}
+func (s *shapes) Pi() float64                { return 3.5 }
+
+// TestCallBoxesCallSinkResults pins Call over CallSink's shapes: each
+// result comes back boxed, a call with no results returns nil, and a
+// shape CallSink does not take exactly (an int32 for a double) falls
+// back to reflection, which converts it. A boxed call allocates the
+// result slice, the boxed value and the frame of the reflect-made method
+// value (a servant without a Skeleton), no more.
+func TestCallBoxesCallSinkResults(t *testing.T) {
+	f, err := sidl.Parse(`package t {
+  interface S {
+    void scale(in array<double,1> xs);
+    double twice(in double x);
+    int succ(in int n);
+    string shout(in string m);
+    double sum(in double a, in double b);
+    double total(in array<double,1> xs);
+    void fill(in int n, in array<double,1> xs);
+    void nothing();
+    double pi();
+  }
+}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := sidl.Resolve(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewRegistry()
+	r.RegisterTable(tbl)
+	info, _ := r.Lookup("t.S")
+	impl := &shapes{}
+	obj, err := NewObject(info, impl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	xs := []float64{1, 2}
+	cases := []struct {
+		method string
+		args   []any
+		want   any // nil: no results
+	}{
+		{"scale", []any{xs}, nil},
+		{"twice", []any{1.5}, 3.0},
+		{"succ", []any{int32(4)}, int32(5)},
+		{"shout", []any{"hi"}, "hi!"},
+		{"sum", []any{1.0, 2.0}, 3.0},
+		{"total", []any{xs}, 3.0},
+		{"fill", []any{int32(9), xs}, nil},
+		{"nothing", nil, nil},
+		{"pi", nil, 3.5},
+		{"twice", []any{int32(2)}, 4.0},
+	}
+	for _, c := range cases {
+		res, err := obj.Call(c.method, c.args...)
+		if err != nil {
+			t.Fatalf("%s: %v", c.method, err)
+		}
+		if c.want == nil {
+			if res != nil {
+				t.Errorf("%s returned %v, want nil", c.method, res)
+			}
+		} else if len(res) != 1 || res[0] != c.want {
+			t.Errorf("%s(%v) = %v, want [%v]", c.method, c.args, res, c.want)
+		}
+	}
+	if xs[0] != 9 || &impl.last[0] != &xs[0] {
+		t.Errorf("void shapes did not run: xs=%v", xs)
+	}
+	args := []any{1.25, 2.5}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := obj.Call("sum", args...); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 3 {
+		t.Errorf("Call(sum) = %v allocs, want ≤ 3 (result slice, boxed value, method-value frame)", allocs)
+	}
+}

@@ -8,10 +8,6 @@ import "unsafe"
 // OS saving X/Y register state across context switches (XCR0 bits 1-2).
 var useAVX2 = hasAVX2()
 
-// HasAVX2 reports whether the assembler kernels are active in this
-// process.
-func HasAVX2() bool { return useAVX2 }
-
 // Backend names the active kernel implementation, for bench row labels.
 func Backend() string {
 	if useAVX2 {

@@ -2,10 +2,6 @@
 
 package simd
 
-// HasAVX2 reports whether the assembler kernels are active: never, on a
-// noasm or non-amd64 build.
-func HasAVX2() bool { return false }
-
 // Backend names the active kernel implementation, for bench row labels.
 func Backend() string { return "go" }
 
