@@ -588,15 +588,18 @@ func buildBenchPipeline(comm *mpi.Comm, m *mesh.Mesh, p int) (hydro.FlowPort, er
 }
 
 // monolith replicates the FlowComponent's semi-implicit diffusion step with
-// zero CCA machinery: the baseline quantifying what port wiring costs.
+// zero CCA machinery: the baseline quantifying what port wiring costs. It
+// runs the same exported sweep and keeps the same per-step vectors.
 type monolith struct {
 	comm     *mpi.Comm
 	dec      *mesh.Decomposition
 	op       *mesh.DistOperator
 	prec     linalg.Preconditioner
+	upwind   *hydro.Upwind
 	u        []float64
 	source   []float64
-	boundary map[int]bool
+	ustar, x []float64
+	cg       linalg.CGState
 }
 
 func newMonolith(comm *mpi.Comm, m *mesh.Mesh, p int) (*monolith, error) {
@@ -644,7 +647,11 @@ func newMonolith(comm *mpi.Comm, m *mesh.Mesh, p int) (*monolith, error) {
 			src[li] = benchSource(c[0], c[1])
 		}
 	}
-	mo := &monolith{comm: comm, dec: dec, op: op, prec: prec, u: u, boundary: boundary, source: src}
+	mo := &monolith{
+		comm: comm, dec: dec, op: op, prec: prec, u: u, source: src,
+		upwind: hydro.NewUpwind(dec, boundary, [2]float64{}),
+		ustar:  make([]float64, dec.NumOwned()), x: make([]float64, dec.NumOwned()),
+	}
 	return mo, dec.Exchange(comm, u)
 }
 
@@ -659,53 +666,34 @@ func benchSource(x, y float64) float64 {
 // (zero-velocity) advection sweep, the implicit solve, and the four-way
 // stats reduction — with no CCA machinery, isolating port-wiring overhead.
 func (mo *monolith) step(dt float64) error {
-	m := mo.dec.M
 	n := mo.dec.NumOwned()
 	if err := mo.dec.Exchange(mo.comm, mo.u); err != nil {
 		return err
 	}
-	ustar := make([]float64, n)
-	for li, g := range mo.dec.Owned {
-		if mo.boundary[g] {
-			ustar[li] = mo.u[li]
-			continue
-		}
-		ui := mo.u[li]
-		acc, rate := 0.0, 0.0
-		for _, j := range m.NodeNeighbors(g) {
-			e := [2]float64{m.Coords[j][0] - m.Coords[g][0], m.Coords[j][1] - m.Coords[g][1]}
-			h2 := e[0]*e[0] + e[1]*e[1]
-			if h2 == 0 {
-				continue
-			}
-			c := -(0*e[0] + 0*e[1]) / h2
-			if c > 0 {
-				lj := mo.dec.LocalIndex(j)
-				acc += c * (mo.u[lj] - ui)
-				rate += c
-			}
-		}
-		_ = rate
-		ustar[li] = ui + dt*acc + dt*mo.source[li]
+	if err := mo.upwind.Sweep(dt, mo.u, mo.source, mo.ustar); err != nil {
+		return err
 	}
-	x := make([]float64, n)
-	copy(x, mo.u[:n])
+	copy(mo.x, mo.u[:n])
 	dot, dotErr := mesh.GlobalDot(mo.comm)
-	_, err := (linalg.CG{}).Solve(mo.op, ustar, x, linalg.Options{
+	_, err := mo.cg.Solve(mo.op, mo.ustar, mo.x, linalg.Options{
 		Tol: 1e-8, Dot: dot, Prec: mo.prec,
 	})
 	if err != nil {
 		return cmp.Or(dotErr(), err)
 	}
-	copy(mo.u[:n], x)
+	copy(mo.u[:n], mo.x)
 	if err := mo.dec.Exchange(mo.comm, mo.u); err != nil {
 		return err
 	}
 	// Stats reduction, as FlowComponent does after every step.
 	lmin, lmax, lsum, lsq := math.Inf(1), math.Inf(-1), 0.0, 0.0
 	for _, v := range mo.u[:n] {
-		lmin = math.Min(lmin, v)
-		lmax = math.Max(lmax, v)
+		if v < lmin {
+			lmin = v
+		}
+		if v > lmax {
+			lmax = v
+		}
 		lsum += v
 		lsq += v * v
 	}

@@ -162,10 +162,16 @@ type FlowComponent struct {
 
 	dec      *mesh.Decomposition
 	boundary map[int]bool
+	upwind   *Upwind
 	u        []float64 // owned+ghost field
 	source   []float64 // per-owned-node steady source (nil when unused)
 	time     float64
 	step     int
+
+	// Per-step vectors, kept so a step allocates none: the advected
+	// field, the solve's iterate, and the CG recurrence's own vectors.
+	ustar, x []float64
+	cg       linalg.CGState
 
 	// cached semi-implicit operator per dt value
 	cachedDT float64
@@ -234,6 +240,9 @@ func (fc *FlowComponent) init() error {
 	for _, n := range m.BoundaryNodes() {
 		fc.boundary[n] = true
 	}
+	fc.upwind = NewUpwind(fc.dec, fc.boundary, fc.cfg.Vel)
+	fc.ustar = make([]float64, fc.dec.NumOwned())
+	fc.x = make([]float64, fc.dec.NumOwned())
 	ic := fc.cfg.InitialCondition
 	if ic == nil {
 		ic = func(x, y float64) float64 {
@@ -327,56 +336,20 @@ func (fc *FlowComponent) Step(dt float64) (Stats, error) {
 	if err := fc.ensureOperator(dt); err != nil {
 		return Stats{}, err
 	}
-	m := fc.dec.M
 	nOwned := fc.dec.NumOwned()
 
 	// Explicit advection: ghost refresh, then edge-upwind update.
 	if err := fc.dec.Exchange(fc.comm, fc.u); err != nil {
 		return Stats{}, err
 	}
-	ustar := make([]float64, nOwned)
-	v := fc.cfg.Vel
-	for li, g := range fc.dec.Owned {
-		if fc.boundary[g] {
-			continue
-		}
-		ui := fc.u[li]
-		acc := 0.0
-		rate := 0.0
-		for _, j := range m.NodeNeighbors(g) {
-			e := [2]float64{m.Coords[j][0] - m.Coords[g][0], m.Coords[j][1] - m.Coords[g][1]}
-			h2 := e[0]*e[0] + e[1]*e[1]
-			if h2 == 0 {
-				continue
-			}
-			// Inflow from neighbour j when the velocity points j -> g.
-			c := -(v[0]*e[0] + v[1]*e[1]) / h2
-			if c > 0 {
-				lj := fc.dec.LocalIndex(j)
-				acc += c * (fc.u[lj] - ui)
-				rate += c
-			}
-		}
-		if dt*rate > 1 {
-			return Stats{}, fmt.Errorf("%w: advection CFL violated at node %d (dt·rate=%.3f)", ErrHydro, g, dt*rate)
-		}
-		ustar[li] = ui + dt*acc
-		if fc.source != nil {
-			ustar[li] += dt * fc.source[li]
-		}
-	}
-	// Boundary values stay pinned at their Dirichlet value.
-	for li, g := range fc.dec.Owned {
-		if fc.boundary[g] {
-			ustar[li] = fc.u[li]
-		}
+	if err := fc.upwind.Sweep(dt, fc.u, fc.source, fc.ustar); err != nil {
+		return Stats{}, err
 	}
 
 	// Implicit diffusion: (I + dt ν L) u' = u*.
-	x := make([]float64, nOwned)
-	copy(x, fc.u[:nOwned]) // warm start from previous field
+	copy(fc.x, fc.u[:nOwned]) // warm start from previous field
 	dot, dotErr := mesh.GlobalDot(fc.comm)
-	res, err := (linalg.CG{}).Solve(fc.op, ustar, x, linalg.Options{
+	res, err := fc.cg.Solve(fc.op, fc.ustar, fc.x, linalg.Options{
 		Tol:  fc.cfg.Tol,
 		Dot:  dot,
 		Prec: fc.prec,
@@ -384,7 +357,7 @@ func (fc *FlowComponent) Step(dt float64) (Stats, error) {
 	if err != nil {
 		return Stats{}, fmt.Errorf("hydro: diffusion solve: %w", cmp.Or(dotErr(), err))
 	}
-	copy(fc.u[:nOwned], x)
+	copy(fc.u[:nOwned], fc.x)
 	if err := fc.dec.Exchange(fc.comm, fc.u); err != nil {
 		return Stats{}, err
 	}
@@ -407,6 +380,91 @@ func (fc *FlowComponent) Step(dt float64) (Stats, error) {
 		}
 	}
 	return stats, nil
+}
+
+// Upwind is the explicit edge-upwind advection step over one rank's owned
+// nodes, with its stencil built once: per owned node the boundary flag,
+// the local indices and coefficients of its inflow neighbours, and its
+// CFL rate. Sweep then does no map lookup and no geometry.
+type Upwind struct {
+	owned  []int  // global id of each owned node, for the CFL error
+	pinned []bool // boundary node: held at its Dirichlet value
+	// The inflow neighbours of owned node li are nbr[start[li]:start[li+1]]
+	// (local indices), with upwind coefficients coef[start[li]:start[li+1]].
+	start []int
+	nbr   []int
+	coef  []float64
+	rate  []float64 // per owned node, the sum of its coefficients
+}
+
+// NewUpwind builds the stencil of dec's owned nodes for the constant
+// velocity vel; boundary holds the global ids of the Dirichlet nodes.
+// Neighbour j is inflow to node g when vel points from j to g, with
+// coefficient c = −vel·(x_j − x_g)/|x_j − x_g|² > 0. Every neighbour of
+// an owned node is owned or a ghost, so each has a local index.
+func NewUpwind(dec *mesh.Decomposition, boundary map[int]bool, vel [2]float64) *Upwind {
+	m, n := dec.M, dec.NumOwned()
+	w := &Upwind{
+		owned:  dec.Owned,
+		pinned: make([]bool, n),
+		start:  make([]int, 1, n+1),
+		rate:   make([]float64, n),
+	}
+	for li, g := range dec.Owned {
+		if boundary[g] {
+			w.pinned[li] = true
+			w.start = append(w.start, len(w.nbr))
+			continue
+		}
+		rate := 0.0
+		for _, j := range m.NodeNeighbors(g) {
+			e := [2]float64{m.Coords[j][0] - m.Coords[g][0], m.Coords[j][1] - m.Coords[g][1]}
+			h2 := e[0]*e[0] + e[1]*e[1]
+			if h2 == 0 {
+				continue
+			}
+			c := -(vel[0]*e[0] + vel[1]*e[1]) / h2
+			if c <= 0 {
+				continue
+			}
+			w.nbr = append(w.nbr, dec.LocalIndex(j))
+			w.coef = append(w.coef, c)
+			rate += c
+		}
+		w.rate[li] = rate
+		w.start = append(w.start, len(w.nbr))
+	}
+	return w
+}
+
+// Sweep writes the advected owned field into ustar (length NumOwned) from
+// u (owned values, then ghosts already refreshed): u_i + dt·Σ c·(u_j − u_i)
+// over the inflow neighbours, plus dt·source_i when source is non-nil, on
+// interior nodes, and u_i on boundary nodes. An interior node whose
+// dt·rate exceeds 1 breaks the CFL bound; Sweep returns ErrHydro naming
+// the first such node in owned order.
+func (w *Upwind) Sweep(dt float64, u, source, ustar []float64) error {
+	for li, pinned := range w.pinned {
+		ui := u[li]
+		if pinned {
+			ustar[li] = ui
+			continue
+		}
+		acc := 0.0
+		lo, hi := w.start[li], w.start[li+1]
+		coef := w.coef[lo:hi]
+		for k, j := range w.nbr[lo:hi] {
+			acc += coef[k] * (u[j] - ui)
+		}
+		if rate := w.rate[li]; dt*rate > 1 {
+			return fmt.Errorf("%w: advection CFL violated at node %d (dt·rate=%.3f)", ErrHydro, w.owned[li], dt*rate)
+		}
+		ustar[li] = ui + dt*acc
+		if source != nil {
+			ustar[li] += dt * source[li]
+		}
+	}
+	return nil
 }
 
 // reduceStats computes globally reduced field statistics.

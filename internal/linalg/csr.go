@@ -66,25 +66,42 @@ func (m *CSR) Rows() int { return m.NRows }
 func (m *CSR) NNZ() int { return len(m.Vals) }
 
 // SpMVGrain is the row-count threshold below which Apply stays serial.
-// SpMV rows are cheap (a few multiply-adds each for the FE stencils here),
-// so the cutoff is sized to amortize one chunk dispatch over ~10k flops.
+// SpMV rows are cheap (the 5-point stencil rows here take Apply's inline
+// loop, a few multiply-adds each), so the cutoff is sized to amortize one
+// chunk dispatch over ~10k flops.
 const SpMVGrain = 1024
+
+// shortRow is the longest row Apply sums inline. simd.SpMVRow runs rows
+// shorter than its 8-lane pass as SpMVRowGo's sequential tail on every
+// backend, so the inline loop below is that tail, without the two calls.
+const shortRow = 7
 
 // Apply implements Operator: y = A x. Rows are partitioned into contiguous
 // chunks executed on the shared worker pool — the row decomposition of
 // Figure 1's parallel discretization component, applied inside one address
-// space. Each output row is written by exactly one chunk through the same
-// simd.SpMVRow kernel, so the result is bitwise identical regardless of
-// chunking, worker count, or kernel backend (the AVX2 gather kernel and
-// its scalar fallback agree to the bit).
+// space. Each output row is written by exactly one chunk: a row of at
+// most shortRow nonzeros is summed left to right in the chunk body, a
+// longer one by simd.SpMVRow. Both are the bits SpMVRowGo gives for the
+// row, so the result is bitwise identical regardless of chunking, worker
+// count, or kernel backend (the AVX2 gather kernel and its scalar
+// fallback agree to the bit).
 func (m *CSR) Apply(x, y []float64) error {
 	if len(x) != m.NCols || len(y) != m.NRows {
 		return fmt.Errorf("%w: apply %dx%d to x[%d], y[%d]", ErrDim, m.NRows, m.NCols, len(x), len(y))
 	}
 	par.For(m.NRows, SpMVGrain, func(lo, hi int) {
+		rowPtr, cols, vals := m.RowPtr, m.Cols, m.Vals
 		for r := lo; r < hi; r++ {
-			klo, khi := m.RowPtr[r], m.RowPtr[r+1]
-			y[r] = simd.SpMVRow(m.Vals[klo:khi], m.Cols[klo:khi], x)
+			klo, khi := rowPtr[r], rowPtr[r+1]
+			if khi-klo > shortRow {
+				y[r] = simd.SpMVRow(vals[klo:khi], cols[klo:khi], x)
+				continue
+			}
+			var s float64
+			for k := klo; k < khi; k++ {
+				s += vals[k] * x[cols[k]]
+			}
+			y[r] = s
 		}
 	})
 	return nil

@@ -3,7 +3,10 @@ package linalg
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
+
+	"repro/internal/simd"
 )
 
 // These are the parallel-vs-serial equivalence properties for the kernels
@@ -107,6 +110,48 @@ func TestCSRApplyParallelMatchesSerial(t *testing.T) {
 			tol := 1e-12 * (1 + math.Abs(want[r]))
 			if d := math.Abs(got[r] - want[r]); d > tol {
 				t.Fatalf("n=%d row %d: parallel %v vs serial %v", n, r, got[r], want[r])
+			}
+		}
+	}
+}
+
+// TestCSRApplyRowsMatchKernel holds Apply's inline loop for short rows to
+// the row kernel's bits: every row length 0–24 occurs in each chunk of a
+// matrix that runs as one chunk (SpMVGrain−1 rows) and of one the pool
+// splits (SpMVGrain+1 rows). Every output must equal simd.SpMVRow on its
+// row, and SpMVRowGo too below the kernel's 8-lane pass. Values span
+// forty binades, so summing a row in any other order shows in the bits.
+func TestCSRApplyRowsMatchKernel(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	for _, n := range []int{SpMVGrain - 1, SpMVGrain + 1} {
+		var tr []Triplet
+		for r := 0; r < n; r++ {
+			cols := rng.Perm(n)[:r%25]
+			slices.Sort(cols)
+			for _, c := range cols {
+				tr = append(tr, Triplet{Row: r, Col: c, Val: math.Ldexp(rng.NormFloat64(), rng.Intn(40)-20)})
+			}
+		}
+		m, err := NewCSR(n, n, tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := randVec(rng, n)
+		y := make([]float64, n)
+		if err := m.Apply(x, y); err != nil {
+			t.Fatal(err)
+		}
+		for r := range y {
+			lo, hi := m.RowPtr[r], m.RowPtr[r+1]
+			vals, cols := m.Vals[lo:hi], m.Cols[lo:hi]
+			if want := simd.SpMVRow(vals, cols, x); math.Float64bits(y[r]) != math.Float64bits(want) {
+				t.Fatalf("n=%d row %d (%d nonzeros): Apply %v, SpMVRow %v", n, r, hi-lo, y[r], want)
+			}
+			if hi-lo >= 8 {
+				continue
+			}
+			if want := simd.SpMVRowGo(vals, cols, x); math.Float64bits(y[r]) != math.Float64bits(want) {
+				t.Fatalf("n=%d row %d (%d nonzeros): Apply %v, SpMVRowGo %v", n, r, hi-lo, y[r], want)
 			}
 		}
 	}

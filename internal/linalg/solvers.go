@@ -38,10 +38,34 @@ type CG struct{}
 // Name implements Solver.
 func (CG) Name() string { return "cg" }
 
-// Solve implements Solver: Begin, then Step until the relative residual
-// reaches opts.Tol or opts.MaxIter steps have run.
+// Solve implements Solver on a fresh CGState.
 func (CG) Solve(a Operator, b, x []float64, opts Options) (Result, error) {
 	var s CGState
+	return s.Solve(a, b, x, opts)
+}
+
+// CGState is one preconditioned conjugate-gradient solve, advanced an
+// iteration at a time: Solve is Begin plus a loop over Step. The
+// exported fields are the whole recurrence, so a step-wise component can
+// checkpoint them, set them back, and continue with Resume and Step.
+// Begin reuses R, Z, P and the A·p scratch when their capacity allows, so
+// a caller that keeps one CGState across solves of the same size
+// allocates no vector after the first.
+type CGState struct {
+	// B and X are the slices given to Begin (not copies); Step updates X.
+	// R, Z and P are the residual, M⁻¹r and the search direction.
+	B, X, R, Z, P []float64
+	// RZ is rᵀz, BNorm is ‖b‖ (1 when b = 0), It counts completed steps.
+	RZ, BNorm float64
+	It        int
+
+	ap []float64
+	o  Options
+}
+
+// Solve is CG.Solve on s's vectors: Begin, then Step until the relative
+// residual reaches opts.Tol or opts.MaxIter steps have run.
+func (s *CGState) Solve(a Operator, b, x []float64, opts Options) (Result, error) {
 	if err := s.Begin(a, b, x, opts); err != nil {
 		return Result{}, err
 	}
@@ -62,20 +86,13 @@ func (CG) Solve(a Operator, b, x []float64, opts Options) (Result, error) {
 	}
 }
 
-// CGState is one preconditioned conjugate-gradient solve, advanced an
-// iteration at a time: CG.Solve is Begin plus a loop over Step. The
-// exported fields are the whole recurrence, so a step-wise component can
-// checkpoint them, set them back, and continue with Resume and Step.
-type CGState struct {
-	// B and X are the slices given to Begin (not copies); Step updates X.
-	// R, Z and P are the residual, M⁻¹r and the search direction.
-	B, X, R, Z, P []float64
-	// RZ is rᵀz, BNorm is ‖b‖ (1 when b = 0), It counts completed steps.
-	RZ, BNorm float64
-	It        int
-
-	ap []float64
-	o  Options
+// resize returns v resliced to n when its capacity allows, else a new
+// zeroed slice of length n.
+func resize(v []float64, n int) []float64 {
+	if cap(v) < n {
+		return make([]float64, n)
+	}
+	return v[:n]
 }
 
 // Begin starts the recurrence for A x = b from the guess in x:
@@ -87,7 +104,7 @@ func (s *CGState) Begin(a Operator, b, x []float64, opts Options) error {
 		return fmt.Errorf("%w: cg n=%d b=%d x=%d", ErrDim, n, len(b), len(x))
 	}
 	s.o, s.B, s.X, s.It = opts.fill(n), b, x, 0
-	s.R = make([]float64, n)
+	s.R = resize(s.R, n)
 	if err := a.Apply(x, s.R); err != nil {
 		return err
 	}
@@ -98,11 +115,12 @@ func (s *CGState) Begin(a Operator, b, x []float64, opts Options) error {
 	if s.BNorm == 0 {
 		s.BNorm = 1
 	}
-	s.Z = make([]float64, n)
+	s.Z = resize(s.Z, n)
 	if err := s.o.Prec.Solve(s.R, s.Z); err != nil {
 		return err
 	}
-	s.P, s.ap = CopyVec(s.Z), make([]float64, n)
+	s.P, s.ap = resize(s.P, n), resize(s.ap, n)
+	copy(s.P, s.Z)
 	s.RZ = s.o.Dot(s.R, s.Z)
 	return nil
 }
@@ -111,7 +129,7 @@ func (s *CGState) Begin(a Operator, b, x []float64, opts Options) error {
 // a checkpoint) for Step, with opts' inner product and preconditioner.
 func (s *CGState) Resume(opts Options) {
 	s.o = opts.fill(len(s.B))
-	s.ap = make([]float64, len(s.B))
+	s.ap = resize(s.ap, len(s.B))
 }
 
 // Residual returns ‖r‖/‖b‖, the relative residual of the current iterate.

@@ -364,6 +364,40 @@ func TestCGStateStepsAreSolve(t *testing.T) {
 	}
 }
 
+// TestCGStateSolveReusesVectors solves twice on one CGState: the second
+// solve must keep the first one's R, Z and P storage and give CG.Solve's
+// answer bit for bit.
+func TestCGStateSolveReusesVectors(t *testing.T) {
+	a := Poisson2D(12, 12)
+	b := manufactured(t, a)
+	var s CGState
+	if _, err := s.Solve(a, b, make([]float64, a.NRows), Options{}); err != nil {
+		t.Fatal(err)
+	}
+	r, z, p := &s.R[0], &s.Z[0], &s.P[0]
+	x := make([]float64, a.NRows)
+	got, err := s.Solve(a, b, x, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &s.R[0] != r || &s.Z[0] != z || &s.P[0] != p {
+		t.Error("second Solve replaced R, Z or P instead of reusing them")
+	}
+	xw := make([]float64, a.NRows)
+	want, err := CG{}.Solve(a, b, xw, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Errorf("reused state %+v, fresh %+v", got, want)
+	}
+	for i := range x {
+		if math.Float64bits(x[i]) != math.Float64bits(xw[i]) {
+			t.Fatalf("x[%d]: reused state %v, fresh %v", i, x[i], xw[i])
+		}
+	}
+}
+
 // TestCGStateResumeFromFields continues a solve from a state rebuilt out
 // of the exported fields alone, as a checkpoint restore does, and must
 // land on the uninterrupted iterate bit for bit.
