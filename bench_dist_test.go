@@ -608,7 +608,7 @@ func BenchmarkE14_SwapWindow(b *testing.B) {
 		}
 		last = calls.Load()
 		start := time.Now()
-		if err := fw.Swap("adder", &swapAdder{}, framework.SwapOptions{}); err != nil {
+		if err := fw.Swap("adder", &swapAdder{}); err != nil {
 			b.Fatal(err)
 		}
 		windows[i] = time.Since(start)

@@ -24,6 +24,8 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -766,7 +768,7 @@ func BenchmarkE6_DynamicAttachSnapshot(b *testing.B) {
 		if err != nil {
 			return nil, err
 		}
-		side, err := hydro.SideOf(d, nil)
+		side, err := hydro.SideOf(d)
 		if err != nil {
 			return nil, err
 		}
@@ -794,8 +796,14 @@ func BenchmarkE6_DynamicAttachSnapshot(b *testing.B) {
 // ---------------------------------------------------------------------------
 
 func BenchmarkE7_SIDLToolchain(b *testing.B) {
-	esiSrc, portsSrc := esi.Sources()
-	src := esiSrc + "\n" + portsSrc
+	var src string
+	for _, f := range []string{"esi.sidl", "ports.sidl"} {
+		data, err := os.ReadFile(filepath.Join("internal", "esi", f))
+		if err != nil {
+			b.Fatal(err)
+		}
+		src += string(data) + "\n"
+	}
 	parsed, err := sidl.Parse(src)
 	if err != nil {
 		b.Fatal(err)

@@ -99,7 +99,6 @@ import (
 
 	"repro/internal/cca"
 	ccoll "repro/internal/cca/collective"
-	"repro/internal/cca/framework"
 	"repro/internal/ccl"
 	"repro/internal/ckpt"
 	"repro/internal/esi"
@@ -537,7 +536,7 @@ func (sh *shell) swap(args []string) error {
 	if err != nil {
 		return err
 	}
-	if err := sh.asm.App.Fw.Swap(args[0], repl, framework.SwapOptions{}); err != nil {
+	if err := sh.asm.App.Fw.Swap(args[0], repl); err != nil {
 		return err
 	}
 	fmt.Printf("  swapped %s to a fresh %s\n", args[0], args[1])

@@ -165,7 +165,7 @@ func attach(world *mpi.Comm, flow *hydro.FlowComponent, m *mesh.Mesh, p, vizRank
 		if derr != nil {
 			log.Fatal(derr)
 		}
-		side, serr := hydro.SideOf(d, nil)
+		side, serr := hydro.SideOf(d)
 		if serr != nil {
 			log.Fatal(serr)
 		}

@@ -242,8 +242,7 @@ func liveSwap(n int, tol float64) error {
 		swapErr := make(chan error, 1)
 		start := time.Now()
 		go func() {
-			swapErr <- app.Fw.Swap("itersolver", esi.NewIterativeSolverComponent(),
-				framework.SwapOptions{})
+			swapErr <- app.Fw.Swap("itersolver", esi.NewIterativeSolverComponent())
 		}()
 		// Keep draining so the stepper stands as live load while the
 		// framework quiesces, transfers state, and re-wires; check the

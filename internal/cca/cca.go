@@ -61,25 +61,6 @@ type PortInfo struct {
 	Properties map[string]string
 }
 
-// Property returns a property value, or the empty string when absent.
-func (pi PortInfo) Property(key string) string {
-	if pi.Properties == nil {
-		return ""
-	}
-	return pi.Properties[key]
-}
-
-// WithProperty returns a copy of pi with key set to value.
-func (pi PortInfo) WithProperty(key, value string) PortInfo {
-	props := make(map[string]string, len(pi.Properties)+1)
-	for k, v := range pi.Properties {
-		props[k] = v
-	}
-	props[key] = value
-	pi.Properties = props
-	return pi
-}
-
 // Component is the paper's independent unit of deployment. The containing
 // framework calls SetServices exactly once, immediately after
 // instantiation; the component registers its provides and uses ports there

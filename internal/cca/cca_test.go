@@ -5,28 +5,6 @@ import (
 	"testing"
 )
 
-func TestPortInfoProperty(t *testing.T) {
-	pi := PortInfo{Name: "p", Type: "t"}
-	if pi.Property("x") != "" {
-		t.Error("property on nil map")
-	}
-	pi2 := pi.WithProperty("collective", "true")
-	if pi2.Property("collective") != "true" {
-		t.Error("WithProperty lost value")
-	}
-	// Original must be untouched (value semantics).
-	if pi.Property("collective") != "" {
-		t.Error("WithProperty mutated receiver")
-	}
-	pi3 := pi2.WithProperty("map", "block")
-	if pi3.Property("collective") != "true" || pi3.Property("map") != "block" {
-		t.Errorf("properties = %+v", pi3.Properties)
-	}
-	if pi2.Property("map") != "" {
-		t.Error("WithProperty shared map with ancestor")
-	}
-}
-
 func TestConnectionIDString(t *testing.T) {
 	id := ConnectionID{User: "u", UsesPort: "a", Provider: "p", ProvidesPort: "b"}
 	if got := id.String(); got != "u.a -> p.b" {

@@ -13,7 +13,6 @@ import (
 // Errors reported by collective connections.
 var (
 	ErrMismatch = errors.New("collective: sides are incompatible")
-	ErrNotMine  = errors.New("collective: rank does not participate")
 	ErrBuffer   = errors.New("collective: buffer length mismatch")
 )
 

@@ -238,7 +238,7 @@ func TestPortConnectAndPull(t *testing.T) {
 	const n = 24
 	src := Block(n, []int{0, 1})
 	info := Info("field", src)
-	if info.Type != PortType || info.Property("collective") != "true" {
+	if info.Type != PortType || info.Properties["collective"] != "true" {
 		t.Errorf("info = %+v", info)
 	}
 

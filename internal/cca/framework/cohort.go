@@ -42,9 +42,6 @@ func NewCohort(comm *mpi.Comm, opts Options) *Cohort {
 // Rank returns this cohort member's rank.
 func (c *Cohort) Rank() int { return c.Comm.Rank() }
 
-// Size returns the cohort size.
-func (c *Cohort) Size() int { return c.Comm.Size() }
-
 // verify checks that every rank reached the same operation with the same
 // argument digest and agreed on success.
 func (c *Cohort) verify(op string, args string, localErr error) error {
@@ -89,24 +86,12 @@ func (c *Cohort) InstallParallel(name string, factory func(rank int) cca.Compone
 	return c.verify("install", name, localErr)
 }
 
-// RemoveParallel removes the named component on every rank.
-func (c *Cohort) RemoveParallel(name string) error {
-	localErr := c.F.Remove(name)
-	return c.verify("remove", name, localErr)
-}
-
 // ConnectParallel connects the named ports on every rank, yielding one
 // connection per cohort member (the per-process port copies of §6.3).
 func (c *Cohort) ConnectParallel(user, usesPort, provider, providesPort string) (cca.ConnectionID, error) {
 	id, localErr := c.F.Connect(user, usesPort, provider, providesPort)
 	args := strings.Join([]string{user, usesPort, provider, providesPort}, "\x00")
 	return id, c.verify("connect", args, localErr)
-}
-
-// DisconnectParallel severs the connection on every rank.
-func (c *Cohort) DisconnectParallel(id cca.ConnectionID) error {
-	localErr := c.F.Disconnect(id)
-	return c.verify("disconnect", id.String(), localErr)
 }
 
 // VerifyPorts checks that a component's port registrations agree across the
@@ -133,6 +118,3 @@ func (c *Cohort) VerifyPorts(component string) error {
 	}
 	return c.verify("ports:"+component, desc, localErr)
 }
-
-// Barrier synchronizes the cohort.
-func (c *Cohort) Barrier() error { return c.Comm.Barrier() }

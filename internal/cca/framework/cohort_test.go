@@ -36,7 +36,7 @@ func TestCohortInstallConnectCall(t *testing.T) {
 	const p = 4
 	mpi.Run(p, func(comm *mpi.Comm) {
 		c := NewCohort(comm, Options{})
-		if !c.F.Flavor().Contains(cca.FlavorCollective) {
+		if !c.F.opts.Flavor.Contains(cca.FlavorCollective) {
 			t.Error("cohort framework lacks collective flavor")
 		}
 		if err := c.InstallParallel("adder", func(rank int) cca.Component {
@@ -67,9 +67,6 @@ func TestCohortInstallConnectCall(t *testing.T) {
 		got := port.(interface{ Add(a, b float64) float64 }).Add(1, 2)
 		if got != 3+float64(comm.Rank()) {
 			t.Errorf("rank %d: Add = %v", comm.Rank(), got)
-		}
-		if err := c.RemoveParallel("adder"); err != nil {
-			t.Errorf("remove: %v", err)
 		}
 	})
 }
@@ -138,33 +135,6 @@ func (d *divergentPorts) SetServices(svc cca.Services) error {
 		return svc.AddProvidesPort(d, cca.PortInfo{Name: "b", Type: "t.B"})
 	}
 	return nil
-}
-
-func TestCohortDisconnectParallel(t *testing.T) {
-	mpi.Run(2, func(comm *mpi.Comm) {
-		c := NewCohort(comm, Options{})
-		caller := &rankedCaller{}
-		if err := c.InstallParallel("adder", func(rank int) cca.Component { return &rankedAdder{rank: rank} }); err != nil {
-			t.Errorf("install: %v", err)
-			return
-		}
-		if err := c.InstallParallel("caller", func(rank int) cca.Component { return caller }); err != nil {
-			t.Errorf("install: %v", err)
-			return
-		}
-		id, err := c.ConnectParallel("caller", "sum", "adder", "add")
-		if err != nil {
-			t.Errorf("connect: %v", err)
-			return
-		}
-		if err := c.DisconnectParallel(id); err != nil {
-			t.Errorf("disconnect: %v", err)
-			return
-		}
-		if _, err := caller.svc.GetPort("sum"); !errors.Is(err, cca.ErrNotConnected) {
-			t.Errorf("port survives disconnect: %v", err)
-		}
-	})
 }
 
 func TestCohortManyOperationsStayConsistent(t *testing.T) {

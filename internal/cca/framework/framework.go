@@ -149,9 +149,6 @@ func defaultTypeCheck(usesType, providesType string) error {
 	return fmt.Errorf("%w: uses %q vs provides %q", cca.ErrTypeMismatch, usesType, providesType)
 }
 
-// Flavor reports the framework's advertised compliance flavors.
-func (f *Framework) Flavor() cca.Flavor { return f.opts.Flavor }
-
 // AddEventListener registers a configuration-API listener.
 func (f *Framework) AddEventListener(l cca.EventListener) {
 	f.mu.Lock()
@@ -365,12 +362,6 @@ func (f *Framework) Connections() []cca.ConnectionID {
 		}
 	}
 	return out
-}
-
-// ReportFailure lets a component (or supervising code) notify builders of a
-// component failure through the configuration API.
-func (f *Framework) ReportFailure(component string, err error) {
-	f.emit(cca.Event{Kind: cca.EventComponentFailed, Component: component, Err: err})
 }
 
 // SetPortHealth records the health of a provides port and notifies

@@ -264,7 +264,9 @@ func TestEvents(t *testing.T) {
 	if err := f.Remove("adder"); err != nil {
 		t.Fatal(err)
 	}
-	f.ReportFailure("caller", errors.New("boom"))
+	if err := f.Install("bad", badComponent{}); err == nil {
+		t.Fatal("install of a failing component succeeded")
+	}
 	want := []string{"component-added", "component-added", "connected", "disconnected", "component-removed", "component-failed"}
 	mu.Lock()
 	defer mu.Unlock()

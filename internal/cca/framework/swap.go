@@ -191,18 +191,6 @@ func (s *services) Resume(port string) error { return s.fw.Resume(s.name, port) 
 
 var _ cca.Quiescer = (*services)(nil)
 
-// SwapOptions tunes Framework.Swap. The zero value is usable.
-type SwapOptions struct {
-	// DrainTimeout bounds each provides-port quiesce drain (0 ⇒ 5s).
-	DrainTimeout time.Duration
-	// State, when non-nil, is the checkpoint restored into the replacement
-	// (it must implement cca.Checkpointable). When nil and both the old
-	// and new components implement cca.Checkpointable, state is captured
-	// from the old component during the quiesced window and carried over
-	// automatically.
-	State []byte
-}
-
 // Swap replaces the installed component instance name with repl while the
 // assembly runs — the dynamic form of the paper's §2.2 "experiment with
 // multiple solution strategies by reconnecting ports" scenario:
@@ -213,8 +201,8 @@ type SwapOptions struct {
 //  2. every connected provides port of the old instance is quiesced:
 //     Degraded events fire, new acquisitions shed with the typed
 //     retryable cca.ErrPortQuiescing, outstanding calls drain;
-//  3. state moves old→new per SwapOptions (checkpoint wire format,
-//     opaque to the framework);
+//  3. when both old and new implement cca.Checkpointable, state moves
+//     old→new in the checkpoint wire format, opaque to the framework;
 //  4. under one write-lock critical section, every connection touching
 //     the old instance is re-pointed at the replacement's entries — users
 //     of the old component now hold the new ports, the new component
@@ -225,7 +213,7 @@ type SwapOptions struct {
 //
 // On any failure before step 4 the old assembly is resumed untouched and
 // the error returned wraps ErrSwap.
-func (f *Framework) Swap(name string, repl cca.Component, opts SwapOptions) error {
+func (f *Framework) Swap(name string, repl cca.Component) error {
 	f.mu.RLock()
 	old, ok := f.components[name]
 	f.mu.RUnlock()
@@ -296,7 +284,7 @@ func (f *Framework) Swap(name string, repl cca.Component, opts SwapOptions) erro
 
 	// Step 2: quiesce every connected provides port of the old instance.
 	for i, port := range quiesce {
-		if err := f.Quiesce(name, port, opts.DrainTimeout); err != nil {
+		if err := f.Quiesce(name, port, 0); err != nil {
 			for _, done := range quiesce[:i] {
 				_ = f.Resume(name, done)
 			}
@@ -311,20 +299,13 @@ func (f *Framework) Swap(name string, repl cca.Component, opts SwapOptions) erro
 
 	// Step 3: carry state. The framework treats the checkpoint as opaque
 	// bytes; the wire format is the component's business (internal/ckpt).
-	state := opts.State
 	oldCk, oldOK := old.comp.(cca.Checkpointable)
 	newCk, newOK := repl.(cca.Checkpointable)
-	if state == nil && oldOK && newOK {
-		var err error
-		if state, err = ckpt.Marshal(oldCk); err != nil {
+	if oldOK && newOK {
+		state, err := ckpt.Marshal(oldCk)
+		if err != nil {
 			resumeAll()
 			return fmt.Errorf("%w: checkpoint: %w", ErrSwap, err)
-		}
-	}
-	if state != nil {
-		if !newOK {
-			resumeAll()
-			return fmt.Errorf("%w: replacement %T does not implement cca.Checkpointable", ErrSwap, repl)
 		}
 		if err := ckpt.Unmarshal(state, newCk); err != nil {
 			resumeAll()

@@ -229,7 +229,7 @@ func TestSwapCarriesStateAndRewires(t *testing.T) {
 	}
 
 	repl := &statefulAdder{}
-	if err := f.Swap("adder", repl, SwapOptions{}); err != nil {
+	if err := f.Swap("adder", repl); err != nil {
 		t.Fatal(err)
 	}
 
@@ -262,25 +262,11 @@ func TestSwapCarriesStateAndRewires(t *testing.T) {
 	}
 }
 
-func TestSwapExplicitState(t *testing.T) {
-	f, caller, _ := newStatefulConnected(t, 2)
-	state, err := ckpt.Marshal(&statefulAdder{bias: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Swap("adder", &statefulAdder{}, SwapOptions{State: state}); err != nil {
-		t.Fatal(err)
-	}
-	if got, _ := caller.Compute(1, 2); got != 10 {
-		t.Errorf("Compute = %v, want 10 (explicit state wins over captured)", got)
-	}
-}
-
 func TestSwapStateRequiresCheckpointable(t *testing.T) {
 	f, caller, _ := newStatefulConnected(t, 2)
-	// adderComponent (no Checkpoint/Restore) cannot accept carried state:
-	// the swap must fail typed and roll back.
-	err := f.Swap("adder", &adderComponent{}, SwapOptions{State: []byte("state")})
+	// A replacement whose Restore rejects the carried state fails the
+	// swap typed, and the swap rolls back.
+	err := f.Swap("adder", &rejectingAdder{})
 	if !errors.Is(err, ErrSwap) {
 		t.Fatalf("swap = %v, want ErrSwap", err)
 	}
@@ -291,6 +277,11 @@ func TestSwapStateRequiresCheckpointable(t *testing.T) {
 		t.Errorf("health after rollback = %v", h)
 	}
 }
+
+// rejectingAdder is a statefulAdder whose Restore fails.
+type rejectingAdder struct{ statefulAdder }
+
+func (a *rejectingAdder) Restore(io.Reader) error { return errors.New("state rejected") }
 
 // otherPortComponent provides a port the caller is not connected to.
 type otherPortComponent struct{}
@@ -307,7 +298,7 @@ func TestSwapRollbackOnMissingPort(t *testing.T) {
 			swapped.Add(1)
 		}
 	}))
-	err := f.Swap("adder", &otherPortComponent{}, SwapOptions{})
+	err := f.Swap("adder", &otherPortComponent{})
 	if !errors.Is(err, ErrSwap) {
 		t.Fatalf("swap = %v, want ErrSwap", err)
 	}
@@ -434,7 +425,7 @@ func TestSwapAbortsOnLateConnection(t *testing.T) {
 		_, err := f.Connect("late", "sum", "adder", "extra")
 		return err
 	}
-	if err := f.Swap("adder", repl, SwapOptions{}); !errors.Is(err, ErrSwap) {
+	if err := f.Swap("adder", repl); !errors.Is(err, ErrSwap) {
 		t.Fatalf("swap with late connection = %v, want ErrSwap", err)
 	}
 
@@ -454,12 +445,15 @@ func TestSwapAbortsOnLateConnection(t *testing.T) {
 	}
 }
 
+// TestSwapDrainTimeoutRollsBack holds a caller's acquisition across a swap.
+// Swap takes no drain bound, so the test waits out the default 5 s one;
+// TestQuiesceDrainTimeout checks the bound itself with a short timeout.
 func TestSwapDrainTimeoutRollsBack(t *testing.T) {
 	f, caller, _ := newStatefulConnected(t, 2)
 	if _, err := caller.svc.GetPort("sum"); err != nil {
 		t.Fatal(err)
 	}
-	err := f.Swap("adder", &statefulAdder{}, SwapOptions{DrainTimeout: 20 * time.Millisecond})
+	err := f.Swap("adder", &statefulAdder{})
 	if !errors.Is(err, ErrSwap) || !errors.Is(err, ErrDrainTimeout) {
 		t.Fatalf("swap with wedged caller = %v, want ErrSwap+ErrDrainTimeout", err)
 	}
@@ -471,7 +465,7 @@ func TestSwapDrainTimeoutRollsBack(t *testing.T) {
 
 func TestSwapUnknownComponent(t *testing.T) {
 	f := New(Options{})
-	if err := f.Swap("ghost", &statefulAdder{}, SwapOptions{}); !errors.Is(err, ErrSwap) {
+	if err := f.Swap("ghost", &statefulAdder{}); !errors.Is(err, ErrSwap) {
 		t.Errorf("swap unknown = %v", err)
 	}
 }
@@ -520,7 +514,7 @@ func TestSwapInheritsUsesConnections(t *testing.T) {
 	}
 
 	repl := &relayComponent{}
-	if err := f.Swap("relay", repl, SwapOptions{}); err != nil {
+	if err := f.Swap("relay", repl); err != nil {
 		t.Fatal(err)
 	}
 	// The replacement relay reaches the adder through the inherited
@@ -586,7 +580,7 @@ func TestSwapUnderStandingLoad(t *testing.T) {
 	// changes; only the instance identity does.
 	time.Sleep(5 * time.Millisecond)
 	for i := 0; i < 5; i++ {
-		if err := f.Swap("adder", &statefulAdder{}, SwapOptions{}); err != nil {
+		if err := f.Swap("adder", &statefulAdder{}); err != nil {
 			t.Fatalf("swap %d under load: %v", i, err)
 		}
 		time.Sleep(2 * time.Millisecond)

@@ -27,9 +27,6 @@ var (
 
 // Options configures New and Compile.
 type Options struct {
-	// App is the target application container. Nil builds a fresh one
-	// (ESI and consumer deposits, in-process + distributed flavor).
-	App *repo.Builder
 	// LockPath is the lockfile Compile verifies or creates. "" skips
 	// lockfile handling (tests, throwaway assemblies); Load-driven callers
 	// pass DefaultLockPath(doc.Path).
@@ -79,23 +76,20 @@ func (a *Assembly) unwind(mark int) {
 	a.closers = a.closers[:mark]
 }
 
-// New returns an empty assembly over opts.App for documents — or
-// fragments of one — to be applied to.
+// New returns an empty assembly for documents — or fragments of one — to
+// be applied to. Its application container carries every builtin
+// implementation a document can name by type (ESI and consumer deposits,
+// in-process + distributed flavor), so network-resolved entries find
+// their local factories (factories never serialize).
 func New(opts Options) (*Assembly, error) {
-	app := opts.App
-	if app == nil {
-		// The default container carries every builtin implementation a
-		// document can name by type, so network-resolved entries find
-		// their local factories (factories never serialize).
-		r := repo.New()
-		if err := esi.Deposit(r); err != nil {
-			return nil, err
-		}
-		if err := DepositConsumer(r); err != nil {
-			return nil, err
-		}
-		app = repo.NewBuilder(r, framework.Options{Flavor: cca.FlavorInProcess | cca.FlavorDistributed})
+	r := repo.New()
+	if err := esi.Deposit(r); err != nil {
+		return nil, err
 	}
+	if err := DepositConsumer(r); err != nil {
+		return nil, err
+	}
+	app := repo.NewBuilder(r, framework.Options{Flavor: cca.FlavorInProcess | cca.FlavorDistributed})
 	return &Assembly{App: app, opts: opts}, nil
 }
 

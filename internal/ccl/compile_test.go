@@ -424,14 +424,18 @@ func TestCompileErrors(t *testing.T) {
 	})
 
 	t.Run("no factory", func(t *testing.T) {
-		app := newESIApp(t)
+		a, err := New(Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer a.Close()
 		// A deposited but factory-less entry is what a fetched network
 		// entry looks like: metadata without code.
-		if err := app.Repo.Deposit(repo.Entry{Name: "x.Ghost", Version: "1.0"}); err != nil {
+		if err := a.App.Repo.Deposit(repo.Entry{Name: "x.Ghost", Version: "1.0"}); err != nil {
 			t.Fatal(err)
 		}
 		doc := mustDoc("ccl 1\ncomponent g {\n  type x.Ghost\n  version ^1.0\n}\n")
-		_, err := Compile(doc, Options{App: app})
+		err = a.Apply(doc, "")
 		if !errors.Is(err, repo.ErrNoFactory) {
 			t.Fatalf("got %v", err)
 		}

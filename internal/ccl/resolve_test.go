@@ -24,11 +24,11 @@ func newESIApp(t *testing.T) *repo.Builder {
 	return repo.NewBuilder(r, framework.Options{Flavor: cca.FlavorInProcess | cca.FlavorDistributed})
 }
 
-// TestLocalSourceResolve resolves against the local source, the
-// application container's own repository: a version must still satisfy
-// the constraint, so an assembly pinned to ^2.0 fails loudly against a
-// 1.x deposit.
-func TestLocalSourceResolve(t *testing.T) {
+// TestRepositorySourceResolve resolves against the application
+// container's own repository as a ccl.Source: a version must still
+// satisfy the constraint, so an assembly pinned to ^2.0 fails loudly
+// against a 1.x deposit.
+func TestRepositorySourceResolve(t *testing.T) {
 	app := newESIApp(t)
 	src := app.Repo
 

@@ -156,7 +156,6 @@ func (w *Writer) Close() error {
 // name. Eager verification means a Restore never begins applying state
 // from a stream whose tail is corrupt.
 type Reader struct {
-	version  uint16
 	sections map[string][]byte
 	order    []string
 }
@@ -174,7 +173,7 @@ func NewReader(r io.Reader) (*Reader, error) {
 	if version > Version {
 		return nil, fmt.Errorf("%w: stream v%d, reader v%d", ErrVersion, version, Version)
 	}
-	rd := &Reader{version: version, sections: map[string][]byte{}}
+	rd := &Reader{sections: map[string][]byte{}}
 	for {
 		var pre [2]byte
 		if _, err := io.ReadFull(r, pre[:]); err != nil {
@@ -241,9 +240,6 @@ func readPayload(r io.Reader, n uint64) ([]byte, error) {
 		buf = next
 	}
 }
-
-// Version reports the stream's written version.
-func (r *Reader) Version() uint16 { return r.version }
 
 // Names lists the stream's sections in written order.
 func (r *Reader) Names() []string { return append([]string(nil), r.order...) }

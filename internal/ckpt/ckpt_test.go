@@ -37,8 +37,8 @@ func TestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Version() != Version {
-		t.Errorf("version = %d, want %d", r.Version(), Version)
+	if v := binary.LittleEndian.Uint16(raw[4:6]); v != Version {
+		t.Errorf("version = %d, want %d", v, Version)
 	}
 	if got := r.Names(); len(got) != 5 || got[0] != "it" || got[4] != "empty" {
 		t.Errorf("names = %v", got)

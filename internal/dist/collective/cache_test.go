@@ -167,7 +167,7 @@ func TestGenerationSharedAcrossPlans(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer imp.Close()
-		outs, err := imp.PullAll(context.Background())
+		outs, err := pullAll(imp)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -292,7 +292,7 @@ func TestUpdateIsAtomicWithBegin(t *testing.T) {
 	// whole pulls every consumer rank and returns the one step it saw.
 	whole := func(what string, imp *Import) float64 {
 		t.Helper()
-		outs, err := imp.PullAll(context.Background())
+		outs, err := pullAll(imp)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -429,7 +429,7 @@ func TestPullsRacingUpdatesNeverMix(t *testing.T) {
 		go func(imp *Import) {
 			defer wg.Done()
 			for pull := 0; pull < 25; pull++ {
-				outs, err := imp.PullAll(context.Background())
+				outs, err := pullAll(imp)
 				if IsStale(err) {
 					continue
 				}
@@ -572,7 +572,7 @@ func TestCacheRestartedPublisherDoesNotAliasPlans(t *testing.T) {
 	}
 	defer b.Close()
 
-	outs, err := a.PullAll(context.Background())
+	outs, err := pullAll(a)
 	if err != nil {
 		t.Fatalf("pull after publisher restart: %v", err)
 	}

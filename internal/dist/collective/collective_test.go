@@ -128,7 +128,7 @@ func TestCrossProcessRedistribution(t *testing.T) {
 					t.Fatalf("rank %d: got %v…, want %v…", r, out[:4], want[:4])
 				}
 			}
-			outs, err := imp.PullAll(context.Background())
+			outs, err := pullAll(imp)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -157,7 +157,7 @@ func TestRedistributionOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer imp.Close()
-	outs, err := imp.PullAll(context.Background())
+	outs, err := pullAll(imp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -527,7 +527,7 @@ func TestSeverMidPullHealsAndCompletes(t *testing.T) {
 	}
 	defer imp.Close()
 
-	outs, err := imp.PullAll(context.Background())
+	outs, err := pullAll(imp)
 	if err != nil {
 		t.Fatalf("pull through sever: %v", err)
 	}
@@ -584,4 +584,17 @@ func TestIsStale(t *testing.T) {
 	if !IsStale(errors.New("orb: remote: collective: unknown plan 7")) {
 		t.Error("missed wrapped sentinel")
 	}
+}
+
+// pullAll redistributes one consistent epoch of the provider's data into
+// freshly allocated chunks, one per consumer rank.
+func pullAll(imp *Import) ([][]float64, error) {
+	outs := make([][]float64, imp.cmap.Ranks())
+	for r := range outs {
+		outs[r] = make([]float64, imp.cmap.LocalLen(r))
+	}
+	if err := imp.PullAllInto(context.Background(), outs); err != nil {
+		return nil, err
+	}
+	return outs, nil
 }

@@ -58,9 +58,6 @@ func Attach(tr transport.Transport, addr, name string, consumer array.DataMap, o
 // Close releases the supervised connection.
 func (imp *Import) Close() error { return imp.sup.Close() }
 
-// Supervised exposes the underlying connection, e.g. to observe State().
-func (imp *Import) Supervised() *orb.Supervised { return imp.sup }
-
 // exchange performs (or repeats) the plan exchange and swaps in the new
 // plan. Both sides build the Plan from the same pair of canonical run
 // lists, so every later chunk offset is agreed arithmetic.
@@ -126,24 +123,11 @@ func (imp *Import) PullContext(ctx context.Context, rank int, out []float64) err
 	return imp.pull(ctx, []int{rank}, [][]float64{out})
 }
 
-// PullAll redistributes one consistent epoch of the provider's data into
-// every consumer rank's chunk and returns the cohort's chunks. Unlike N
-// separate Pull calls — between which the provider may Update — all ranks
-// here observe the same provider timestep.
-func (imp *Import) PullAll(ctx context.Context) ([][]float64, error) {
-	outs := make([][]float64, imp.cmap.Ranks())
-	for r := range outs {
-		outs[r] = make([]float64, imp.cmap.LocalLen(r))
-	}
-	if err := imp.PullAllInto(ctx, outs); err != nil {
-		return nil, err
-	}
-	return outs, nil
-}
-
-// PullAllInto is PullAll into caller-provided chunks — a steady-state
-// consumer (or benchmark) reuses its frame buffers instead of allocating
-// the cohort's storage every frame.
+// PullAllInto redistributes one consistent epoch of the provider's data
+// into every consumer rank's chunk of outs. Unlike N separate Pull calls —
+// between which the provider may Update — all ranks here observe the same
+// provider timestep. The chunks are the caller's, so a steady-state
+// consumer reuses its frame buffers across frames.
 func (imp *Import) PullAllInto(ctx context.Context, outs [][]float64) error {
 	n := imp.cmap.Ranks()
 	if len(outs) != n {

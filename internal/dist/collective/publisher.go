@@ -133,9 +133,6 @@ func Publish(oa *orb.ObjectAdapter, name string, ports []ccoll.DistArrayPort, _ 
 	return p, nil
 }
 
-// Ranks returns the provider cohort size M.
-func (p *Publisher) Ranks() int { return len(p.ports) }
-
 // Advance declares the published arrays mutated: the next begin snapshots
 // fresh data instead of joining the current generation. Call it once per
 // timestep (after the mutation), not per subscriber — it is the only

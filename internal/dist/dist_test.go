@@ -2,6 +2,7 @@ package dist
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -120,6 +121,53 @@ func TestSolveAgainstRemoteOperator(t *testing.T) {
 		if math.Abs(v-1) > 1e-6 {
 			t.Fatalf("x[%d] = %v", i, v)
 		}
+	}
+}
+
+// TestExportIterativeSolverPort exports the step-wise solver's
+// esi.IterativeSolver port, whose object the reflection registry binds by
+// SIDL method name, and drives the step loop remotely: every method the
+// SIDL interface lists must exist on the component, iterations included.
+func TestExportIterativeSolverPort(t *testing.T) {
+	tr := &transport.InProc{}
+	m := linalg.Poisson2D(6, 6)
+	server := framework.New(framework.Options{TypeCheck: esi.TypeChecker()})
+	if err := server.Install("op", esi.NewOperatorComponent(m)); err != nil {
+		t.Fatal(err)
+	}
+	if err := server.Install("isolver", esi.NewIterativeSolverComponent()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := server.Connect("isolver", "A", "op", "A"); err != nil {
+		t.Fatal(err)
+	}
+	l, err := tr.Listen("srv-iter")
+	if err != nil {
+		t.Fatal(err)
+	}
+	exp := NewExporter(server, l)
+	defer exp.Close()
+	key, err := exp.Export("isolver", "solver")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rp, err := DialSupervised(tr, "srv-iter", key, esi.TypeIterativeSolver, orb.SupervisorOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rp.Close()
+	if _, err := rp.Call("begin", linalg.Ones(m.NRows)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rp.Call("step", int32(3)); err != nil {
+		t.Fatal(err)
+	}
+	res, err := rp.Call("iterations")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res) != 1 || fmt.Sprint(res[0]) != "3" {
+		t.Errorf("iterations = %v, want [3]", res)
 	}
 }
 

@@ -67,7 +67,7 @@ func TestReflectionRegistered(t *testing.T) {
 	if _, ok := info.Method("solve"); !ok {
 		t.Error("solve method missing from reflection data")
 	}
-	if !sreflect.Global.IsSubtype("esi.MatrixData", "esi.Object") {
+	if md, ok := sreflect.Global.Lookup("esi.MatrixData"); !ok || len(md.Extends) != 1 || md.Extends[0] != "esi.Operator" {
 		t.Error("subtype chain missing in registry")
 	}
 }

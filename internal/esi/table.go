@@ -14,10 +14,6 @@ var esiSIDL string
 //go:embed ports.sidl
 var portsSIDL string
 
-// Sources returns the package's SIDL definition sources, for depositing
-// into repositories.
-func Sources() (esiSrc, portsSrc string) { return esiSIDL, portsSIDL }
-
 var (
 	tableOnce sync.Once
 	tableVal  *sidl.Table

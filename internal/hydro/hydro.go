@@ -138,20 +138,10 @@ type Config struct {
 	// InitialCondition maps a node coordinate to the initial field value;
 	// nil defaults to a Gaussian bump at the domain center.
 	InitialCondition func(x, y float64) float64
-	// InitialField, when non-nil, supplies the initial value of every
-	// global node directly (length = mesh node count) and takes precedence
-	// over InitialCondition. This is how a simulation restarts on a
-	// refined mesh: the coarse field is carried over by prolongation
-	// (mesh.Refine) and handed to the fine pipeline here (§2.2's
-	// mid-run "hierarchical mesh refinement" scenario).
-	InitialField []float64
 	// Source is a steady volumetric source term added explicitly each
 	// step (nil for none). With a source the field approaches a steady
 	// state instead of decaying to zero.
 	Source func(x, y float64) float64
-	// WorldRanks maps cohort rank to world rank for collective-port
-	// transfers; nil means the identity (cohort rank i is world rank i).
-	WorldRanks []int
 }
 
 // FlowComponent is one cohort member of the parallel flow solver.
@@ -250,16 +240,9 @@ func (fc *FlowComponent) init() error {
 			return math.Exp(-50 * (dx*dx + dy*dy))
 		}
 	}
-	if f := fc.cfg.InitialField; f != nil && len(f) != m.NumNodes() {
-		return fmt.Errorf("%w: initial field has %d values for %d nodes", ErrHydro, len(f), m.NumNodes())
-	}
 	fc.u = make([]float64, fc.dec.NumLocal())
 	for li, g := range fc.dec.Owned {
 		if fc.boundary[g] {
-			continue
-		}
-		if f := fc.cfg.InitialField; f != nil {
-			fc.u[li] = f[g]
 			continue
 		}
 		c := m.Coords[g]
@@ -525,7 +508,7 @@ func (fc *FlowComponent) Side() collective.Side {
 		// introspection fails loudly at connect time rather than silently.
 		return collective.Side{}
 	}
-	side, err := SideOf(fc.dec, fc.cfg.WorldRanks)
+	side, err := SideOf(fc.dec)
 	if err != nil {
 		return collective.Side{}
 	}
@@ -534,7 +517,3 @@ func (fc *FlowComponent) Side() collective.Side {
 
 // LocalData implements collective.DistArrayPort.
 func (fc *FlowComponent) LocalData() []float64 { return fc.OwnedField() }
-
-// Initialize forces mesh binding and field setup before the first Step —
-// used by callers that need Side() before stepping.
-func (fc *FlowComponent) Initialize() error { return fc.init() }

@@ -362,7 +362,7 @@ func TestSideOfDecomposition(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		side, err := SideOf(d, nil)
+		side, err := SideOf(d)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -372,15 +372,6 @@ func TestSideOfDecomposition(t *testing.T) {
 		if side.Map.LocalLen(r) != d.NumOwned() {
 			t.Errorf("rank %d local len %d, want %d", r, side.Map.LocalLen(r), d.NumOwned())
 		}
-	}
-	// Custom world ranks are passed through.
-	d, _ := mesh.Decompose(m, part, 3, 0)
-	side, err := SideOf(d, []int{5, 6, 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if side.WorldRanks[2] != 7 {
-		t.Errorf("world ranks = %v", side.WorldRanks)
 	}
 }
 

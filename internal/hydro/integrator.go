@@ -20,7 +20,6 @@ type IntegratorComponent struct {
 
 	mu   sync.Mutex
 	last Stats
-	runs int
 }
 
 // IntegratorPort is the typed control interface.
@@ -90,7 +89,6 @@ func (ic *IntegratorComponent) Run(n int, dt float64) (Stats, error) {
 	}
 	ic.mu.Lock()
 	ic.last = last
-	ic.runs++
 	ic.mu.Unlock()
 	return last, nil
 }
@@ -100,13 +98,6 @@ func (ic *IntegratorComponent) LastStats() Stats {
 	ic.mu.Lock()
 	defer ic.mu.Unlock()
 	return ic.last
-}
-
-// Runs reports how many Go()/Run() invocations completed.
-func (ic *IntegratorComponent) Runs() int {
-	ic.mu.Lock()
-	defer ic.mu.Unlock()
-	return ic.runs
 }
 
 // Go implements the cca.GoPort convention: run the configured segment,

@@ -1,7 +1,6 @@
 package hydro
 
 import (
-	"errors"
 	"math"
 	"testing"
 
@@ -50,7 +49,7 @@ func TestMidRunRefinement(t *testing.T) {
 
 		// Phase 2: refine, interpolate, continue on the fine mesh.
 		fineField := prolong.Apply(global)
-		flowF := buildPipeline2(t, comm, fine, Config{Nu: 1, Tol: 1e-10, InitialField: fineField})
+		flowF := buildPipeline2(t, comm, fine, Config{Nu: 1, Tol: 1e-10, InitialCondition: fieldAt(fine, fineField)})
 		st, err := flowF.Step(dt)
 		if err != nil {
 			t.Errorf("fine step: %v", err)
@@ -70,16 +69,19 @@ func TestMidRunRefinement(t *testing.T) {
 	})
 }
 
-func TestInitialFieldValidation(t *testing.T) {
-	m := mesh.StructuredQuad(4, 4)
-	mpi.Run(1, func(comm *mpi.Comm) {
-		flow := buildPipeline(t, comm, m, Config{Nu: 1, InitialField: []float64{1, 2, 3}})
-		if _, err := flow.Step(0.01); !errors.Is(err, ErrHydro) {
-			t.Errorf("err = %v", err)
-		}
-	})
+// fieldAt turns a global node field into an initial condition: the value
+// at a node's coordinates is the field's value at that node.
+func fieldAt(m *mesh.Mesh, field []float64) func(x, y float64) float64 {
+	at := make(map[[2]float64]float64, len(field))
+	for g, c := range m.Coords {
+		at[c] = field[g]
+	}
+	return func(x, y float64) float64 { return at[[2]float64{x, y}] }
 }
 
+// TestInitialFieldExactlyApplied hands a whole node field to the pipeline
+// through InitialCondition, as a refinement handoff does: every interior
+// node starts at exactly its field value, boundary nodes at 0.
 func TestInitialFieldExactlyApplied(t *testing.T) {
 	m := mesh.StructuredQuad(5, 5)
 	field := make([]float64, m.NumNodes())
@@ -93,9 +95,9 @@ func TestInitialFieldExactlyApplied(t *testing.T) {
 		}
 	}
 	mpi.Run(2, func(comm *mpi.Comm) {
-		flow := buildPipeline(t, comm, m, Config{Nu: 1, Tol: 1e-12, InitialField: field})
+		flow := buildPipeline(t, comm, m, Config{Nu: 1, Tol: 1e-12, InitialCondition: fieldAt(m, field)})
 		fc := flow.(*FlowComponent)
-		if err := fc.Initialize(); err != nil {
+		if err := fc.init(); err != nil {
 			t.Errorf("init: %v", err)
 			return
 		}

@@ -9,15 +9,13 @@ import (
 // SideOf expresses a mesh decomposition's node field as a collective-port
 // Side: rank r of the decomposition owns its (sorted) node ids, grouped
 // into contiguous global ranges, with the field's local storage in the same
-// order (the layout Decompose produces). worldRanks maps decomposition
-// rank to the world rank hosting it; pass nil for the identity mapping.
-func SideOf(dec *mesh.Decomposition, worldRanks []int) (collective.Side, error) {
+// order (the layout Decompose produces). Decomposition rank r is world
+// rank r.
+func SideOf(dec *mesh.Decomposition) (collective.Side, error) {
 	p := dec.P
-	if worldRanks == nil {
-		worldRanks = make([]int, p)
-		for i := range worldRanks {
-			worldRanks[i] = i
-		}
+	worldRanks := make([]int, p)
+	for i := range worldRanks {
+		worldRanks[i] = i
 	}
 	ranges := make([][]array.IndexRange, p)
 	// Reconstruct each rank's sorted owned list from the shared partition

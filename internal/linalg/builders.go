@@ -1,7 +1,5 @@
 package linalg
 
-import "math/rand"
-
 // This file builds the model problems used throughout the reproduction's
 // examples, tests, and benchmarks: the 2-D Poisson and advection-diffusion
 // operators that stand in for CHAD's semi-implicit pressure systems (§2.2 of
@@ -101,39 +99,6 @@ func Laplace1D(n int) *CSR {
 	m, err := NewCSR(n, n, entries)
 	if err != nil {
 		panic("linalg: Laplace1D assembly: " + err.Error())
-	}
-	return m
-}
-
-// RandomSPD builds a random diagonally dominant symmetric matrix of size n
-// with approximately nnzPerRow off-diagonal entries per row, using the
-// given seed. Diagonal dominance guarantees positive-definiteness.
-func RandomSPD(n, nnzPerRow int, seed int64) *CSR {
-	rng := rand.New(rand.NewSource(seed))
-	var entries []Triplet
-	rowAbs := make([]float64, n)
-	for i := 0; i < n; i++ {
-		for k := 0; k < nnzPerRow; k++ {
-			j := rng.Intn(n)
-			if j == i {
-				continue
-			}
-			v := rng.Float64() - 0.5
-			entries = append(entries, Triplet{i, j, v}, Triplet{j, i, v})
-			av := v
-			if av < 0 {
-				av = -av
-			}
-			rowAbs[i] += av
-			rowAbs[j] += av
-		}
-	}
-	for i := 0; i < n; i++ {
-		entries = append(entries, Triplet{i, i, rowAbs[i] + 1})
-	}
-	m, err := NewCSR(n, n, entries)
-	if err != nil {
-		panic("linalg: RandomSPD assembly: " + err.Error())
 	}
 	return m
 }

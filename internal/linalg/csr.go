@@ -129,61 +129,3 @@ func (m *CSR) Diagonal() []float64 {
 	}
 	return d
 }
-
-// Transpose returns Aᵀ as a new CSR matrix.
-func (m *CSR) Transpose() *CSR {
-	t := &CSR{NRows: m.NCols, NCols: m.NRows, RowPtr: make([]int, m.NCols+1)}
-	for _, c := range m.Cols {
-		t.RowPtr[c+1]++
-	}
-	for r := 0; r < t.NRows; r++ {
-		t.RowPtr[r+1] += t.RowPtr[r]
-	}
-	t.Cols = make([]int, m.NNZ())
-	t.Vals = make([]float64, m.NNZ())
-	next := append([]int(nil), t.RowPtr[:t.NRows]...)
-	for r := 0; r < m.NRows; r++ {
-		for k := m.RowPtr[r]; k < m.RowPtr[r+1]; k++ {
-			c := m.Cols[k]
-			t.Cols[next[c]] = r
-			t.Vals[next[c]] = m.Vals[k]
-			next[c]++
-		}
-	}
-	return t
-}
-
-// RowSlice returns the half-open row block [lo,hi) as an independent CSR
-// matrix with the same column space — the building block for distributing a
-// matrix across an SPMD component's ranks.
-func (m *CSR) RowSlice(lo, hi int) (*CSR, error) {
-	if lo < 0 || hi > m.NRows || lo > hi {
-		return nil, fmt.Errorf("%w: row slice [%d,%d) of %d", ErrDim, lo, hi, m.NRows)
-	}
-	out := &CSR{NRows: hi - lo, NCols: m.NCols, RowPtr: make([]int, hi-lo+1)}
-	base := m.RowPtr[lo]
-	for r := lo; r < hi; r++ {
-		out.RowPtr[r-lo+1] = m.RowPtr[r+1] - base
-	}
-	out.Cols = append([]int(nil), m.Cols[base:m.RowPtr[hi]]...)
-	out.Vals = append([]float64(nil), m.Vals[base:m.RowPtr[hi]]...)
-	return out, nil
-}
-
-// SymmetricApprox reports whether the matrix is numerically symmetric
-// within tol. Used by tests and by solver components to validate CG input.
-func (m *CSR) SymmetricApprox(tol float64) bool {
-	if m.NRows != m.NCols {
-		return false
-	}
-	t := m.Transpose()
-	for r := 0; r < m.NRows; r++ {
-		for k := m.RowPtr[r]; k < m.RowPtr[r+1]; k++ {
-			d := m.Vals[k] - t.At(r, m.Cols[k])
-			if d < -tol || d > tol {
-				return false
-			}
-		}
-	}
-	return true
-}

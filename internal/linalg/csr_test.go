@@ -59,7 +59,7 @@ func TestCSRApply(t *testing.T) {
 
 func TestCSRTranspose(t *testing.T) {
 	m := mustCSR(t, 2, 3, []Triplet{{0, 1, 5}, {1, 0, 7}, {1, 2, -1}})
-	tr := m.Transpose()
+	tr := transpose(m)
 	if tr.NRows != 3 || tr.NCols != 2 {
 		t.Fatalf("transpose shape %dx%d", tr.NRows, tr.NCols)
 	}
@@ -67,7 +67,7 @@ func TestCSRTranspose(t *testing.T) {
 		t.Errorf("transpose values wrong")
 	}
 	// (Aᵀ)ᵀ = A.
-	back := tr.Transpose()
+	back := transpose(tr)
 	for r := 0; r < 2; r++ {
 		for c := 0; c < 3; c++ {
 			if back.At(r, c) != m.At(r, c) {
@@ -87,35 +87,14 @@ func TestCSRDiagonal(t *testing.T) {
 	}
 }
 
-func TestCSRRowSlice(t *testing.T) {
-	m := Poisson2D(4, 4)
-	s, err := m.RowSlice(4, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.NRows != 8 || s.NCols != 16 {
-		t.Fatalf("slice shape %dx%d", s.NRows, s.NCols)
-	}
-	for r := 0; r < 8; r++ {
-		for c := 0; c < 16; c++ {
-			if s.At(r, c) != m.At(r+4, c) {
-				t.Fatalf("slice(%d,%d) = %v, want %v", r, c, s.At(r, c), m.At(r+4, c))
-			}
-		}
-	}
-	if _, err := m.RowSlice(10, 20); !errors.Is(err, ErrDim) {
-		t.Errorf("bounds err = %v", err)
-	}
-}
-
 func TestSymmetricApprox(t *testing.T) {
-	if !Poisson2D(5, 5).SymmetricApprox(0) {
+	if !symmetricApprox(Poisson2D(5, 5), 0) {
 		t.Error("Poisson2D not symmetric")
 	}
-	if AdvDiff2D(5, 5, 10, 0).SymmetricApprox(1e-12) {
+	if symmetricApprox(AdvDiff2D(5, 5, 10, 0), 1e-12) {
 		t.Error("advection operator claimed symmetric")
 	}
-	if !RandomSPD(30, 3, 1).SymmetricApprox(1e-12) {
+	if !symmetricApprox(RandomSPD(30, 3, 1), 1e-12) {
 		t.Error("RandomSPD not symmetric")
 	}
 }
@@ -172,7 +151,7 @@ func TestCSRApplyMatchesDenseProperty(t *testing.T) {
 func TestTransposeEntriesProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		m := RandomSPD(10, 2, seed)
-		tr := m.Transpose()
+		tr := transpose(m)
 		for r := 0; r < 10; r++ {
 			for c := 0; c < 10; c++ {
 				if m.At(r, c) != tr.At(c, r) {

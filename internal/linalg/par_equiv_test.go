@@ -31,11 +31,11 @@ func TestDotParMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for _, n := range equivSizes {
 		a, b := randVec(rng, n), randVec(rng, n)
-		serial := DotSerial(a, b)
+		serial := dotSerial(a, b)
 		got := DotPar(a, b)
 		tol := 1e-12 * (1 + math.Abs(serial))
 		if d := math.Abs(got - serial); d > tol {
-			t.Errorf("n=%d: DotPar=%v DotSerial=%v diff=%v > %v", n, got, serial, d, tol)
+			t.Errorf("n=%d: DotPar=%v dotSerial=%v diff=%v > %v", n, got, serial, d, tol)
 		}
 		// Determinism: repeated parallel evaluations must be bit-identical.
 		for trial := 0; trial < 5; trial++ {
@@ -50,11 +50,11 @@ func TestNorm2ParMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	for _, n := range equivSizes {
 		v := randVec(rng, n)
-		serial := Norm2(DotSerial, v)
-		got := Norm2Par(v)
+		serial := Norm2(dotSerial, v)
+		got := Norm2(DotPar, v)
 		tol := 1e-12 * (1 + serial)
 		if d := math.Abs(got - serial); d > tol {
-			t.Errorf("n=%d: Norm2Par=%v serial=%v diff=%v > %v", n, got, serial, d, tol)
+			t.Errorf("n=%d: Norm2(DotPar)=%v serial=%v diff=%v > %v", n, got, serial, d, tol)
 		}
 	}
 }

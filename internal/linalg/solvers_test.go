@@ -303,10 +303,10 @@ func TestVectorKernels(t *testing.T) {
 	if w[0] != (1-12)/2.0 {
 		t.Errorf("scale: %v", w)
 	}
-	if d := DotSerial(x, x); d != 14 {
+	if d := dotSerial(x, x); d != 14 {
 		t.Errorf("dot = %v", d)
 	}
-	if n := Norm2(DotSerial, []float64{3, 4}); n != 5 {
+	if n := Norm2(dotSerial, []float64{3, 4}); n != 5 {
 		t.Errorf("norm = %v", n)
 	}
 }

@@ -29,9 +29,8 @@ var (
 	ErrSingular    = errors.New("linalg: singular pivot")
 )
 
-// Dot computes an inner product. In serial use, DotSerial suffices; a
-// parallel component supplies a Dot that sums local products and reduces
-// across its communicator.
+// Dot computes an inner product. A parallel component supplies a Dot that
+// sums local products and reduces across its communicator.
 type Dot func(a, b []float64) float64
 
 // VecGrain is the serial-fallback threshold for the parallel vector
@@ -40,18 +39,9 @@ type Dot func(a, b []float64) float64
 // the cutoff is high — below it, chunk scheduling costs more than it buys.
 const VecGrain = 8192
 
-// DotSerial is the plain serial inner product.
-func DotSerial(a, b []float64) float64 {
-	var s float64
-	for i, v := range a {
-		s += v * b[i]
-	}
-	return s
-}
-
 // DotPar is the parallel inner product: chunked partial sums over the
 // shared worker pool, combined in fixed chunk order, so the result is
-// deterministic run-to-run (it differs from DotSerial only by summation
+// deterministic run-to-run (it differs from a serial loop only by summation
 // reassociation, O(n·eps)). Each chunk runs the simd.Dot kernel — SIMD
 // within a chunk, scalar combine across chunks — so determinism holds on
 // every backend: chunk boundaries depend only on (n, grain), and the
@@ -65,9 +55,6 @@ func DotPar(a, b []float64) float64 {
 
 // Norm2 returns the Euclidean norm of v under the given inner product.
 func Norm2(dot Dot, v []float64) float64 { return math.Sqrt(dot(v, v)) }
-
-// Norm2Par is the parallel Euclidean norm (Norm2 under DotPar).
-func Norm2Par(v []float64) float64 { return math.Sqrt(DotPar(v, v)) }
 
 // Axpy computes y += alpha*x. Large vectors update in parallel chunks;
 // the operation is elementwise, so the result is bitwise identical to the
@@ -140,7 +127,7 @@ type Options struct {
 	Tol float64
 	// MaxIter bounds the iteration count (default 10·n).
 	MaxIter int
-	// Dot is the inner product (default DotPar, which equals DotSerial
+	// Dot is the inner product (default DotPar, which is a serial loop
 	// below VecGrain). SPMD components override it with a globally
 	// reduced product.
 	Dot Dot

@@ -100,7 +100,7 @@ func TestExchangeFillsGhosts(t *testing.T) {
 
 func TestDistOperatorMatchesSerial(t *testing.T) {
 	m := StructuredQuad(9, 7)
-	entries := m.GraphLaplacianEntries()
+	entries := graphLaplacianEntries(m)
 	n := m.NumNodes()
 	// Serial reference.
 	tri := make([]linalg.Triplet, len(entries))
@@ -157,7 +157,7 @@ func TestDistOperatorMatchesSerial(t *testing.T) {
 
 func TestParallelCGMatchesSerial(t *testing.T) {
 	m := StructuredQuad(12, 12)
-	entries := m.GraphLaplacianEntries()
+	entries := graphLaplacianEntries(m)
 	n := m.NumNodes()
 	tri := make([]linalg.Triplet, len(entries))
 	for i, e := range entries {
@@ -223,7 +223,14 @@ func TestGlobalDotRankDeathReturnsTypedError(t *testing.T) {
 			p.Kill()
 			return
 		}
-		<-p.Done()
+		died := make(chan struct{}, 1)
+		p.OnRankDeath(func(int, error) {
+			select {
+			case died <- struct{}{}:
+			default:
+			}
+		})
+		<-died
 		dot, dotErr := GlobalDot(c)
 		x := make([]float64, a.NRows)
 		_, err := (linalg.CG{}).Solve(a, linalg.Ones(a.NRows), x, linalg.Options{Dot: dot})

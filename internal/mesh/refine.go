@@ -2,7 +2,6 @@ package mesh
 
 import (
 	"fmt"
-	"sort"
 )
 
 // This file implements uniform ("red") mesh refinement with field
@@ -109,52 +108,4 @@ func Refine(m *Mesh) (*Mesh, *Prolongation, error) {
 		return nil, nil, err
 	}
 	return fine, prolong, nil
-}
-
-// RefineLevels applies Refine n times, composing the prolongations.
-func RefineLevels(m *Mesh, n int) (*Mesh, *Prolongation, error) {
-	cur := m
-	var total *Prolongation
-	for i := 0; i < n; i++ {
-		fine, p, err := Refine(cur)
-		if err != nil {
-			return nil, nil, err
-		}
-		if total == nil {
-			total = p
-		} else {
-			total = compose(p, total)
-		}
-		cur = fine
-	}
-	if total == nil {
-		// Zero levels: identity.
-		total = &Prolongation{}
-		for i := 0; i < m.NumNodes(); i++ {
-			total.Rows = append(total.Rows, []Weight{{Node: i, W: 1}})
-		}
-	}
-	return cur, total, nil
-}
-
-// compose chains fine←mid (outer) with mid←coarse (inner).
-func compose(outer, inner *Prolongation) *Prolongation {
-	out := &Prolongation{Rows: make([][]Weight, len(outer.Rows))}
-	for i, row := range outer.Rows {
-		acc := map[int]float64{}
-		for _, w := range row {
-			for _, iw := range inner.Rows[w.Node] {
-				acc[iw.Node] += w.W * iw.W
-			}
-		}
-		keys := make([]int, 0, len(acc))
-		for k := range acc {
-			keys = append(keys, k)
-		}
-		sort.Ints(keys)
-		for _, k := range keys {
-			out.Rows[i] = append(out.Rows[i], Weight{Node: k, W: acc[k]})
-		}
-	}
-	return out
 }

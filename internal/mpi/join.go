@@ -177,7 +177,6 @@ func JoinConfig(cfg ProcConfig) (*Comm, *Proc, error) {
 		listener: l,
 		ctl:      ctl,
 		byeSeen:  make([]bool, cfg.Size),
-		done:     make(chan struct{}),
 	}
 	pw.byeCond = sync.NewCond(&pw.mu)
 	for r, conn := range peers {

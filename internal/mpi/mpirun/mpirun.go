@@ -34,9 +34,6 @@ type Config struct {
 	// Command is the argv each rank runs. The rank's identity is passed in
 	// the environment, so all ranks share one argv.
 	Command []string
-	// Env holds extra environment entries appended after the inherited
-	// environment and the CCA_MPI_* variables.
-	Env []string
 	// MaxRestarts is the per-rank respawn budget: a rank process that
 	// exits nonzero (or is killed) is relaunched at most this many times.
 	MaxRestarts int
@@ -124,7 +121,6 @@ func (l *Launcher) spawn(r int) error {
 		fmt.Sprintf("%s=%d", mpi.EnvRank, r),
 		fmt.Sprintf("%s=%d", mpi.EnvSize, l.cfg.Size),
 	)
-	cmd.Env = append(cmd.Env, l.cfg.Env...)
 	cmd.Stdout = l.cfg.Stdout
 	cmd.Stderr = l.cfg.Stderr
 	if err := cmd.Start(); err != nil {
@@ -192,13 +188,6 @@ func (l *Launcher) Kill(r int) error {
 		return fmt.Errorf("mpirun: rank %d not running", r)
 	}
 	return cmd.Process.Kill()
-}
-
-// Restarts reports how many times rank r has been respawned.
-func (l *Launcher) Restarts(r int) int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.restarts[r]
 }
 
 // Close stops supervision, kills any live rank processes, and shuts the

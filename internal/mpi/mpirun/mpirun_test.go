@@ -71,13 +71,15 @@ func workerRounds(comm *mpi.Comm) error {
 	return nil
 }
 
-func newTestLauncher(t *testing.T, rendezvous, mode string, size, restarts int, extraEnv ...string) *Launcher {
+// newTestLauncher starts this test binary as each rank in the given mode.
+// The ranks inherit the test's environment, which carries the mode.
+func newTestLauncher(t *testing.T, rendezvous, mode string, size, restarts int) *Launcher {
 	t.Helper()
+	t.Setenv(modeEnv, mode)
 	l, err := New(Config{
 		Size:        size,
 		Rendezvous:  rendezvous,
 		Command:     []string{os.Args[0]},
-		Env:         append([]string{modeEnv + "=" + mode}, extraEnv...),
 		MaxRestarts: restarts,
 	})
 	if err != nil {
@@ -111,8 +113,8 @@ func TestLauncherRunsCohortTCP(t *testing.T) {
 		t.Errorf("generations = %d, want 1", g)
 	}
 	for r := 0; r < 4; r++ {
-		if l.Restarts(r) != 0 {
-			t.Errorf("rank %d restarted %d times in a clean run", r, l.Restarts(r))
+		if restarts(l, r) != 0 {
+			t.Errorf("rank %d restarted %d times in a clean run", r, restarts(l, r))
 		}
 	}
 }
@@ -145,8 +147,8 @@ func TestLauncherRestartsCrashedRank(t *testing.T) {
 	if g := l.Rendezvous().Generations(); g != 2 {
 		t.Errorf("generations = %d, want 2", g)
 	}
-	if l.Restarts(3) != 1 {
-		t.Errorf("rank 3 restarts = %d, want 1", l.Restarts(3))
+	if restarts(l, 3) != 1 {
+		t.Errorf("rank 3 restarts = %d, want 1", restarts(l, 3))
 	}
 }
 
@@ -154,12 +156,19 @@ func TestLauncherKillExhaustsBudget(t *testing.T) {
 	// With no restart budget, a crashed rank is a cohort failure: the
 	// survivors' re-joins hit the formation timeout instead of hanging on
 	// a world that can never re-form, and Wait reports the failures.
-	l := newTestLauncher(t, "tcp://127.0.0.1:0", "crash-rank3", 4, 0,
-		mpi.EnvTimeout+"=1s")
+	t.Setenv(mpi.EnvTimeout, "1s")
+	l := newTestLauncher(t, "tcp://127.0.0.1:0", "crash-rank3", 4, 0)
 	if err := l.Start(); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Wait(); err == nil {
 		t.Fatal("Wait reported success although rank 3 crashed with no budget")
 	}
+}
+
+// restarts reports how many times rank r has been respawned.
+func restarts(l *Launcher, r int) int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.restarts[r]
 }

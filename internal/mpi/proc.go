@@ -44,7 +44,6 @@ type procWorld struct {
 	byeSeen  []bool
 	deathFns []func(rank int, err error)
 	deadErr  error
-	done     chan struct{}
 	byeCond  *sync.Cond
 
 	loopWG sync.WaitGroup
@@ -192,7 +191,6 @@ func (p *procWorld) rankDied(peer int, cause error) {
 		return
 	}
 	p.box.fail(err)
-	close(p.done)
 	for _, fn := range fns {
 		fn(peer, err)
 	}
@@ -211,25 +209,9 @@ type Proc struct {
 	pw *procWorld
 }
 
-// Rank returns this process's world rank.
-func (p *Proc) Rank() int { return p.pw.rank }
-
-// Size returns the world size.
-func (p *Proc) Size() int { return p.pw.size }
-
 // Generation returns the rendezvous generation this world formed as;
 // it increases across cohort re-formations.
 func (p *Proc) Generation() uint64 { return p.pw.gen }
-
-// Done returns a channel closed when a peer rank dies.
-func (p *Proc) Done() <-chan struct{} { return p.pw.done }
-
-// Err returns the typed RankDeadError after a peer death, nil before.
-func (p *Proc) Err() error {
-	p.pw.mu.Lock()
-	defer p.pw.mu.Unlock()
-	return p.pw.deadErr
-}
 
 // OnRankDeath registers fn to run (once, on the first death) when a peer
 // rank dies. Registration after a death fires fn immediately.

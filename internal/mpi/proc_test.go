@@ -165,8 +165,8 @@ func TestRendezvousGenerations(t *testing.T) {
 			if p.Generation() != gen {
 				t.Fatalf("rank %d generation = %d, want %d", r, p.Generation(), gen)
 			}
-			if p.Rank() != r || p.Size() != 2 {
-				t.Fatalf("proc identity = (%d,%d)", p.Rank(), p.Size())
+			if p.pw.rank != r || p.pw.size != 2 {
+				t.Fatalf("proc identity = (%d,%d)", p.pw.rank, p.pw.size)
 			}
 		}
 		// Derived communicators exercise the cross-generation ctx RPC.
@@ -232,15 +232,10 @@ func TestProcKillSurfacesRankDeath(t *testing.T) {
 		if !errors.Is(err, transport.ErrClosed) {
 			t.Errorf("rank %d death error %v does not unwrap to transport.ErrClosed", r, err)
 		}
-		// The whole proc is poisoned: Done fires, Err reports, collectives
+		// The whole proc is poisoned: the death is recorded, collectives
 		// fail fast, and late death callbacks fire immediately.
-		select {
-		case <-procs[r].Done():
-		case <-time.After(5 * time.Second):
-			t.Fatalf("rank %d Done() did not fire", r)
-		}
-		if err := procs[r].Err(); err == nil {
-			t.Errorf("rank %d Err() = nil after death", r)
+		if err := deadErr(procs[r]); err == nil {
+			t.Errorf("rank %d recorded no death", r)
 		}
 		if _, err := comms[r].AllreduceScalar(1, Sum); !errors.As(err, &dead) {
 			t.Errorf("rank %d collective after death = %v, want RankDeadError", r, err)
@@ -286,8 +281,8 @@ func TestProcCloseFinalizes(t *testing.T) {
 			if err := procs[r].Close(); err != nil {
 				t.Errorf("rank %d re-close: %v", r, err)
 			}
-			if err := procs[r].Err(); err != nil {
-				t.Errorf("rank %d Err() after clean close = %v", r, err)
+			if err := deadErr(procs[r]); err != nil {
+				t.Errorf("rank %d death recorded after clean close = %v", r, err)
 			}
 			// The communicator is revoked, not dead: operations fail with
 			// ErrCommRevoked.
@@ -313,4 +308,11 @@ func TestRunOverPanicPropagates(t *testing.T) {
 		// Rank 0 blocks on the panicking rank; the kill must unblock it.
 		_, _, _ = c.Recv(1, 1)
 	})
+}
+
+// deadErr reads the rank death a proc recorded, nil before one.
+func deadErr(p *Proc) error {
+	p.pw.mu.Lock()
+	defer p.pw.mu.Unlock()
+	return p.pw.deadErr
 }

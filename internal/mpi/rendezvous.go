@@ -159,10 +159,6 @@ func NewRendezvous(l transport.Listener, size int) *Rendezvous {
 	return r
 }
 
-// Addr returns the address ranks dial, without scheme (as reported by the
-// listener).
-func (r *Rendezvous) Addr() string { return r.l.Addr() }
-
 // Formed returns a channel that receives the generation number each time a
 // world forms — test and launcher instrumentation.
 func (r *Rendezvous) Formed() <-chan uint64 { return r.formedCh }

@@ -50,7 +50,7 @@ func BenchmarkHistogramObserve(b *testing.B) {
 
 func BenchmarkNanotime(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_ = Nanotime()
+		_ = nanotime()
 	}
 }
 

@@ -91,15 +91,9 @@ type ServeOptions struct {
 	Pprof bool
 }
 
-// Serve exposes Handler on addr (e.g. "127.0.0.1:0") in a background
-// goroutine. It returns the bound address — useful with port 0 — and a
-// closer that shuts the listener down.
-func Serve(addr string) (bound string, closer func() error, err error) {
-	return ServeWith(addr, ServeOptions{})
-}
-
-// ServeWith is Serve with explicit options; the metrics document stays at
-// "/" either way.
+// ServeWith exposes Handler at "/" on addr (e.g. "127.0.0.1:0") in a
+// background goroutine. It returns the bound address — useful with port
+// 0 — and a closer that shuts the listener down.
 func ServeWith(addr string, opts ServeOptions) (bound string, closer func() error, err error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {

@@ -45,9 +45,6 @@ type Counter struct {
 	shards [counterShards]cell
 }
 
-// Name reports the registered name.
-func (c *Counter) Name() string { return c.name }
-
 // Add increments the counter by n. No-op while metrics are disabled.
 func (c *Counter) Add(n uint64) {
 	if !metricsOn.Load() {
@@ -84,9 +81,6 @@ type Gauge struct {
 	v    atomic.Int64
 }
 
-// Name reports the registered name.
-func (g *Gauge) Name() string { return g.name }
-
 // Add moves the gauge by delta (negative to decrement).
 func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
 
@@ -110,9 +104,6 @@ type Histogram struct {
 	sum     atomic.Uint64
 	buckets [histBuckets]atomic.Uint64
 }
-
-// Name reports the registered name.
-func (h *Histogram) Name() string { return h.name }
 
 // Observe records one value (for latencies: nanoseconds). No-op while
 // metrics are disabled.

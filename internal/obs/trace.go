@@ -170,17 +170,6 @@ func (r *Recorder) Spans() []Span {
 	return out
 }
 
-// Reset drops every retained span (the enabled state is unchanged).
-func (r *Recorder) Reset() {
-	for i := range r.stripes {
-		st := &r.stripes[i]
-		st.mu.Lock()
-		clear(st.ring)
-		st.n = 0
-		st.mu.Unlock()
-	}
-}
-
 // traceSeq hands out trace IDs. Seeded from the clock so IDs from
 // processes started at different times rarely collide — good enough for
 // joining spans by eye or script; this is a debugging aid, not a

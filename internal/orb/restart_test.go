@@ -119,8 +119,11 @@ func TestRestartPolicyRelaunchesAndReplays(t *testing.T) {
 	if r == 0 {
 		t.Error("restart policy never invoked")
 	}
-	if got := s.Addr(); got == "restart-0" {
-		t.Error("Addr still reports the dead incarnation")
+	s.mu.Lock()
+	got := s.addr
+	s.mu.Unlock()
+	if got == "restart-0" {
+		t.Error("the connection still targets the dead incarnation")
 	}
 	after := obs.Default.Snapshot().Counters
 	if d := after["orb.supervised.restarts"] - before["orb.supervised.restarts"]; d == 0 {

@@ -174,21 +174,6 @@ func DialSupervised(tr transport.Transport, addr string, opts SupervisorOptions)
 	return s, nil
 }
 
-// Addr reports the supervised endpoint (a RestartPolicy relaunch may move
-// it).
-func (s *Supervised) Addr() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.addr
-}
-
-// State reports the current connection health.
-func (s *Supervised) State() ConnState {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.state
-}
-
 // setStateLocked transitions the health state; the returned thunk (nil when
 // the state did not change) must be called after the lock is released.
 func (s *Supervised) setStateLocked(st ConnState, cause error) func() {

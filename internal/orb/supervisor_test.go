@@ -89,7 +89,7 @@ func TestSupervisedHappyPath(t *testing.T) {
 	if res, err := s.Invoke("calc", "greet", "world"); err != nil || res[0].(string) != "hello world" {
 		t.Errorf("greet = %v, %v", res, err)
 	}
-	if got := s.State(); got != StateHealthy {
+	if got := stateOf(s); got != StateHealthy {
 		t.Errorf("state = %v, want healthy", got)
 	}
 }
@@ -260,7 +260,7 @@ func TestSupervisedFatalNotRetried(t *testing.T) {
 	if got := Classify(err); got != ClassFatal {
 		t.Errorf("class = %v, want fatal (%v)", got, err)
 	}
-	if got := s.State(); got != StateHealthy {
+	if got := stateOf(s); got != StateHealthy {
 		t.Errorf("state after app error = %v, want healthy", got)
 	}
 	if _, err := s.Invoke("calc", "add", 1.0, 1.0); err != nil {
@@ -376,4 +376,11 @@ func TestClassify(t *testing.T) {
 	if !errors.Is(inner, transport.ErrClosed) {
 		t.Error("CallError does not unwrap to its cause")
 	}
+}
+
+// stateOf reads a supervised connection's health.
+func stateOf(s *Supervised) ConnState {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.state
 }

@@ -30,19 +30,16 @@ func TestTracePropagation(t *testing.T) {
 	}
 	defer c.Close()
 
-	obs.Tracer.Reset()
 	obs.Tracer.SetEnabled(true)
-	defer func() {
-		obs.Tracer.SetEnabled(false)
-		obs.Tracer.Reset()
-	}()
+	defer obs.Tracer.SetEnabled(false)
 
 	if _, err := c.Invoke("calc", "add", 1.0, 2.0); err != nil {
 		t.Fatal(err)
 	}
 	// The dispatch span is recorded before the reply is sent, and the
 	// client-call span before Invoke returns — both are visible now
-	// without any synchronization.
+	// without any synchronization. Spans() is oldest-first, so byKind
+	// keeps this call's spans over any an earlier test left in the ring.
 	byKind := map[obs.SpanKind]obs.Span{}
 	for _, s := range obs.Tracer.Spans() {
 		byKind[s.Kind] = s
@@ -71,7 +68,6 @@ func TestTracePropagation(t *testing.T) {
 	}
 
 	// A failing call's spans carry the error.
-	obs.Tracer.Reset()
 	if _, err := c.Invoke("ghost", "m"); err == nil {
 		t.Fatal("call to missing object succeeded")
 	}
@@ -104,11 +100,11 @@ func TestUntracedCallsRecordNothing(t *testing.T) {
 	}
 	defer c.Close()
 
-	obs.Tracer.Reset()
+	before := obs.Tracer.Recorded()
 	if _, err := c.Invoke("calc", "add", 1.0, 2.0); err != nil {
 		t.Fatal(err)
 	}
-	if n := obs.Tracer.Recorded(); n != 0 {
+	if n := obs.Tracer.Recorded() - before; n != 0 {
 		t.Fatalf("untraced call recorded %d spans", n)
 	}
 }

@@ -114,20 +114,6 @@ func (c *Client) Describe() (string, error) {
 	return s, nil
 }
 
-// Deposit ships an entry to the service (factory excluded — code does not
-// serialize) and returns the post-deposit revision.
-func (c *Client) Deposit(e *Entry) (int64, error) {
-	raw, err := EncodeEntry(e)
-	if err != nil {
-		return 0, err
-	}
-	res, err := c.inv.Invoke(ServiceKey, "deposit", string(raw))
-	if err != nil {
-		return 0, err
-	}
-	return oneInt64(res, "deposit")
-}
-
 // Resolve returns the highest deposited version of name satisfying the
 // constraint, consulting the cache first. The returned entry is shared
 // with the cache; callers must not mutate it.
@@ -191,14 +177,6 @@ func (c *Client) Resolve(name, constraint string) (*Entry, Version, error) {
 	c.cache[key] = &cachedResolution{rev: fetchRev, v: v, e: e}
 	c.mu.Unlock()
 	return e, v, nil
-}
-
-// CacheLen reports how many resolutions the client remembers (tests and
-// metrics).
-func (c *Client) CacheLen() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.cache)
 }
 
 func oneInt64(res []any, method string) (int64, error) {

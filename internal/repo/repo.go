@@ -296,17 +296,12 @@ func (r *Repository) Table() *sidl.Table {
 // Query selects components. Zero fields match everything; set fields are
 // conjunctive.
 type Query struct {
-	// NameContains matches a substring of the component name.
-	NameContains string
 	// ProvidesType matches components providing a port whose type is a
 	// SIDL subtype of (usable as) this type.
 	ProvidesType string
 	// UsesType matches components using a port of exactly this type or a
 	// supertype of it.
 	UsesType string
-	// Flavor, when nonzero, matches components whose required flavor is
-	// contained in it (i.e. components runnable on such a framework).
-	Flavor cca.Flavor
 }
 
 // Search returns the newest version of every matching component, sorted by
@@ -317,9 +312,6 @@ func (r *Repository) Search(q Query) []*Entry {
 	var out []*Entry
 	for _, have := range r.entries {
 		e := have[len(have)-1].e
-		if q.NameContains != "" && !strings.Contains(e.Name, q.NameContains) {
-			continue
-		}
 		if q.ProvidesType != "" {
 			found := false
 			for _, ps := range e.Provides {
@@ -343,9 +335,6 @@ func (r *Repository) Search(q Query) []*Entry {
 			if !found {
 				continue
 			}
-		}
-		if q.Flavor != 0 && !q.Flavor.Contains(e.Flavor) {
-			continue
 		}
 		out = append(out, e)
 	}

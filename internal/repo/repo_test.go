@@ -208,25 +208,8 @@ func TestSearchByUsesAndName(t *testing.T) {
 	if len(hits) != 1 || hits[0].Name != "chad.FlowComponent" {
 		t.Fatalf("uses hits = %+v", hits)
 	}
-	if hits := r.Search(Query{NameContains: "esi"}); len(hits) != 2 {
-		t.Errorf("name hits = %d", len(hits))
-	}
 	if hits := r.Search(Query{}); len(hits) != 3 {
 		t.Errorf("match-all hits = %d", len(hits))
-	}
-}
-
-func TestSearchByFlavor(t *testing.T) {
-	r := New()
-	if err := r.Deposit(Entry{Name: "par", Flavor: cca.FlavorCollective}); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Deposit(Entry{Name: "ser", Flavor: cca.FlavorInProcess}); err != nil {
-		t.Fatal(err)
-	}
-	hits := r.Search(Query{Flavor: cca.FlavorInProcess})
-	if len(hits) != 1 || hits[0].Name != "ser" {
-		t.Errorf("flavor hits = %+v", hits)
 	}
 }
 

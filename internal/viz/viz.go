@@ -6,10 +6,10 @@
 // local workstation by dynamically attaching a visualization tool to an
 // ongoing simulation that is running on a remote parallel machine."
 //
-// Three components are provided: StatsMonitor (a MonitorPort listener fed
-// by the flow component's fan-out), an ASCII contour renderer, and a binary
-// PGM image writer; Attachment pulls a parallel component's distributed
-// field onto a single rank through a collective port connection.
+// StatsMonitor is a MonitorPort listener fed by the flow component's
+// fan-out, RenderASCII draws a contour of a field, and Attachment pulls a
+// parallel component's distributed field onto a single rank through a
+// collective port connection.
 package viz
 
 import (
@@ -18,7 +18,6 @@ import (
 	"io"
 	"math"
 	"strings"
-	"sync"
 
 	"repro/internal/array"
 	"repro/internal/cca"
@@ -29,15 +28,11 @@ import (
 	"repro/internal/transport"
 )
 
-// StatsMonitor is a monitor component recording (and optionally printing)
-// per-step statistics. It provides a "monitor" port that FlowComponent's
-// uses-port fans out to.
+// StatsMonitor is a monitor component printing per-step statistics. It
+// provides a "monitor" port that FlowComponent's uses-port fans out to.
 type StatsMonitor struct {
 	// Out, when non-nil, receives one line per observation.
 	Out io.Writer
-
-	mu      sync.Mutex
-	history []hydro.Stats
 }
 
 var (
@@ -52,19 +47,9 @@ func (s *StatsMonitor) SetServices(svc cca.Services) error {
 
 // Observe implements hydro.MonitorPort.
 func (s *StatsMonitor) Observe(step int, st hydro.Stats) {
-	s.mu.Lock()
-	s.history = append(s.history, st)
-	s.mu.Unlock()
 	if s.Out != nil {
 		fmt.Fprintf(s.Out, "%s\n", st)
 	}
-}
-
-// History returns a snapshot of the observations.
-func (s *StatsMonitor) History() []hydro.Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]hydro.Stats(nil), s.history...)
 }
 
 // RenderASCII bins scattered node values onto a w×h character grid
@@ -99,31 +84,6 @@ func RenderASCII(coords [][2]float64, values []float64, w, h int) string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-// EncodePGM renders the field into a binary (P5) PGM image of size w×h.
-func EncodePGM(coords [][2]float64, values []float64, w, h int) []byte {
-	grid, minV, maxV := binToGrid(coords, values, w, h)
-	span := maxV - minV
-	var b strings.Builder
-	fmt.Fprintf(&b, "P5\n%d %d\n255\n", w, h)
-	out := []byte(b.String())
-	for row := h - 1; row >= 0; row-- {
-		for col := 0; col < w; col++ {
-			c := grid[row][col]
-			var pix byte
-			if c.n > 0 {
-				v := c.sum / float64(c.n)
-				t := 0.0
-				if span > 0 {
-					t = (v - minV) / span
-				}
-				pix = byte(math.Round(t * 255))
-			}
-			out = append(out, pix)
-		}
-	}
-	return out
 }
 
 type cell struct {
@@ -245,10 +205,6 @@ func (a *RemoteAttachment) Snapshot(ctx context.Context) ([]float64, error) {
 	}
 	return a.buf, nil
 }
-
-// Import exposes the underlying consumer attachment (supervision state,
-// provider cohort size).
-func (a *RemoteAttachment) Import() *dcoll.Import { return a.imp }
 
 // Close releases the supervised connection.
 func (a *RemoteAttachment) Close() error { return a.imp.Close() }

@@ -23,11 +23,7 @@ func TestStatsMonitorRecordsAndPrints(t *testing.T) {
 	}
 	m.Observe(1, hydro.Stats{Step: 1, Max: 0.5})
 	m.Observe(2, hydro.Stats{Step: 2, Max: 0.4})
-	h := m.History()
-	if len(h) != 2 || h[1].Step != 2 {
-		t.Fatalf("history = %+v", h)
-	}
-	if !strings.Contains(buf.String(), "step=1") {
+	if !strings.Contains(buf.String(), "step=1") || !strings.Contains(buf.String(), "step=2") {
 		t.Errorf("output = %q", buf.String())
 	}
 }
@@ -66,18 +62,6 @@ func TestRenderASCIIDegenerate(t *testing.T) {
 	out := RenderASCII(coords, []float64{3, 3}, 2, 2)
 	if !strings.Contains(out, " ") && len(out) == 0 {
 		t.Errorf("constant render = %q", out)
-	}
-}
-
-func TestEncodePGMHeaderAndSize(t *testing.T) {
-	coords := [][2]float64{{0, 0}, {1, 0}, {0, 1}, {1, 1}}
-	vals := []float64{0, 1, 0.5, 0.25}
-	img := EncodePGM(coords, vals, 8, 4)
-	if !bytes.HasPrefix(img, []byte("P5\n8 4\n255\n")) {
-		t.Fatalf("header = %q", img[:12])
-	}
-	if len(img) != len("P5\n8 4\n255\n")+8*4 {
-		t.Errorf("image size = %d", len(img))
 	}
 }
 
@@ -152,7 +136,7 @@ func TestDynamicAttachDuringRun(t *testing.T) {
 				t.Errorf("viz decompose: %v", err)
 				return
 			}
-			side, err := hydro.SideOf(d, nil)
+			side, err := hydro.SideOf(d)
 			if err != nil {
 				t.Errorf("viz side: %v", err)
 				return

@@ -1,0 +1,5 @@
+package main
+
+import "auditfix/lib"
+
+func main() { lib.NestedOnly() }
