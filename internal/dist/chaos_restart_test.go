@@ -29,7 +29,7 @@ const iterKey = "op/itersolver"
 
 // iterServer is one incarnation of the remote solver process: a framework
 // holding the operator and an IterativeSolverComponent, served over a
-// dynamic servant that exposes the step loop and the checkpoint surface.
+// Handler that exposes the step loop and the checkpoint surface.
 type iterServer struct {
 	fw     *framework.Framework
 	solver *esi.IterativeSolverComponent
@@ -65,7 +65,7 @@ func startIterServer(tr transport.Transport, addr string, m *linalg.CSR) (*iterS
 
 // registerIterServant exposes the step-wise solver's wire surface.
 func registerIterServant(oa *orb.ObjectAdapter, s *esi.IterativeSolverComponent) {
-	oa.RegisterDynamic(iterKey, func(method string, args []any, reply *orb.Encoder) error {
+	oa.Handle(iterKey, func(method string, args []any, reply *orb.Encoder) error {
 		switch method {
 		case "begin":
 			b, ok := args[0].([]float64)

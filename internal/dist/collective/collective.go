@@ -11,7 +11,7 @@
 // # Protocol
 //
 // A provider process Publishes a cohort's DistArrayPorts on the reserved
-// ORB key "collective/<name>" as a dynamic servant. A consumer Attaches by
+// ORB key "collective/<name>" as an orb.Handler. A consumer Attaches by
 // dialing a supervised client and performing a plan exchange: it sends its
 // own distribution as a canonical run list, the provider answers with its
 // run list and a plan ID, and *both* sides construct the identical

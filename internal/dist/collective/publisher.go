@@ -50,7 +50,7 @@ func (g *provGen) release(plan int64) {
 	}
 }
 
-// Publisher serves a cohort of DistArrayPorts as a dynamic servant on the
+// Publisher serves a cohort of DistArrayPorts as an orb.Handler on the
 // reserved key Key(name): the provider half of a cross-process collective
 // connection. One Publisher represents the whole M-rank cohort — ports[i]
 // is cohort rank i — mirroring how an SPMD component's port is logically
@@ -129,7 +129,7 @@ func Publish(oa *orb.ObjectAdapter, name string, ports []ccoll.DistArrayPort, _ 
 		planKeys: make(map[string]int64),
 		gens:     make(map[int64]*provGen),
 	}
-	oa.RegisterDynamic(Key(name), p.handle)
+	oa.Handle(Key(name), p.handle)
 	return p, nil
 }
 
@@ -173,7 +173,7 @@ func (p *Publisher) Close() {
 	p.oa.Unregister(Key(p.name))
 }
 
-// handle is the dynamic servant: the DSI-style dispatch target for the
+// handle is the publisher's orb.Handler: the dispatch target for the
 // three protocol methods on Key(name).
 func (p *Publisher) handle(method string, args []any, reply *orb.Encoder) error {
 	if reply == nil {

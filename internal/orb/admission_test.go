@@ -15,7 +15,7 @@ import (
 	"repro/internal/transport"
 )
 
-// gateServer serves a dynamic servant "gate" with a blockable method:
+// gateServer serves a handler "gate" with a blockable method:
 // wait() parks on release after signalling entered, ping() answers
 // immediately, nap() sleeps 2ms.
 func gateServer(t *testing.T, opts ServeOptions) (srv *Server, entered chan struct{}, release chan struct{}) {
@@ -40,7 +40,7 @@ func gateServer(t *testing.T, opts ServeOptions) (srv *Server, entered chan stru
 		}
 		return errors.New("no such method: " + method)
 	}
-	oa.RegisterDynamic("gate", handler)
+	oa.Handle("gate", handler)
 	l, err := transport.TCP{}.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

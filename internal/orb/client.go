@@ -132,83 +132,73 @@ func (c *Client) Invoke(key, method string, args ...any) ([]any, error) {
 // InvokeContext performs a remote call honoring ctx for timeout and
 // cancellation. A cancelled call is abandoned client-side only: the server
 // still executes it, and the demux loop discards the late reply frame.
-//
-// InvokeContext is also the client's instrumentation point: with metrics
-// enabled it maintains per-method RED instruments and the in-flight gauge
-// (durations are a uniform 1-in-8 sample; see redSampleMask), and with
-// tracing enabled it draws a trace ID, stamps it into the request frame,
-// and records the round trip as a client-call span. With both off the
-// overhead is two atomic loads.
 func (c *Client) InvokeContext(ctx context.Context, key, method string, args ...any) ([]any, error) {
-	trace := obs.ActiveTraceID()
-	metered := obs.MetricsEnabled()
-	if trace == 0 && !metered {
-		return c.invoke(ctx, 0, key, method, args)
-	}
-	if trace != 0 {
-		return c.invokeTraced(ctx, trace, metered, key, method, args)
-	}
-	red := clientRED(method)
-	red.calls.Inc()
-	gClientInflight.Add(1)
-	var t0 int64
-	sampled := red.sampleDur()
-	if sampled {
-		t0 = obs.Mono()
-	}
-	out, err := c.invoke(ctx, 0, key, method, args)
-	if sampled {
-		red.dur.Observe(durNS(obs.Mono() - t0))
-	}
-	gClientInflight.Add(-1)
-	if err != nil {
-		red.errs[Classify(err)].Inc()
-	}
+	var out []any
+	_, err := c.roundTrip(ctx, key, method, args, &out)
 	return out, err
 }
 
-// invokeTraced is the traced round trip. Span timestamps come from two
-// monotonic reads anchored to the wall clock (obs.MonoToWall). RED
-// durations stay 1-in-8 sampled here too — the span already carries this
-// call's exact duration.
-func (c *Client) invokeTraced(ctx context.Context, trace uint64, metered bool, key, method string, args []any) ([]any, error) {
-	t0 := obs.Mono()
+// roundTrip is the client's one instrumented two-way call. With out
+// non-nil the results are decoded into *out (copied, so the frame is
+// released here) and a traced call records a client-call span; with out
+// nil they come back undecoded in the RawReply and no span is recorded —
+// bulk streams would flood the span ring — though an active trace ID is
+// still stamped into the request, so the server's dispatch span joins the
+// trace.
+//
+// With metrics enabled it maintains per-method RED instruments and the
+// in-flight gauge; durations are a uniform 1-in-8 sample (redSampleMask)
+// whether or not the call is traced, and the span carries the exact
+// duration. With both off the overhead is two atomic loads.
+func (c *Client) roundTrip(ctx context.Context, key, method string, args []any, out *[]any) (RawReply, error) {
+	trace := obs.ActiveTraceID()
+	spanned := trace != 0 && out != nil
 	var red *methodRED
-	if metered {
+	sampled := false
+	if obs.MetricsEnabled() {
 		red = clientRED(method)
 		red.calls.Inc()
 		gClientInflight.Add(1)
+		sampled = red.sampleDur()
 	}
-	out, err := c.invoke(ctx, trace, key, method, args)
-	dur := time.Duration(durNS(obs.Mono() - t0))
-	if red != nil {
-		gClientInflight.Add(-1)
-		if red.sampleDur() {
-			red.dur.Observe(uint64(dur))
+	var t0 int64
+	if sampled || spanned {
+		t0 = obs.Mono()
+	}
+	var rr RawReply
+	frame, err := c.callFrame(ctx, trace, key, method, args)
+	if err == nil {
+		if out != nil {
+			*out, err = decodeReply(frame[frameHeader:])
+			transport.ReleaseFrame(frame) // decodeReply copied every value
+		} else if rr.Results, err = replyResults(frame[frameHeader:]); err != nil {
+			transport.ReleaseFrame(frame)
+		} else {
+			rr.frame = frame
 		}
+	}
+	var dur uint64
+	if sampled || spanned {
+		dur = durNS(obs.Mono() - t0)
+	}
+	if red != nil {
+		if sampled {
+			red.dur.Observe(dur)
+		}
+		gClientInflight.Add(-1)
 		if err != nil {
 			red.errs[Classify(err)].Inc()
 		}
 	}
-	span := obs.Span{Trace: trace, Kind: obs.SpanClientCall, Key: key, Method: method,
-		Start: obs.MonoToWall(t0), Dur: dur}
-	if err != nil {
-		span.Err = err.Error()
+	if spanned {
+		span := obs.Span{Trace: trace, Kind: obs.SpanClientCall, Key: key, Method: method,
+			Start: obs.MonoToWall(t0), Dur: time.Duration(dur)}
+		if err != nil {
+			span.Err = err.Error()
+		}
+		obs.Tracer.Record(span)
 	}
-	obs.Tracer.Record(span)
-	return out, err
-}
-
-// invoke is the uninstrumented call path; trace is stamped into the frame
-// header (0 = untraced).
-func (c *Client) invoke(ctx context.Context, trace uint64, key, method string, args []any) ([]any, error) {
-	frame, err := c.callFrame(ctx, trace, key, method, args)
-	if err != nil {
-		return nil, err
-	}
-	out, derr := decodeReply(frame[frameHeader:])
-	transport.ReleaseFrame(frame) // decodeReply copied every value
-	return out, derr
+	return rr, err
 }
 
 // callFrame performs one round trip and returns the raw reply frame, header
@@ -324,45 +314,10 @@ func (r RawReply) Release() {
 // results undecoded — the bulk-transfer path: a chunk of a distributed
 // array crosses from the reply frame to its destination storage in one
 // copy (Decoder.RawFloat64s + caller's scatter) instead of two. Remote
-// exceptions still surface as ErrRemote.
-//
-// RED metrics are maintained as for InvokeContext; an active trace ID is
-// stamped into the request (so the server's dispatch span joins the trace)
-// but no client-call span is recorded — bulk streams would flood the span
-// ring.
+// exceptions still surface as ErrRemote. RED metrics are maintained as
+// for InvokeContext, but no client-call span is recorded (see roundTrip).
 func (c *Client) InvokeRawContext(ctx context.Context, key, method string, args ...any) (RawReply, error) {
-	var red *methodRED
-	var t0 int64
-	sampled := false
-	if obs.MetricsEnabled() {
-		red = clientRED(method)
-		red.calls.Inc()
-		gClientInflight.Add(1)
-		if sampled = red.sampleDur(); sampled {
-			t0 = obs.Mono()
-		}
-	}
-	var rr RawReply
-	frame, err := c.callFrame(ctx, obs.ActiveTraceID(), key, method, args)
-	if err == nil {
-		results, rerr := replyResults(frame[frameHeader:])
-		if rerr != nil {
-			transport.ReleaseFrame(frame)
-			err = rerr
-		} else {
-			rr = RawReply{frame: frame, Results: results}
-		}
-	}
-	if red != nil {
-		if sampled {
-			red.dur.Observe(durNS(obs.Mono() - t0))
-		}
-		gClientInflight.Add(-1)
-		if err != nil {
-			red.errs[Classify(err)].Inc()
-		}
-	}
-	return rr, err
+	return c.roundTrip(ctx, key, method, args, nil)
 }
 
 // Close releases the connection; pending calls fail with

@@ -1,6 +1,6 @@
 package orb
 
-// Tests for the DSI-style dynamic servant hook and the raw (undecoded)
+// Tests for hand-written Handler servants and the raw (undecoded)
 // invocation path that the distributed collective port streams bulk chunks
 // through.
 
@@ -15,13 +15,13 @@ import (
 	"repro/internal/transport"
 )
 
-// registerScaler registers a dynamic servant under key that answers:
+// registerScaler registers a Handler under key that answers:
 //
 //	scale(factor float64, n int32) -> []float64 of n elements i·factor;
 //	fail(msg string) -> error after encoding a partial result;
 //	note(v int32) oneway -> recorded on ch.
 func registerScaler(oa *ObjectAdapter, key string, ch chan int32) {
-	oa.RegisterDynamic(key, func(method string, args []any, reply *Encoder) error {
+	oa.Handle(key, func(method string, args []any, reply *Encoder) error {
 		switch method {
 		case "scale":
 			f := args[0].(float64)

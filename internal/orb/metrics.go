@@ -17,17 +17,19 @@ type methodRED struct {
 	calls *obs.Counter
 	dur   *obs.Histogram
 	errs  [3]*obs.Counter // indexed by Class
-	tick  atomic.Uint32   // duration-sampling tick; see sampleDur
+	tick  atomic.Uint32   // client-side duration-sampling tick; see sampleDur
 }
 
-// redSampleMask selects which untraced metered calls pay for the two
-// monotonic clock reads behind the duration histogram: a call samples when
-// tick&redSampleMask == 0. Rates and error counts stay exact on every
-// call; durations are a uniform 1-in-(mask+1) sample, which leaves the
-// quantiles unbiased while keeping the clock off the common path (clock
-// reads are the single largest per-call instrumentation cost where no vDSO
-// fast path exists — see E10). Traced calls always observe. Tests set the
-// mask to 0 to observe every call.
+// redSampleMask selects which metered calls feed the duration histogram:
+// a call samples when its side's tick&redSampleMask == 0 — the client's
+// per-method tick (sampleDur), the server's shared serverDurTick. Rates
+// and error counts stay exact on every call; durations are a uniform
+// 1-in-(mask+1) sample, traced or not, which leaves the quantiles unbiased
+// while keeping the clock off the common untraced path (clock reads are
+// the single largest per-call instrumentation cost where no vDSO fast path
+// exists — see E10). A traced call reads the clock anyway and its span
+// carries the exact duration. Tests set the mask to 0 to observe every
+// call.
 var redSampleMask uint32 = 7
 
 // sampleDur draws the client-side duration-sampling decision for one call.

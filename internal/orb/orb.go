@@ -18,61 +18,69 @@ var (
 	ErrBadReply = errors.New("orb: malformed reply")
 )
 
-// Servant is an exported object: an implementation bound to its SIDL
-// reflection record so the object adapter can dispatch requests by method
-// name, or a dynamic handler that interprets requests itself.
-type Servant struct {
-	Key string
-	Obj *sreflect.Object
-	Dyn DynamicHandler
-}
-
-// DynamicHandler is a CORBA DSI-style servant: it receives the decoded
-// method name and arguments and writes its results directly into the reply
-// encoder, bypassing SIDL reflection metadata and the boxed-results copy.
-// Bulk-transfer protocols (repro/internal/dist/collective) use it to splice
-// packed, reference-counted array payloads into the reply.
+// Handler is the object adapter's one servant kind, in the style of
+// CORBA's DSI: it receives the decoded method name and arguments and
+// appends its results to the reply encoder. Register builds one from a
+// SIDL-reflected implementation; protocol servants (the collective
+// publisher, the repository service, the restore hook) are handlers
+// written by hand, which lets bulk payloads splice into the reply
+// (AppendSharedFloat64s) without a boxed-results copy.
 //
-// The handler must not retain args past its return (the slice is pooled).
-// reply is nil for oneway requests — there is nothing to answer. On a
-// non-nil reply the handler appends results with reply.Encode (or
-// AppendSharedFloat64s for bulk payloads); if it returns a non-nil error the
-// partially written results are discarded and an error reply is sent
-// instead. Handlers must be safe for concurrent calls.
-type DynamicHandler func(method string, args []any, reply *Encoder) error
+// The handler must not retain args past its return (the slice and the
+// values it holds are pooled). reply is nil for oneway requests — there is
+// nothing to answer. On a non-nil reply the handler appends results with
+// reply.Encode; if it returns a non-nil error the partially written
+// results are discarded and an error reply is sent instead. Handlers must
+// be safe for concurrent calls.
+type Handler func(method string, args []any, reply *Encoder) error
 
 // ObjectAdapter is the CORBA-style basic object adapter: it owns the
-// servant registry and dispatches decoded requests by dynamic invocation.
+// servant registry and dispatches decoded requests to handlers by key.
 type ObjectAdapter struct {
 	mu       sync.RWMutex
-	servants map[string]*Servant
+	servants map[string]Handler
 }
 
-// NewObjectAdapter creates an empty adapter.
+// NewObjectAdapter creates an adapter serving only the supervisor's
+// heartbeat key, whose handler does nothing.
 func NewObjectAdapter() *ObjectAdapter {
-	return &ObjectAdapter{servants: map[string]*Servant{}}
+	return &ObjectAdapter{servants: map[string]Handler{
+		pingKey: func(string, []any, *Encoder) error { return nil },
+	}}
 }
 
-// Register exports impl under key with the given type metadata.
+// Register exports impl under key with the given type metadata. Methods
+// whose Go signature is one of sreflect.CallSink's shapes marshal their
+// results straight into the reply; the rest go through Object.Call.
 func (oa *ObjectAdapter) Register(key string, info *sreflect.TypeInfo, impl any) error {
 	obj, err := sreflect.NewObject(info, impl)
 	if err != nil {
 		return err
 	}
-	oa.mu.Lock()
-	oa.servants[key] = &Servant{Key: key, Obj: obj}
-	oa.mu.Unlock()
+	oa.Handle(key, func(method string, args []any, reply *Encoder) error {
+		if reply != nil {
+			if handled, err := obj.CallSink(method, args, reply); handled {
+				return err
+			}
+		}
+		results, err := obj.Call(method, args...)
+		if err != nil || reply == nil {
+			return err
+		}
+		for _, r := range results {
+			if err := reply.Encode(r); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 	return nil
 }
 
-// RegisterDynamic exports a dynamic servant under key: requests are handed
-// to h undecoded-by-type (method name plus boxed CDR arguments) and h
-// writes the reply body itself. This is the adapter's hook for reserved
-// protocol keys — the distributed collective port registers its
-// plan-exchange and chunk servant this way.
-func (oa *ObjectAdapter) RegisterDynamic(key string, h DynamicHandler) {
+// Handle exports h under key, replacing any servant already there.
+func (oa *ObjectAdapter) Handle(key string, h Handler) {
 	oa.mu.Lock()
-	oa.servants[key] = &Servant{Key: key, Dyn: h}
+	oa.servants[key] = h
 	oa.mu.Unlock()
 }
 
@@ -84,7 +92,7 @@ func (oa *ObjectAdapter) Unregister(key string) {
 }
 
 // lookup finds a servant.
-func (oa *ObjectAdapter) lookup(key string) (*Servant, error) {
+func (oa *ObjectAdapter) lookup(key string) (Handler, error) {
 	oa.mu.RLock()
 	defer oa.mu.RUnlock()
 	s, ok := oa.servants[key]
@@ -95,8 +103,8 @@ func (oa *ObjectAdapter) lookup(key string) (*Servant, error) {
 }
 
 // argsPool recycles decoded-argument slices across dispatches. Safe because
-// neither Call's fast paths nor the reflect path retain the slice beyond
-// the invocation (result values are always freshly boxed).
+// handlers must not retain args (see Handler), and Register's handlers
+// return freshly boxed results.
 var argsPool = sync.Pool{New: func() any { s := make([]any, 0, 8); return &s }}
 
 func putArgs(p *[]any, used []any) {
@@ -116,6 +124,16 @@ func putArgs(p *[]any, used []any) {
 // goroutine-safe when served remotely (the server dispatches two-way
 // requests concurrently).
 //
+// dispatchBody is also the server's one instrumentation point. With
+// metrics on, rates and errors are exact on every dispatch and durations
+// are a uniform 1-in-8 sample (redSampleMask); the decision is drawn
+// before dispatch decodes the method name, hence the shared serverDurTick
+// rather than a per-method one. With a trace ID the call also records a
+// dispatch span with its exact duration, timestamped from two monotonic
+// reads anchored to the wall clock (obs.MonoToWall); recvMono — the read
+// loop's arrival clock, 0 for in-process calls — becomes the span's Queue
+// (the time the frame waited for a dispatch slot).
+//
 // The returned encoder comes from the package pool; the caller must stamp
 // the correlation ID, send or copy its Bytes, and then release it with
 // PutEncoder.
@@ -125,70 +143,44 @@ func (oa *ObjectAdapter) dispatchBody(body []byte, oneway bool, trace uint64, re
 		e, _, _, _ := oa.dispatch(body, oneway)
 		return e
 	}
-	if trace != 0 {
-		return oa.dispatchTraced(body, oneway, trace, metered, recvMono)
-	}
-	// Metered, untraced: rates and errors are exact on every dispatch;
-	// durations are a uniform 1-in-8 sample (redSampleMask) so the two
-	// monotonic clock reads stay off the common path. The decision is
-	// drawn before dispatch decodes the method name, hence the shared
-	// serverDurTick rather than the per-method one.
+	sampled := metered && serverDurTick.Add(1)&redSampleMask == 0
+	timed := sampled || trace != 0
 	var t0 int64
-	sampled := serverDurTick.Add(1)&redSampleMask == 0
-	if sampled {
+	if timed {
 		t0 = obs.Mono()
 	}
-	e, _, method, err := oa.dispatch(body, oneway)
-	if method == "" {
-		// The body died before its method name decoded; there is no
-		// method to file RED numbers under.
-		cDispatchBadBody.Inc()
-		return e
-	}
-	red := serverRED(method)
-	red.calls.Inc()
-	if sampled {
-		red.dur.Observe(durNS(obs.Mono() - t0))
-	}
-	if err != nil {
-		red.errs[Classify(err)].Inc()
-	}
-	return e
-}
-
-// dispatchTraced is the traced dispatch path: the span timestamp comes
-// from two monotonic reads anchored to the wall clock (obs.MonoToWall),
-// and recvMono — the read loop's arrival clock, 0 for in-process calls —
-// becomes the span's Queue (the time the frame waited for a dispatch
-// slot). RED durations stay 1-in-8 sampled here too; the span already
-// carries this call's exact duration.
-func (oa *ObjectAdapter) dispatchTraced(body []byte, oneway bool, trace uint64, metered bool, recvMono int64) *Encoder {
-	t0 := obs.Mono()
 	e, key, method, err := oa.dispatch(body, oneway)
-	dur := time.Duration(durNS(obs.Mono() - t0))
+	var dur uint64
+	if timed {
+		dur = durNS(obs.Mono() - t0)
+	}
 	if metered {
 		if method == "" {
+			// The body died before its method name decoded; there is no
+			// method to file RED numbers under.
 			cDispatchBadBody.Inc()
 		} else {
 			red := serverRED(method)
 			red.calls.Inc()
-			if red.sampleDur() {
-				red.dur.Observe(uint64(dur))
+			if sampled {
+				red.dur.Observe(dur)
 			}
 			if err != nil {
 				red.errs[Classify(err)].Inc()
 			}
 		}
 	}
-	span := obs.Span{Trace: trace, Kind: obs.SpanDispatch, Key: key, Method: method,
-		Start: obs.MonoToWall(t0), Dur: dur}
-	if recvMono != 0 {
-		span.Queue = time.Duration(durNS(t0 - recvMono))
+	if trace != 0 {
+		span := obs.Span{Trace: trace, Kind: obs.SpanDispatch, Key: key, Method: method,
+			Start: obs.MonoToWall(t0), Dur: time.Duration(dur)}
+		if recvMono != 0 {
+			span.Queue = time.Duration(durNS(t0 - recvMono))
+		}
+		if err != nil {
+			span.Err = err.Error()
+		}
+		obs.Tracer.Record(span)
 	}
-	if err != nil {
-		span.Err = err.Error()
-	}
-	obs.Tracer.Record(span)
 	return e
 }
 
@@ -202,104 +194,50 @@ var arenaPool = sync.Pool{New: func() any { return new(arena.Arena) }}
 // reports the decoded key/method and the failure (if any) that went into
 // the reply, for dispatchBody's RED metrics and dispatch span.
 //
-// Arguments decode through a pooled arena, and monomorphic servant
-// signatures deliver results straight into the reply encoder via
-// sreflect.CallSink — together with the pooled encoders, frames, and
-// argument slices this makes the steady-state dispatch allocation-free.
-// The arena is what makes the long-documented servant contract
-// load-bearing: args (and their backing arrays and string bytes) are
-// recycled after the call, so servants must not retain them.
-func (oa *ObjectAdapter) dispatch(body []byte, oneway bool) (_ *Encoder, key, method string, _ error) {
+// Arguments decode through a pooled arena, and Register's handlers
+// deliver results of monomorphic servant signatures straight into the
+// reply encoder via sreflect.CallSink — together with the pooled encoders,
+// frames, and argument slices this makes the steady-state dispatch
+// allocation-free. The arena is what makes the long-documented servant
+// contract load-bearing: args (and their backing arrays and string bytes)
+// are recycled after the call, so servants must not retain them.
+func (oa *ObjectAdapter) dispatch(body []byte, oneway bool) (e *Encoder, key, method string, err error) {
 	d := NewDecoder(body)
 	ar := arenaPool.Get().(*arena.Arena)
 	d.setArena(ar)
+	argsp := argsPool.Get().(*[]any)
+	args := (*argsp)[:0]
 	defer func() {
+		putArgs(argsp, args)
 		ar.Reset()
 		arenaPool.Put(ar)
 	}()
-	reply := func(e *Encoder) *Encoder {
-		if oneway {
-			PutEncoder(e)
-			return nil
-		}
-		return e
+	key, err = d.decodeStringInterned()
+	if err == nil {
+		method, err = d.decodeStringInterned()
 	}
-	key, err := d.decodeStringInterned()
-	if err != nil {
-		return reply(errReply(err)), key, "", err
-	}
-	method, err = d.decodeStringInterned()
-	if err != nil {
-		return reply(errReply(err)), key, "", err
-	}
-	argsp := argsPool.Get().(*[]any)
-	args := (*argsp)[:0]
-	for d.More() {
-		a, err := d.Decode()
-		if err != nil {
-			putArgs(argsp, args)
-			return reply(errReply(err)), key, method, err
-		}
+	for err == nil && d.More() {
+		var a any
+		a, err = d.Decode()
 		args = append(args, a)
 	}
-	sv, err := oa.lookup(key)
-	if err != nil {
-		putArgs(argsp, args)
-		return reply(errReply(err)), key, method, err
+	var h Handler
+	if err == nil {
+		h, err = oa.lookup(key)
 	}
-	if sv.Dyn != nil {
-		if oneway {
-			err := sv.Dyn(method, args, nil)
-			putArgs(argsp, args)
-			return nil, key, method, err
+	if err == nil {
+		if !oneway {
+			e = newReply()
+			e.Encode(true) //nolint:errcheck // bool always encodes
 		}
-		e := newReply()
-		e.Encode(true) //nolint:errcheck // bool always encodes
-		err := sv.Dyn(method, args, e)
-		putArgs(argsp, args)
-		if err != nil {
+		if err = h(method, args, e); err != nil && e != nil {
 			PutEncoder(e)
-			return errReply(err), key, method, err
-		}
-		return e, key, method, nil
-	}
-	if !oneway {
-		// Fast path: marshal results as the servant produces them.
-		e := newReply()
-		e.Encode(true) //nolint:errcheck // bool always encodes
-		if handled, err := sv.Obj.CallSink(method, args, e); handled {
-			putArgs(argsp, args)
-			if err != nil {
-				PutEncoder(e)
-				return errReply(err), key, method, err
-			}
-			return e, key, method, nil
-		}
-		PutEncoder(e)
-	}
-	results, err := sv.Obj.Call(method, args...)
-	putArgs(argsp, args) // callees do not retain the argument slice
-	if err != nil {
-		return reply(errReply(err)), key, method, err
-	}
-	if oneway {
-		return nil, key, method, nil
-	}
-	e := newReply()
-	e.Encode(true) //nolint:errcheck // bool always encodes
-	for _, r := range results {
-		if err := e.Encode(r); err != nil {
-			e.Reset()
-			h := e.grow(frameHeader)
-			for i := range h {
-				h[i] = 0
-			}
-			e.Encode(false) //nolint:errcheck // bool always encodes
-			e.EncodeString(err.Error())
-			return e, key, method, err
 		}
 	}
-	return e, key, method, nil
+	if err != nil && !oneway {
+		e = errReply(err)
+	}
+	return e, key, method, err
 }
 
 // InProcessORB is the §3.3 baseline: requests to co-located objects still

@@ -493,6 +493,98 @@ func TestServerSurvivesCorruptFrames(t *testing.T) {
 	}
 }
 
+// TestArgDecodeFailureAnswersAndKeepsServing sends a request whose key
+// and method decode but whose argument does not: the caller gets an
+// error reply on its own correlation ID, and the same connection goes on
+// serving.
+func TestArgDecodeFailureAnswersAndKeepsServing(t *testing.T) {
+	oa := NewObjectAdapter()
+	if err := oa.Register("calc", calcInfo(t), calcImpl{}); err != nil {
+		t.Fatal(err)
+	}
+	tr := &transport.InProc{}
+	l, err := tr.Listen("badarg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := Serve(oa, l)
+	defer srv.Close()
+	conn, err := tr.Dial("badarg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+
+	req, err := encodeRequest(7, 0, "calc", "add", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := append(append([]byte(nil), req.Bytes()...), 0xFF) // unknown tag
+	PutEncoder(req)
+	if err := conn.Send(bad); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := conn.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, _, body, ok := splitFrame(rep)
+	if !ok || id != 7 {
+		t.Fatalf("reply header: id=%d ok=%v", id, ok)
+	}
+	if _, err := decodeReply(body); !errors.Is(err, ErrRemote) {
+		t.Fatalf("bad-argument reply err = %v, want ErrRemote", err)
+	}
+	transport.ReleaseFrame(rep)
+
+	req, err = encodeRequest(8, 0, "calc", "add", []any{1.5, 2.0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = conn.Send(req.Bytes())
+	PutEncoder(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err = conn.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer transport.ReleaseFrame(rep)
+	id, _, body, _ = splitFrame(rep)
+	out, err := decodeReply(body)
+	if id != 8 || err != nil || len(out) != 1 || out[0] != 3.5 {
+		t.Fatalf("follow-up add: id=%d out=%v err=%v", id, out, err)
+	}
+}
+
+// halver returns a float32, which SIDL allows and CDR cannot encode.
+type halver struct{}
+
+func (halver) Halve(x float64) float32 { return float32(x / 2) }
+
+// TestUnencodableResultIsRemoteError pins a typed method whose result
+// the CDR encoder rejects: the caller gets ErrRemote naming the failure,
+// not a truncated reply.
+func TestUnencodableResultIsRemoteError(t *testing.T) {
+	f, err := sidl.Parse(`package h { interface Halver { float halve(in double x); } }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := sidl.Resolve(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := NewInProcessORB()
+	if err := o.OA.Register("h", sreflect.FromTable(tbl)[0], halver{}); err != nil {
+		t.Fatal(err)
+	}
+	out, err := o.Invoke("h", "halve", 3.0)
+	if !errors.Is(err, ErrRemote) || !strings.Contains(err.Error(), "float32") {
+		t.Fatalf("halve = %v, %v; want ErrRemote naming float32", out, err)
+	}
+}
+
 func TestServerDropsHeaderlessConnection(t *testing.T) {
 	// A frame too short to carry a correlation header cannot be answered;
 	// the server must drop that connection without taking down the rest.

@@ -50,7 +50,7 @@ func (p *RestartPolicy) maxRestarts() int {
 // arrives. Register it on every adapter whose servants participate in a
 // RestartPolicy.
 func RegisterRestore(oa *ObjectAdapter, fn func(state []byte) error) {
-	oa.RegisterDynamic(RestoreKey, func(method string, args []any, reply *Encoder) error {
+	oa.Handle(RestoreKey, func(method string, args []any, reply *Encoder) error {
 		if method != restoreMethod {
 			return fmt.Errorf("orb: restore object has no method %q", method)
 		}

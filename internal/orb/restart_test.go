@@ -27,7 +27,7 @@ func startCounterServer(t *testing.T, tr transport.Transport, addr string) *coun
 	t.Helper()
 	c := &counterServer{}
 	oa := NewObjectAdapter()
-	oa.RegisterDynamic("counter", func(method string, args []any, reply *Encoder) error {
+	oa.Handle("counter", func(method string, args []any, reply *Encoder) error {
 		c.mu.Lock()
 		defer c.mu.Unlock()
 		switch method {

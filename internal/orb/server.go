@@ -205,9 +205,7 @@ func (s *Server) serveConn(conn transport.Conn) {
 				transport.ReleaseFrame(req)
 				continue
 			}
-			if e := s.OA.dispatchBody(body, true, trace, recvMono); e != nil {
-				PutEncoder(e) // defensive: oneway dispatch returns nil
-			}
+			s.OA.dispatchBody(body, true, trace, recvMono) // oneways have no reply
 			transport.ReleaseFrame(req)
 			continue
 		}

@@ -44,10 +44,11 @@ func (s ConnState) String() string {
 }
 
 // Heartbeat wire detail: an idle supervised connection is probed with a
-// oneway request (correlation ID 0) to this reserved key/method. The server
-// needs no handler — an unknown-key oneway is decoded and dropped — so the
-// probe costs one frame and no reply; its purpose is forcing a write, which
-// is what surfaces a silently dead transport.
+// oneway request (correlation ID 0) to this reserved key/method. Every
+// ObjectAdapter answers the key with a no-op handler, so a ping is a
+// successful call in the server's RED metrics and spans, not an error; the
+// probe costs one frame and no reply. Its purpose is forcing a write,
+// which is what surfaces a silently dead transport.
 const (
 	pingKey    = "orb/supervisor"
 	pingMethod = "ping"

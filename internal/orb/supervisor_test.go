@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/transport"
 )
 
@@ -383,4 +384,45 @@ func stateOf(s *Supervised) ConnState {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.state
+}
+
+// TestHeartbeatIsNotAnError dispatches idle-connection pings the way a
+// server's read loop does — oneway, the first untraced and the rest
+// traced — and requires every
+// ping.errors.* counter to stay put and no span to carry an error: a
+// heartbeat is a successful call on a healthy server.
+func TestHeartbeatIsNotAnError(t *testing.T) {
+	oa := NewObjectAdapter()
+	red := serverRED(pingMethod)
+	var errs0 [3]uint64
+	for c := range red.errs {
+		errs0[c] = red.errs[c].Value()
+	}
+	calls0 := red.calls.Value()
+	obs.Tracer.SetEnabled(true)
+	defer obs.Tracer.SetEnabled(false)
+	const n = 5
+	for i := 0; i < n; i++ {
+		req, err := encodeRequest(onewayID, uint64(i), pingKey, pingMethod, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep := oa.dispatchBody(req.Bytes()[frameHeader:], true, uint64(i), 0); rep != nil {
+			t.Fatal("oneway ping produced a reply")
+		}
+		PutEncoder(req)
+	}
+	if got := red.calls.Value() - calls0; got != n {
+		t.Fatalf("ping calls +%d, want +%d", got, n)
+	}
+	for c := range red.errs {
+		if got := red.errs[c].Value(); got != errs0[c] {
+			t.Errorf("ping.errors.%s %d -> %d", Class(c), errs0[c], got)
+		}
+	}
+	for _, s := range obs.Tracer.Spans() {
+		if s.Method == pingMethod && s.Err != "" {
+			t.Errorf("ping span carries an error: %+v", s)
+		}
+	}
 }

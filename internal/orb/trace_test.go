@@ -166,3 +166,64 @@ func TestClientServerRED(t *testing.T) {
 		t.Fatalf("client fatal errors = %d, want %d", got, fatal0+1)
 	}
 }
+
+// TestREDSamplesOneInEightTracedOrNot pins the one sampling rule at the
+// default redSampleMask: rates are exact, durations are observed for 1
+// call in 8 on each side whether or not the call is traced, and a traced
+// call still records both spans with their exact durations. The calls are
+// sequential, so any 16 of them draw exactly two sampling ticks per side.
+func TestREDSamplesOneInEightTracedOrNot(t *testing.T) {
+	if redSampleMask != 7 {
+		t.Fatalf("redSampleMask = %d, want the default 7", redSampleMask)
+	}
+	oa := NewObjectAdapter()
+	if err := oa.Register("calc", calcInfo(t), calcImpl{}); err != nil {
+		t.Fatal(err)
+	}
+	tr := &transport.InProc{}
+	l, err := tr.Listen("sampled")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := Serve(oa, l)
+	defer srv.Close()
+	c, err := DialClient(tr, "sampled")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	const n = 16
+	cli, sv := clientRED("greet"), serverRED("greet")
+	for _, traced := range []bool{false, true} {
+		obs.Tracer.SetEnabled(traced)
+		calls0, sCalls0 := cli.calls.Value(), sv.calls.Value()
+		durs0, sDurs0 := cli.dur.Snapshot().Count, sv.dur.Snapshot().Count
+		spans0 := obs.Tracer.Recorded()
+		for i := 0; i < n; i++ {
+			if _, err := c.Invoke("calc", "greet", "x"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		obs.Tracer.SetEnabled(false)
+		if got := cli.calls.Value() - calls0; got != n {
+			t.Errorf("traced=%v: client calls +%d, want +%d", traced, got, n)
+		}
+		if got := sv.calls.Value() - sCalls0; got != n {
+			t.Errorf("traced=%v: server calls +%d, want +%d", traced, got, n)
+		}
+		if got := cli.dur.Snapshot().Count - durs0; got != n/8 {
+			t.Errorf("traced=%v: client durations +%d, want +%d", traced, got, n/8)
+		}
+		if got := sv.dur.Snapshot().Count - sDurs0; got != n/8 {
+			t.Errorf("traced=%v: server durations +%d, want +%d", traced, got, n/8)
+		}
+		wantSpans := uint64(0)
+		if traced {
+			wantSpans = 2 * n // a client-call and a dispatch span per call
+		}
+		if got := obs.Tracer.Recorded() - spans0; got != wantSpans {
+			t.Errorf("traced=%v: %d spans recorded, want %d", traced, got, wantSpans)
+		}
+	}
+}

@@ -102,7 +102,7 @@ func errReply(err error) *Encoder {
 
 // replyResults validates a reply body's leading ok bool and returns the
 // undecoded results portion, aliasing rep. A !ok reply decodes its message
-// string and surfaces it as ErrRemote, exactly like decodeReply.
+// string and surfaces it as ErrRemote.
 func replyResults(rep []byte) ([]byte, error) {
 	d := NewDecoder(rep)
 	okv, err := d.Decode()
@@ -127,22 +127,11 @@ func replyResults(rep []byte) ([]byte, error) {
 // returned value is copied out of rep: the caller may release the backing
 // frame immediately after.
 func decodeReply(rep []byte) ([]any, error) {
-	d := NewDecoder(rep)
-	okv, err := d.Decode()
+	results, err := replyResults(rep)
 	if err != nil {
 		return nil, err
 	}
-	ok, isBool := okv.(bool)
-	if !isBool {
-		return nil, fmt.Errorf("%w: leading %T", ErrBadReply, okv)
-	}
-	if !ok {
-		msg, err := d.DecodeString()
-		if err != nil {
-			return nil, err
-		}
-		return nil, fmt.Errorf("%w: %s", ErrRemote, msg)
-	}
+	d := NewDecoder(results)
 	out := make([]any, 0, 4) // replies are short: one append, no regrow
 	for d.More() {
 		v, err := d.Decode()

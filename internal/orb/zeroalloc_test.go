@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/transport"
 )
 
@@ -71,6 +72,29 @@ func TestDispatchZeroAlloc(t *testing.T) {
 			assertZeroAlloc(t, func() { PutEncoder(oa.dispatchBody(body, false, 0, 0)) })
 		})
 	}
+	// Dark: with metrics off and no trace, dispatchBody skips the RED
+	// bracket entirely.
+	t.Run("dark", func(t *testing.T) {
+		obs.SetMetricsEnabled(false)
+		defer obs.SetMetricsEnabled(true)
+		req, err := encodeRequest(1, 0, "calc", "add", []any{2.5, 3.25})
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := append([]byte(nil), req.Bytes()[frameHeader:]...)
+		PutEncoder(req)
+		calls0 := serverRED("add").calls.Value()
+		rep := oa.dispatchBody(body, false, 0, 0)
+		out, err := decodeReply(rep.Bytes()[frameHeader:])
+		PutEncoder(rep)
+		if err != nil || len(out) != 1 || out[0] != 5.75 {
+			t.Fatalf("add = %v, %v; want [5.75]", out, err)
+		}
+		if got := serverRED("add").calls.Value(); got != calls0 {
+			t.Fatalf("dark dispatch moved server calls %d -> %d", calls0, got)
+		}
+		assertZeroAlloc(t, func() { PutEncoder(oa.dispatchBody(body, false, 0, 0)) })
+	})
 }
 
 func TestTransportEchoZeroAlloc(t *testing.T) {

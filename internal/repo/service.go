@@ -31,7 +31,7 @@ var ErrBadCall = errors.New("repo: malformed call")
 // revalidating a warm cache costs one small round trip. deposit returns
 // the post-deposit revision.
 func (r *Repository) Bind(oa *orb.ObjectAdapter) {
-	oa.RegisterDynamic(ServiceKey, r.handle)
+	oa.Handle(ServiceKey, r.handle)
 }
 
 func (r *Repository) handle(method string, args []any, reply *orb.Encoder) error {

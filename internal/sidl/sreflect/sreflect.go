@@ -8,8 +8,8 @@
 //
 // TypeInfo metadata is registered either by generated code (codegen's
 // Reflection option) or directly from a resolved sidl.Table via FromTable.
-// Invoke performs dynamic method invocation against any Go implementation
-// using the standard reflect package.
+// Object.Call performs dynamic method invocation against any Go
+// implementation using the standard reflect package.
 package sreflect
 
 import (
@@ -167,31 +167,10 @@ var errorType = reflect.TypeOf((*error)(nil)).Elem()
 // throws path surfaced through dynamic invocation).
 var ErrInvoke = errors.New("sreflect: invocation raised")
 
-// Invoke performs dynamic method invocation: it calls the Go method named
-// m.GoName on obj with the given arguments and returns the results. This is
-// the §5 DMI path — slower than the generated stub (measured by experiment
-// E7) but requiring no compile-time knowledge of the interface.
-//
-// Two SIDL conventions are honoured so DMI works across marshaling
-// boundaries (the ORB and distributed ports):
-//
-//   - inout parameters: when a formal parameter is *T and the supplied
-//     argument is a T value, a fresh pointer is passed and the final
-//     pointee is appended to the results (by-value inout round trip);
-//   - throws clauses: a trailing error return is stripped from the
-//     results; a non-nil error aborts the invocation with ErrInvoke.
-func Invoke(obj any, m *MethodInfo, args ...any) ([]any, error) {
-	v := reflect.ValueOf(obj)
-	meth := v.MethodByName(m.GoName)
-	if !meth.IsValid() {
-		return nil, fmt.Errorf("%w: %T has no method %s", ErrNotBound, obj, m.GoName)
-	}
-	return invokeMethod(meth, m, args)
-}
-
-// invokeMethod is the call half of Invoke, operating on an already-resolved
-// method value — Object caches these, since MethodByName rebuilds the
-// method wrapper (a reflect.FuncOf construction) on every lookup.
+// invokeMethod is Call's reflection path, operating on an
+// already-resolved method value — Object caches these, since MethodByName
+// rebuilds the method wrapper (a reflect.FuncOf construction) on every
+// lookup.
 func invokeMethod(meth reflect.Value, m *MethodInfo, args []any) ([]any, error) {
 	mt := meth.Type()
 	if mt.NumIn() != len(args) && !mt.IsVariadic() {
@@ -402,7 +381,21 @@ func (o *Object) CallSink(method string, args []any, sink ResultSink) (handled b
 	return false, nil
 }
 
-// Call invokes a method by SIDL name.
+// Call invokes a method by SIDL name and returns its results: dynamic
+// method invocation, the §5 DMI path — slower than the generated stub
+// (measured by experiment E7) but requiring no compile-time knowledge of
+// the interface. A call CallSink takes runs there; the rest go through
+// reflection.
+//
+// Two SIDL conventions are honoured so DMI works across marshaling
+// boundaries (the ORB and distributed ports):
+//
+//   - inout parameters: when a formal parameter is *T and the supplied
+//     argument is a T value (or nil), a fresh pointer is passed and the
+//     final pointee is appended to the results (by-value inout round
+//     trip);
+//   - throws clauses: a trailing error return is stripped from the
+//     results; a non-nil error aborts the invocation with ErrInvoke.
 func (o *Object) Call(method string, args ...any) ([]any, error) {
 	m, ok := o.Info.Method(method)
 	if !ok {
@@ -412,10 +405,7 @@ func (o *Object) Call(method string, args ...any) ([]any, error) {
 	if handled, err := o.CallSink(method, args, sink); handled {
 		return sink.out, err
 	}
-	if mv, ok := o.meths[method]; ok {
-		return invokeMethod(mv, m, args)
-	}
-	return Invoke(o.Impl, m, args...)
+	return invokeMethod(o.meths[method], m, args)
 }
 
 // anySink boxes CallSink's results into the slice Call returns. Every

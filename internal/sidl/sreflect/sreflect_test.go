@@ -194,11 +194,21 @@ func (inoutImpl) Scale(factor float64, v *[]float64) error {
 	return nil
 }
 
+// inoutObject binds inoutImpl to a one-method type record.
+func inoutObject(t *testing.T) *Object {
+	t.Helper()
+	info := &TypeInfo{QName: "t.Inout", Methods: []MethodInfo{{Name: "scale", GoName: "Scale"}}}
+	obj, err := NewObject(info, inoutImpl{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return obj
+}
+
 func TestInvokeInoutByValue(t *testing.T) {
-	mi := &MethodInfo{Name: "scale", GoName: "Scale"}
 	// Pass the inout argument BY VALUE (as a marshaling boundary would):
 	// the final pointee must come back as an extra result.
-	res, err := Invoke(inoutImpl{}, mi, 2.0, []float64{1, 2, 3})
+	res, err := inoutObject(t).Call("scale", 2.0, []float64{1, 2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,9 +222,8 @@ func TestInvokeInoutByValue(t *testing.T) {
 }
 
 func TestInvokeInoutByPointer(t *testing.T) {
-	mi := &MethodInfo{Name: "scale", GoName: "Scale"}
 	v := []float64{1, 2}
-	res, err := Invoke(inoutImpl{}, mi, 3.0, &v)
+	res, err := inoutObject(t).Call("scale", 3.0, &v)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,16 +234,14 @@ func TestInvokeInoutByPointer(t *testing.T) {
 }
 
 func TestInvokeTrailingErrorBecomesErrInvoke(t *testing.T) {
-	mi := &MethodInfo{Name: "scale", GoName: "Scale"}
-	_, err := Invoke(inoutImpl{}, mi, 0.0, []float64{1})
+	_, err := inoutObject(t).Call("scale", 0.0, []float64{1})
 	if !errors.Is(err, ErrInvoke) {
 		t.Fatalf("err = %v, want ErrInvoke", err)
 	}
 }
 
 func TestInvokeNilInoutGetsFreshPointer(t *testing.T) {
-	mi := &MethodInfo{Name: "scale", GoName: "Scale"}
-	res, err := Invoke(inoutImpl{}, mi, 2.0, nil)
+	res, err := inoutObject(t).Call("scale", 2.0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
