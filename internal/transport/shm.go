@@ -180,6 +180,10 @@ func (SHM) Dial(addr string) (Conn, error) {
 		return nil, fmt.Errorf("shm dial %q: mmap: %w", addr, err)
 	}
 	binary.LittleEndian.PutUint64(mem[shmOffRingSize:], shmRingSize)
+	// Mark liveness before a listener can claim the file: the acceptor
+	// may probe our byte as soon as its claim lands. Abandoning releases
+	// the mark with f.
+	shmLiveLock(f, true)
 	// Publish magic before flipping state to ready: Accept validates magic
 	// only after observing ready, and both are atomic stores/loads.
 	shmU64(mem, shmOffMagic).Store(shmMagic)
@@ -341,10 +345,17 @@ func (l *shmListener) scan() Conn {
 			l.seen[name] = true
 			continue
 		}
-		if shmU32(mem, shmOffState).Load() != shmStateReady ||
-			shmU64(mem, shmOffMagic).Load() != shmMagic ||
-			binary.LittleEndian.Uint64(mem[shmOffRingSize:]) != shmRingSize ||
-			!shmU32(mem, shmOffState).CompareAndSwap(shmStateReady, shmStateAccepted) {
+		ok := shmU32(mem, shmOffState).Load() == shmStateReady &&
+			shmU64(mem, shmOffMagic).Load() == shmMagic &&
+			binary.LittleEndian.Uint64(mem[shmOffRingSize:]) == shmRingSize
+		if ok {
+			// Mark liveness before the claim: the dialer's Dial returns,
+			// and may probe our byte, as soon as the CAS lands. A lost
+			// CAS releases the mark when f closes after the munmap.
+			shmLiveLock(f, false)
+			ok = shmU32(mem, shmOffState).CompareAndSwap(shmStateReady, shmStateAccepted)
+		}
+		if !ok {
 			// Not ready yet (dialer mid-init) — retry next scan; anything
 			// already claimed or malformed is skipped for good.
 			if shmU32(mem, shmOffState).Load() != shmStateInit {
@@ -422,10 +433,11 @@ type shmConn struct {
 }
 
 // newShmConn builds a side's view: the dialer sends on ring 0 and
-// receives on ring 1, the acceptor the reverse.
+// receives on ring 1, the acceptor the reverse. The caller has already
+// placed this side's liveness mark (shmLiveLock) before the handshake
+// let the peer see the connection.
 func newShmConn(mem []byte, f *os.File, path string, dialer bool) *shmConn {
 	c := &shmConn{mem: mem, f: f, path: path, dialer: dialer}
-	shmLiveLock(f, dialer)
 	r0, r1 := shmRingAt(mem, shmOffRing0), shmRingAt(mem, shmOffRing1)
 	de, ae := shmU32(mem, shmOffDialerEnd), shmU32(mem, shmOffAcceptEnd)
 	if dialer {
@@ -440,20 +452,32 @@ func (c *shmConn) closedEither() bool {
 	return c.myEnd.Load() != 0 || c.peerEnd.Load() != 0
 }
 
-// shmProbeEvery is the number of consecutive pauses between flock
-// liveness probes of a blocked wait: with the waiter's sleep ramp capped
-// at spinSleepMax, probes land roughly every 100ms of continuous
-// blocking — invisible on a live connection, bounded hang on a dead one.
-const shmProbeEvery = 512
+// shmProbeEvery is how long a ring wait stays blocked between flock
+// liveness probes. The period is kept by the clock, not by a count of
+// pauses, because a pause costs anything from a sub-microsecond yield to
+// a millisecond sleep: 512 pauses are ~100ms of sleeps but only ~100µs
+// of yields. A probe is one fcntl, invisible on a live connection; on a
+// dead one it bounds the hang.
+const shmProbeEvery = 100 * time.Millisecond
+
+// ringWait is one ring-cursor wait: the waiter's backoff plus how long
+// the wait had lasted at its last liveness probe.
+type ringWait struct {
+	waiter
+	probed time.Duration
+}
+
+func (w *ringWait) reset() { *w = ringWait{} }
 
 // pauseProbe is w.pause() plus periodic crash-liveness detection. On a
 // detected death it marks the peer end closed in the mapping — waking
 // every other blocked waiter on this conn — and returns ErrPeerDead.
-func (c *shmConn) pauseProbe(w *waiter) error {
-	w.pause()
-	if w.spins%shmProbeEvery != 0 {
+func (c *shmConn) pauseProbe(w *ringWait) error {
+	waited := w.pause()
+	if waited-w.probed < shmProbeEvery {
 		return nil
 	}
+	w.probed = waited
 	if shmPeerAlive(c.f, c.dialer) {
 		return nil
 	}
@@ -469,7 +493,7 @@ func (c *shmConn) pauseProbe(w *waiter) error {
 
 // waitSpace blocks until the ring can absorb need more bytes beyond
 // position pos (i.e. pos+need-head <= capacity), or either side closes.
-func (c *shmConn) waitSpace(r *shmRing, pos uint64, need int, w *waiter) error {
+func (c *shmConn) waitSpace(r *shmRing, pos uint64, need int, w *ringWait) error {
 	for {
 		if int(pos-r.head.Load()) <= shmRingSize-need {
 			w.reset()
@@ -494,7 +518,7 @@ func (c *shmConn) Send(frame []byte) error {
 		return ErrClosed
 	}
 	r := c.sendRing
-	var w waiter
+	var w ringWait
 	tail := r.tail.Load()
 	if err := c.waitSpace(r, tail, 8, &w); err != nil {
 		return err
@@ -548,7 +572,7 @@ func (c *shmConn) Recv() ([]byte, error) {
 		return nil, ErrClosed
 	}
 	r := c.recvRing
-	var w waiter
+	var w ringWait
 	head := r.head.Load()
 	// Wait for a length word. A peer close still drains fully buffered
 	// frames (tail is only published for complete writes of each chunk,

@@ -151,3 +151,47 @@ func TestSHMSlowPeerNotDeclaredDead(t *testing.T) {
 		t.Fatal("Recv never completed")
 	}
 }
+
+// TestSHMLiveMarksHeldFromHandshake probes each side's view of its peer
+// the instant Dial or Accept returns. Both liveness marks must already be
+// held then: a probe that runs before the peer has locked its byte reads
+// a live peer as dead, and a blocked wait probes as soon as it has been
+// blocked for shmProbeEvery, which a connection's first Recv can reach.
+func TestSHMLiveMarksHeldFromHandshake(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "ep")
+	ln, err := (SHM{}).Listen(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	for i := 0; i < 100; i++ {
+		accepted := make(chan error, 1)
+		var ac Conn
+		go func() {
+			c, err := ln.Accept()
+			if err == nil {
+				ac = c
+				if !shmPeerAlive(c.(*shmConn).f, false) {
+					err = errors.New("acceptor reads the live dialer as dead")
+				}
+			}
+			accepted <- err
+		}()
+		dc, err := (SHM{}).Dial(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dialerSaw := shmPeerAlive(dc.(*shmConn).f, true)
+		aerr := <-accepted
+		if ac != nil {
+			ac.Close()
+		}
+		dc.Close()
+		if aerr != nil {
+			t.Fatalf("connection %d: %v", i, aerr)
+		}
+		if !dialerSaw {
+			t.Fatalf("connection %d: dialer reads the live acceptor as dead", i)
+		}
+	}
+}
