@@ -3,7 +3,7 @@ package repro
 // The caller audit: a tier-1 check that the library carries no API that
 // only its own tests call. It type-checks every package of the module,
 // and of the nested benchmark module, under each build configuration CI
-// builds, and fails on three kinds of finding:
+// builds, and fails on four kinds of finding:
 //
 //   - an exported func, type, var, const or method of a library package
 //     that nothing outside _test.go files references. cmd/, examples/
@@ -11,8 +11,10 @@ package repro
 //     lets its type satisfy a non-test interface is not a finding;
 //   - an exported field of an exported struct that non-test code never
 //     writes: no keyed or unkeyed literal sets it, no assignment, no &x.F
-//     and no pointer-method call on it. Fields with struct tags are
-//     exempt, because a codec sets them;
+//     and no pointer-method call on it. A write x.F = v directly inside
+//     `if x.F <op> zero` in F's own package defaults the field and does
+//     not set it. Fields with struct tags are exempt, because a codec
+//     sets them;
 //   - an unexported package-level declaration that nothing references at
 //     all, tests included (staticcheck's U1000 class);
 //   - an exported method that a _test.go file declares on a library type:
@@ -23,7 +25,7 @@ package repro
 // TypeInfo records) or a .sidl file of the module lists counts as
 // referenced by non-test code. Declarations in generated files are never
 // findings. A finding either goes, or is named in auditAllow with one of
-// the five reasons below. Outside the repository's own SIDL parser only
+// the four reasons below. Outside the repository's own SIDL parser only
 // the standard library is used: go/build selects files, go/parser and
 // go/types check them, and the "source" importer types the standard
 // library.
@@ -53,12 +55,8 @@ import (
 type auditReason int
 
 const (
-	// The internal/array SIDL scientific-type substrate (DESIGN §2): the
-	// array and complex types the paper's interface language defines,
-	// kept whole whether or not a component uses each one yet.
-	reasonArraySubstrate auditReason = iota + 1
 	// A test double that more than one package's tests share.
-	reasonSharedTestDouble
+	reasonSharedTestDouble auditReason = iota + 1
 	// A paper mechanism or recovery path that a named CI step, ablation
 	// or E-experiment gates.
 	reasonGatedMechanism
@@ -72,10 +70,8 @@ const (
 // auditAllow names each finding that stays, with its reason. A key is
 // the package path relative to the module root, then the declaration:
 // "internal/dist.GuardCohort", "internal/orb.Supervised.State" for a
-// method or field. A bare package path allows the whole package.
+// method or field.
 var auditAllow = map[string]auditReason{
-	"internal/array": reasonArraySubstrate,
-
 	// Fault injection for the orb, dist, dist/collective and transport
 	// tests.
 	"internal/transport.Faulty": reasonSharedTestDouble,
@@ -457,7 +453,7 @@ func (a *auditor) scan(l *auditLoader, p *auditPkg, pkg *types.Package, files []
 		if a.isTestFile(f.Pos()) {
 			continue
 		}
-		a.markWrites(l, p.module, f, info)
+		a.markWrites(l, p.module, pkg, f, info)
 	}
 }
 
@@ -611,16 +607,40 @@ func hasLinkname(d *ast.FuncDecl) bool {
 	return false
 }
 
-// markWrites marks each struct field that non-test file f writes: by a
-// keyed or unkeyed literal, an assignment, ++/--, a range clause, &x.F,
-// slicing an array field, or a pointer-method call on a field value. It
-// also records the method names f's GoName literals bind by reflection.
-func (a *auditor) markWrites(l *auditLoader, module string, f *ast.File, info *types.Info) {
+// markWrites marks each struct field that non-test file f of pkg writes:
+// by a keyed or unkeyed literal, an assignment, ++/--, a range clause,
+// &x.F, slicing an array field, or a pointer-method call on a field value.
+// An assignment to one of pkg's own fields directly inside an if that
+// compares that field with a zero value only defaults it and is no write.
+// It also records the method names f's GoName literals bind by reflection.
+func (a *auditor) markWrites(l *auditLoader, module string, pkg *types.Package, f *ast.File, info *types.Info) {
 	setField := func(obj types.Object) {
 		if d := a.decls[origin(obj).Pos()]; d != nil && d.kind == kindField {
 			d.written = true
 		}
 	}
+	field := func(e ast.Expr) types.Object {
+		if x, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+			if sel := info.Selections[x]; sel != nil && sel.Kind() == types.FieldVal {
+				return origin(sel.Obj())
+			}
+		}
+		return nil
+	}
+	zero := func(e ast.Expr) bool {
+		tv := info.Types[e]
+		switch v := tv.Value; {
+		case tv.IsNil():
+			return true
+		case v == nil || v.Kind() == constant.Bool:
+			return false
+		case v.Kind() == constant.String:
+			return constant.StringVal(v) == ""
+		default:
+			return constant.Sign(v) == 0
+		}
+	}
+	defaults := map[*ast.AssignStmt]bool{}
 	var lvalue func(e ast.Expr)
 	lvalue = func(e ast.Expr) {
 		for {
@@ -649,7 +669,24 @@ func (a *auditor) markWrites(l *auditLoader, module string, f *ast.File, info *t
 	}
 	ast.Inspect(f, func(n ast.Node) bool {
 		switch n := n.(type) {
+		case *ast.IfStmt:
+			c, ok := ast.Unparen(n.Cond).(*ast.BinaryExpr)
+			if !ok || (c.Op != token.EQL && c.Op != token.LEQ && c.Op != token.LSS) || !zero(c.Y) {
+				break
+			}
+			fld := field(c.X)
+			if fld == nil || fld.Pkg().Path() != pkg.Path() {
+				break
+			}
+			for _, st := range n.Body.List {
+				if as, ok := st.(*ast.AssignStmt); ok && len(as.Lhs) == 1 && field(as.Lhs[0]) == fld {
+					defaults[as] = true
+				}
+			}
 		case *ast.AssignStmt:
+			if defaults[n] {
+				break
+			}
 			for _, e := range n.Lhs {
 				lvalue(e)
 			}
@@ -885,20 +922,17 @@ func runAudit() ([]auditFinding, []string, error) {
 	return auditResult, auditTypes, auditErr
 }
 
-// allowEntry returns the allowlist entry that covers key: the key
-// itself, the type whose method or field it names, or its package.
+// allowEntry returns the allowlist entry that covers key: the key itself
+// or the type whose method or field it names. A package path alone
+// covers nothing, so such an entry matches no finding.
 func allowEntry(key string) (string, bool) {
 	slash := strings.LastIndexByte(key, '/')
-	for k := key; ; {
+	for k := key; strings.LastIndexByte(k, '.') > slash; k = k[:strings.LastIndexByte(k, '.')] {
 		if _, ok := auditAllow[k]; ok {
 			return k, true
 		}
-		dot := strings.LastIndexByte(k, '.')
-		if dot <= slash {
-			return "", false
-		}
-		k = k[:dot]
 	}
+	return "", false
 }
 
 func TestCallerAudit(t *testing.T) {
@@ -927,7 +961,7 @@ func TestCallerAudit(t *testing.T) {
 		t.Errorf("%s", f.msg)
 	}
 	for k, r := range auditAllow {
-		if r < reasonArraySubstrate || r > reasonSharedFixture {
+		if r < reasonSharedTestDouble || r > reasonSharedFixture {
 			t.Errorf("allowlist entry %s has no reason from the closed set", k)
 		}
 		if !used[k] {
@@ -951,12 +985,13 @@ func TestCallerAuditFixture(t *testing.T) {
 		}
 	}
 	want := []string{
-		"lib.TestOnly",         // exported func only a test calls
-		"lib.Widget.TestOnly",  // method only a test calls
-		"lib.Options.Unset",    // option field read but never set
-		"lib.unused",           // unexported func nothing references
-		"lib.TestOnlyGenerics", // generic func only a test instantiates
-		"lib.Widget.InTest",    // method a _test.go file adds to Widget
+		"lib.TestOnly",          // exported func only a test calls
+		"lib.Widget.TestOnly",   // method only a test calls
+		"lib.Options.Unset",     // option field read but never set
+		"lib.Options.Defaulted", // option field only its own package defaults
+		"lib.unused",            // unexported func nothing references
+		"lib.TestOnlyGenerics",  // generic func only a test instantiates
+		"lib.Widget.InTest",     // method a _test.go file adds to Widget
 	}
 	for _, k := range want {
 		if !got[k] {

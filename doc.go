@@ -8,7 +8,7 @@
 // direct-connect and collective extensions, the reference framework with
 // its CCAServices, repository, and builder/configuration APIs — together
 // with every substrate its motivating application needs: an MPI-like
-// message-passing layer, scientific arrays and distributed-data maps, an
+// message-passing layer, distributed-data maps for collective ports, an
 // unstructured-mesh gather/scatter layer, sparse Krylov solvers, a
 // CHAD-like semi-implicit flow mini-app, visualization components, and the
 // CORBA-like and JavaBeans-like baselines the paper argues against.

@@ -9,9 +9,9 @@ import (
 // This file implements distributed-data descriptors: the "mapping of data
 // (or processes participating)" that §6.3 of the CCA paper says a programmer
 // must specify when creating a collective port. A DataMap describes how a
-// 1-D global index space of length N is partitioned over P ranks. (Multi-
-// dimensional arrays distribute their flattened natural order; the hydro and
-// collective-port code uses this convention throughout.)
+// 1-D global index space of length N is partitioned over P ranks. (A
+// multidimensional field distributes its flattened natural order; the hydro
+// and collective-port code uses this convention throughout.)
 //
 // All maps reduce to a canonical run-length form (Runs) that the collective
 // port redistribution planner intersects pairwise, so arbitrary source and
@@ -114,17 +114,6 @@ func Validate(m DataMap) error {
 		}
 	}
 	return nil
-}
-
-// Owner locates the rank and local index owning a global index under m.
-func Owner(m DataMap, g int) (rank, local int, err error) {
-	if g < 0 || g >= m.GlobalLen() {
-		return 0, 0, fmt.Errorf("%w: global index %d of %d", ErrBounds, g, m.GlobalLen())
-	}
-	runs := m.Runs()
-	i := sort.Search(len(runs), func(i int) bool { return runs[i].Global.Hi > g })
-	r := runs[i]
-	return r.Rank, r.Local + (g - r.Global.Lo), nil
 }
 
 // BlockMap distributes N elements over P ranks in near-equal contiguous

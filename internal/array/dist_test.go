@@ -2,10 +2,27 @@ package array
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 )
+
+// errBounds reports a global index outside a map's index space.
+var errBounds = errors.New("array: index out of bounds")
+
+// owner locates the rank and local index owning a global index under m:
+// the tests' oracle for a map's runs.
+func owner(m DataMap, g int) (rank, local int, err error) {
+	if g < 0 || g >= m.GlobalLen() {
+		return 0, 0, fmt.Errorf("%w: global index %d of %d", errBounds, g, m.GlobalLen())
+	}
+	runs := m.Runs()
+	i := sort.Search(len(runs), func(i int) bool { return runs[i].Global.Hi > g })
+	r := runs[i]
+	return r.Rank, r.Local + (g - r.Global.Lo), nil
+}
 
 func TestBlockMapRanges(t *testing.T) {
 	m := NewBlockMap(10, 4)
@@ -45,7 +62,7 @@ func TestCyclicMapPureCyclic(t *testing.T) {
 	// Elements 0..6 dealt to ranks 0,1,2,0,1,2,0.
 	wantOwners := []int{0, 1, 2, 0, 1, 2, 0}
 	for g, want := range wantOwners {
-		rank, _, err := Owner(m, g)
+		rank, _, err := owner(m, g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,7 +86,7 @@ func TestCyclicMapBlockCyclic(t *testing.T) {
 		{6, 0, 3}, {8, 0, 5}, {9, 1, 3},
 	}
 	for _, tc := range cases {
-		rank, local, err := Owner(m, tc.g)
+		rank, local, err := owner(m, tc.g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,7 +101,7 @@ func TestSerialMap(t *testing.T) {
 	if err := Validate(m); err != nil {
 		t.Fatalf("validate: %v", err)
 	}
-	rank, local, err := Owner(m, 4)
+	rank, local, err := owner(m, 4)
 	if err != nil || rank != 0 || local != 4 {
 		t.Errorf("owner = (%d,%d,%v)", rank, local, err)
 	}
@@ -95,10 +112,10 @@ func TestSerialMap(t *testing.T) {
 
 func TestOwnerBounds(t *testing.T) {
 	m := NewBlockMap(4, 2)
-	if _, _, err := Owner(m, -1); !errors.Is(err, ErrBounds) {
+	if _, _, err := owner(m, -1); !errors.Is(err, errBounds) {
 		t.Errorf("err = %v", err)
 	}
-	if _, _, err := Owner(m, 4); !errors.Is(err, ErrBounds) {
+	if _, _, err := owner(m, 4); !errors.Is(err, errBounds) {
 		t.Errorf("err = %v", err)
 	}
 }
@@ -115,7 +132,7 @@ func TestIrregularMap(t *testing.T) {
 	if m.LocalLen(0) != 4 || m.LocalLen(1) != 3 {
 		t.Errorf("local lens %d %d", m.LocalLen(0), m.LocalLen(1))
 	}
-	rank, local, _ := Owner(m, 6)
+	rank, local, _ := owner(m, 6)
 	if rank != 0 || local != 3 {
 		t.Errorf("owner(6) = (%d,%d), want (0,3)", rank, local)
 	}
@@ -147,7 +164,7 @@ func TestIntersect(t *testing.T) {
 }
 
 // Property: every standard map validates and its runs' owners agree with
-// Owner() for all indices.
+// owner() for all indices.
 func TestMapsSelfConsistentProperty(t *testing.T) {
 	f := func(nRaw, pRaw, bRaw uint8) bool {
 		n := int(nRaw) % 64
@@ -160,7 +177,7 @@ func TestMapsSelfConsistentProperty(t *testing.T) {
 			}
 			for _, run := range m.Runs() {
 				for g := run.Global.Lo; g < run.Global.Hi; g++ {
-					rank, local, err := Owner(m, g)
+					rank, local, err := owner(m, g)
 					if err != nil || rank != run.Rank || local != run.Local+(g-run.Global.Lo) {
 						return false
 					}

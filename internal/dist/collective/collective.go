@@ -127,6 +127,12 @@ var (
 	cFrameCacheMisses = obs.NewCounter("collective.frame_cache_misses")
 )
 
+// windowBytes bounds the chunk bytes in flight per connection — the credit
+// window: transport.MaxFlushWindow · transport.CoalesceCutoff (256 KiB),
+// the volume the coalescer's adaptive flush window is itself sized to
+// batch.
+const windowBytes = transport.MaxFlushWindow * transport.CoalesceCutoff
+
 // Options tunes a consumer attachment. The zero value is usable.
 type Options struct {
 	// ChunkBytes is the bulk-frame payload size. Default
@@ -135,11 +141,6 @@ type Options struct {
 	// written zero-copy, and small enough that several chunks pipeline
 	// inside the credit window.
 	ChunkBytes int
-	// WindowBytes bounds the chunk bytes in flight per connection — the
-	// credit window. Default transport.MaxFlushWindow ·
-	// transport.CoalesceCutoff (256 KiB), the volume the coalescer's
-	// adaptive flush window is itself sized to batch.
-	WindowBytes int
 	// Supervisor tunes the underlying self-healing client. Idempotent
 	// defaults to orb.AllIdempotent — every protocol method is a read or
 	// an idempotent re-registration, so chunk pulls retry transparently
@@ -154,9 +155,6 @@ func (o Options) withDefaults() Options {
 	o.ChunkBytes = o.ChunkBytes &^ 7 // whole float64s
 	if o.ChunkBytes < 8 {
 		o.ChunkBytes = 8
-	}
-	if o.WindowBytes <= 0 {
-		o.WindowBytes = transport.MaxFlushWindow * transport.CoalesceCutoff
 	}
 	if o.Supervisor.Idempotent == nil {
 		o.Supervisor.Idempotent = orb.AllIdempotent

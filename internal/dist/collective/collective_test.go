@@ -563,8 +563,8 @@ func TestOptionsDefaults(t *testing.T) {
 	if o.ChunkBytes != 16*transport.CoalesceCutoff {
 		t.Errorf("ChunkBytes = %d", o.ChunkBytes)
 	}
-	if o.WindowBytes != transport.MaxFlushWindow*transport.CoalesceCutoff {
-		t.Errorf("WindowBytes = %d", o.WindowBytes)
+	if windowBytes != 256<<10 {
+		t.Errorf("windowBytes = %d, want 256 KiB", windowBytes)
 	}
 	if o.ChunkBytes < transport.CoalesceCutoff {
 		t.Error("default chunks would miss the zero-copy path")

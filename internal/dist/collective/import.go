@@ -173,7 +173,7 @@ func (imp *Import) pull(ctx context.Context, ranks []int, outs [][]float64) erro
 // pair's packed message as credit-windowed chunks, and scatters each chunk
 // straight from the raw reply frame. Nothing closes an epoch: it is shared
 // by every subscriber and the provider retires it by generation turnover.
-// Chunk calls are issued concurrently up to WindowBytes of requested
+// Chunk calls are issued concurrently up to windowBytes of requested
 // payload — the multiplexed client pipelines them on one connection, and
 // the window keeps a slow consumer from buffering the whole array in flight.
 func (imp *Import) pullEpoch(ctx context.Context, ranks []int, outs [][]float64) error {
@@ -220,7 +220,7 @@ func (imp *Import) pullEpoch(ctx context.Context, ranks []int, outs [][]float64)
 		}
 	}
 
-	inflight := imp.opts.WindowBytes / imp.opts.ChunkBytes
+	inflight := windowBytes / imp.opts.ChunkBytes
 	if inflight < 1 {
 		inflight = 1
 	}

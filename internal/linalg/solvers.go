@@ -267,6 +267,10 @@ func (BiCGStab) Solve(a Operator, b, x []float64, opts Options) (Result, error) 
 // right preconditioning, suitable for general nonsymmetric systems.
 type GMRES struct{}
 
+// gmresRestart is GMRES's restart length m: the Krylov basis it keeps
+// before restarting from the current iterate.
+const gmresRestart = 30
+
 // Name implements Solver.
 func (GMRES) Name() string { return "gmres" }
 
@@ -277,7 +281,7 @@ func (GMRES) Solve(a Operator, b, x []float64, opts Options) (Result, error) {
 		return Result{}, fmt.Errorf("%w: gmres n=%d b=%d x=%d", ErrDim, n, len(b), len(x))
 	}
 	o := opts.fill(n)
-	m := o.Restart
+	m := gmresRestart
 	if m > o.MaxIter {
 		m = o.MaxIter
 	}

@@ -82,7 +82,7 @@ func TestGMRESNonsymmetric(t *testing.T) {
 	a := AdvDiff2D(12, 12, 8, 4)
 	b := manufactured(t, a)
 	x := make([]float64, a.NRows)
-	res, err := GMRES{}.Solve(a, b, x, Options{Tol: 1e-10, Restart: 20})
+	res, err := GMRES{}.Solve(a, b, x, Options{Tol: 1e-10})
 	if err != nil {
 		t.Fatalf("gmres: %v (%v)", err, res)
 	}
@@ -92,13 +92,16 @@ func TestGMRESNonsymmetric(t *testing.T) {
 }
 
 func TestGMRESRestartStillConverges(t *testing.T) {
-	a := AdvDiff2D(10, 10, 5, 5)
+	a := AdvDiff2D(16, 16, 5, 5)
 	b := manufactured(t, a)
 	x := make([]float64, a.NRows)
-	// Tiny restart forces multiple outer cycles.
-	res, err := GMRES{}.Solve(a, b, x, Options{Tol: 1e-8, Restart: 5, MaxIter: 5000})
+	res, err := GMRES{}.Solve(a, b, x, Options{Tol: 1e-8, MaxIter: 5000})
 	if err != nil {
-		t.Fatalf("gmres(5): %v (%v)", err, res)
+		t.Fatalf("gmres(%d): %v (%v)", gmresRestart, err, res)
+	}
+	// More iterations than one cycle holds: the solve restarted.
+	if res.Iterations <= gmresRestart {
+		t.Errorf("converged in %d iterations, within one cycle of %d", res.Iterations, gmresRestart)
 	}
 	if r := residual(t, a, b, x); r > 1e-6 {
 		t.Errorf("true residual %v", r)

@@ -133,9 +133,6 @@ type Options struct {
 	Dot Dot
 	// Prec is the preconditioner (default identity).
 	Prec Preconditioner
-	// Restart is the GMRES restart length m (default 30). Ignored by
-	// other solvers.
-	Restart int
 }
 
 func (o Options) fill(n int) Options {
@@ -153,9 +150,6 @@ func (o Options) fill(n int) Options {
 	}
 	if o.Prec == nil {
 		o.Prec = IdentityPrec{}
-	}
-	if o.Restart == 0 {
-		o.Restart = 30
 	}
 	return o
 }

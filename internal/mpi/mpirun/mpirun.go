@@ -12,7 +12,6 @@ package mpirun
 import (
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"os/exec"
 	"sync"
@@ -37,9 +36,6 @@ type Config struct {
 	// MaxRestarts is the per-rank respawn budget: a rank process that
 	// exits nonzero (or is killed) is relaunched at most this many times.
 	MaxRestarts int
-	// Stdout and Stderr receive the ranks' combined output; nil means the
-	// launcher's own.
-	Stdout, Stderr io.Writer
 }
 
 // Launcher supervises one cohort.
@@ -67,12 +63,6 @@ func New(cfg Config) (*Launcher, error) {
 	}
 	if cfg.Rendezvous == "" {
 		cfg.Rendezvous = "tcp://127.0.0.1:0"
-	}
-	if cfg.Stdout == nil {
-		cfg.Stdout = os.Stdout
-	}
-	if cfg.Stderr == nil {
-		cfg.Stderr = os.Stderr
 	}
 	tr, rest, err := transport.ForScheme(cfg.Rendezvous)
 	if err != nil {
@@ -121,8 +111,8 @@ func (l *Launcher) spawn(r int) error {
 		fmt.Sprintf("%s=%d", mpi.EnvRank, r),
 		fmt.Sprintf("%s=%d", mpi.EnvSize, l.cfg.Size),
 	)
-	cmd.Stdout = l.cfg.Stdout
-	cmd.Stderr = l.cfg.Stderr
+	// The ranks share the launcher's own output.
+	cmd.Stdout, cmd.Stderr = os.Stdout, os.Stderr
 	if err := cmd.Start(); err != nil {
 		return fmt.Errorf("mpirun: rank %d: %w", r, err)
 	}

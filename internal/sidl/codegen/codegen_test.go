@@ -111,30 +111,35 @@ func TestGenerateEnum(t *testing.T) {
 func TestGenerateArrayTypes(t *testing.T) {
 	src := `package p {
 	  interface A {
-	    void f(in array<double,2> m, in array<dcomplex,3> z, in array<int,1> idx);
+	    void f(in array<double,1> v, in array<dcomplex,1> z, in array<int,1> idx);
 	  }
 	}`
 	out := generate(t, src, Options{})
 	parseGo(t, out)
-	for _, want := range []string{"m *array.Array", "z *array.ComplexArray", "idx []int32", "repro/internal/array"} {
+	for _, want := range []string{"v []float64", "z []complex128", "idx []int32"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("missing %q", want)
 		}
 	}
+	if strings.Contains(out, "repro/internal/array") {
+		t.Error("rank-1 arrays must not import an array package")
+	}
 }
 
 func TestGenerateUnsupportedArray(t *testing.T) {
-	src := `package p { interface A { void f(in array<string,3> s); } }`
-	f, err := sidl.Parse(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tbl, err := sidl.Resolve(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Generate(tbl, Options{}); !errors.Is(err, ErrUnsupported) {
-		t.Errorf("err = %v, want ErrUnsupported", err)
+	for _, param := range []string{"array<double,2> m", "array<dcomplex,3> z", "array<string,3> s"} {
+		src := `package p { interface A { void f(in ` + param + `); } }`
+		f, err := sidl.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tbl, err := sidl.Resolve(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Generate(tbl, Options{}); !errors.Is(err, ErrUnsupported) {
+			t.Errorf("%s: err = %v, want ErrUnsupported", param, err)
+		}
 	}
 }
 

@@ -30,12 +30,19 @@ func (Widget) Declared() {}
 
 // Options is Read's option set: not a finding.
 type Options struct {
-	Set   int // set by Used: not a finding
-	Unset int // read by Read, set only by lib_test.go: a finding
+	Set       int // set by Used: not a finding
+	Unset     int // read by Read, set only by lib_test.go: a finding
+	Defaulted int // defaulted only by Read, in its own package: a finding
+	ToolSet   int // defaulted by cmd/tool, another package: not a finding
 }
 
 // Read is called by Used: not a finding.
-func Read(o Options) int { return o.Set + o.Unset }
+func Read(o Options) int {
+	if o.Defaulted <= 0 {
+		o.Defaulted = 1
+	}
+	return o.Set + o.Unset + o.Defaulted + o.ToolSet
+}
 
 // unused is referenced nowhere: a finding.
 func unused() {}
