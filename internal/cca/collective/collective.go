@@ -3,6 +3,7 @@ package collective
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/array"
@@ -111,9 +112,11 @@ func (ps *pairSched) forRuns(body func(i int)) {
 	})
 }
 
-// pack gathers this pair's runs from local storage into one message buffer.
-func (ps *pairSched) pack(local []float64) []float64 {
-	buf := make([]float64, ps.total)
+// pack gathers this pair's runs from local storage into buf, grown to the
+// message length, and returns the message. Send copies, so one buf serves
+// every destination of a Transfer.
+func (ps *pairSched) pack(buf, local []float64) []float64 {
+	buf = slices.Grow(buf[:0], ps.total)[:ps.total]
 	ps.forRuns(func(i int) {
 		r := ps.runs[i]
 		copy(buf[ps.offs[i]:ps.offs[i]+r.n], local[r.srcLocal:r.srcLocal+r.n])
@@ -294,19 +297,20 @@ func (p *Plan) Transfer(comm *mpi.Comm, local, out []float64) error {
 		ps.copyLocal(local, out)
 	}
 	// Pack and send one message per destination.
+	var buf []float64
 	for _, d := range p.sendTo[me] {
-		ps := p.runsByPair[[2]int{me, d}]
-		if err := comm.Send(d, transferTag, ps.pack(local)); err != nil {
+		buf = p.runsByPair[[2]int{me, d}].pack(buf, local)
+		if err := comm.Send(d, transferTag, buf); err != nil {
 			return err
 		}
 	}
 	// Receive and unpack.
 	for _, s := range p.recvFrom[me] {
-		buf, _, err := comm.RecvFloat64(s, transferTag)
+		msg, _, err := comm.Recv(s, transferTag)
 		if err != nil {
 			return err
 		}
-		if err := p.runsByPair[[2]int{s, me}].unpack(buf, out); err != nil {
+		if err := p.runsByPair[[2]int{s, me}].unpack(msg, out); err != nil {
 			return fmt.Errorf("rank %d from %d: %w", me, s, err)
 		}
 	}
@@ -325,14 +329,16 @@ func (p *Plan) TransferForced(comm *mpi.Comm, local, out []float64) error {
 		return fmt.Errorf("%w: rank %d destination buffer %d, want %d", ErrBuffer, me, len(out), want)
 	}
 	// Self-runs become a real message.
+	var buf []float64
 	if ps := p.runsByPair[[2]int{me, me}]; ps != nil {
-		if err := comm.Send(me, transferTag, ps.pack(local)); err != nil {
+		buf = ps.pack(buf, local)
+		if err := comm.Send(me, transferTag, buf); err != nil {
 			return err
 		}
 	}
 	for _, d := range p.sendTo[me] {
-		ps := p.runsByPair[[2]int{me, d}]
-		if err := comm.Send(d, transferTag, ps.pack(local)); err != nil {
+		buf = p.runsByPair[[2]int{me, d}].pack(buf, local)
+		if err := comm.Send(d, transferTag, buf); err != nil {
 			return err
 		}
 	}
@@ -341,11 +347,11 @@ func (p *Plan) TransferForced(comm *mpi.Comm, local, out []float64) error {
 		recvFrom = append([]int{me}, recvFrom...)
 	}
 	for _, s := range recvFrom {
-		buf, _, err := comm.RecvFloat64(s, transferTag)
+		msg, _, err := comm.Recv(s, transferTag)
 		if err != nil {
 			return err
 		}
-		if err := p.runsByPair[[2]int{s, me}].unpack(buf, out); err != nil {
+		if err := p.runsByPair[[2]int{s, me}].unpack(msg, out); err != nil {
 			return fmt.Errorf("rank %d from %d: %w", me, s, err)
 		}
 	}

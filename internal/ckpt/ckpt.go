@@ -219,11 +219,23 @@ func NewReader(r io.Reader) (*Reader, error) {
 	}
 }
 
-// readPayload reads an n-byte section payload into a buffer that grows,
-// doubling from at most 64 KiB, only as bytes actually arrive: a corrupt or
-// hostile length prefix costs what the stream holds, not what it claims,
-// and a genuine payload costs at most twice its size.
+// readPayload reads an n-byte section payload. A corrupt or hostile length
+// prefix must cost what the stream holds, not what it claims. A reader that
+// knows its remaining length (a bytes.Reader, as Unmarshal uses) is checked
+// against it and read into one exact buffer; any other reader fills a
+// buffer that grows, doubling from at most 64 KiB, only as bytes arrive,
+// so a genuine payload costs at most twice its size.
 func readPayload(r io.Reader, n uint64) ([]byte, error) {
+	if lr, ok := r.(interface{ Len() int }); ok {
+		if n > uint64(lr.Len()) {
+			return nil, fmt.Errorf("%d bytes claimed, %d left: %w", n, lr.Len(), io.ErrUnexpectedEOF)
+		}
+		buf := make([]byte, n)
+		if _, err := io.ReadFull(r, buf); err != nil {
+			return nil, err
+		}
+		return buf, nil
+	}
 	buf := make([]byte, min(n, 64<<10))
 	got := 0
 	for {

@@ -8,6 +8,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -292,6 +293,37 @@ func TestMarshalUnmarshal(t *testing.T) {
 	}
 	if err := Unmarshal(state[:len(state)-3], &dst); !errors.Is(err, ErrTruncated) {
 		t.Errorf("truncated unmarshal = %v", err)
+	}
+}
+
+// TestUnmarshalAllocatesOnce holds restore from memory to one exact
+// payload buffer plus the decoded vector, and a hostile length claim on
+// such a reader to a failure before anything is sized from it.
+func TestUnmarshalAllocatesOnce(t *testing.T) {
+	src := &memComponent{v: make([]float64, 1<<17)} // a 1 MiB Float64s section
+	state, err := Marshal(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocated := func(state []byte) (uint64, error) {
+		var dst memComponent
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := Unmarshal(state, &dst)
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc, err
+	}
+	if n, err := allocated(state); err != nil || float64(n) > 2.2*float64(8*len(src.v)) {
+		t.Errorf("restoring %d payload bytes allocated %d bytes (%.2f×), %v", 8*len(src.v), n, float64(n)/float64(8*len(src.v)), err)
+	}
+
+	// A section that claims the largest legal length and holds 3 bytes.
+	huge := writeStream(t, func(w *Writer) {})[:8]
+	huge = append(huge, 1, 0, 'q')
+	huge = binary.LittleEndian.AppendUint64(huge, maxSectionLen)
+	huge = append(huge, 1, 2, 3)
+	if n, err := allocated(huge); !errors.Is(err, ErrTruncated) || n > 64<<10 {
+		t.Errorf("hostile length: err = %v after allocating %d bytes, want ErrTruncated and no buffer", err, n)
 	}
 }
 

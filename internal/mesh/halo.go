@@ -153,17 +153,22 @@ func (d *Decomposition) Exchange(comm *mpi.Comm, field []float64) error {
 		return fmt.Errorf("%w: field length %d, want %d", ErrMesh, len(field), d.NumLocal())
 	}
 	// Gather + send to every neighbour first (nonblocking semantics:
-	// mailbox delivery never blocks), then receive.
+	// mailbox delivery never blocks), then receive. Send copies, so one
+	// scratch slice serves every neighbour.
+	most := 0
+	for _, idx := range d.sendIdx {
+		most = max(most, len(idx))
+	}
+	buf := make([]float64, most)
 	for _, q := range d.neighbors {
 		idx := d.sendIdx[q]
 		if len(idx) == 0 {
 			continue
 		}
-		buf := make([]float64, len(idx))
 		for i, li := range idx {
 			buf[i] = field[li]
 		}
-		if err := comm.Send(q, haloTag, buf); err != nil {
+		if err := comm.Send(q, haloTag, buf[:len(idx)]); err != nil {
 			return err
 		}
 	}
@@ -172,7 +177,7 @@ func (d *Decomposition) Exchange(comm *mpi.Comm, field []float64) error {
 		if len(idx) == 0 {
 			continue
 		}
-		buf, _, err := comm.RecvFloat64(q, haloTag)
+		buf, _, err := comm.Recv(q, haloTag)
 		if err != nil {
 			return err
 		}

@@ -4,6 +4,8 @@ import (
 	"cmp"
 	"errors"
 	"math"
+	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/linalg"
@@ -96,6 +98,46 @@ func TestExchangeFillsGhosts(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestExchangeAllocations holds an exchange on the goroutine engine to one
+// scratch slice plus the copy each Send makes: at most neighbours + 1
+// allocations per rank per call.
+func TestExchangeAllocations(t *testing.T) {
+	m := StructuredQuad(10, 10)
+	const p, rounds = 4, 50
+	part := RCB{}.PartitionNodes(m, p)
+	var budget atomic.Int64
+	var before, after runtime.MemStats
+	mpi.Run(p, func(c *mpi.Comm) {
+		must := func(err error) {
+			if err != nil {
+				panic(err)
+			}
+		}
+		d, err := Decompose(m, part, p, c.Rank())
+		must(err)
+		budget.Add(int64(rounds * (len(d.Neighbors()) + 1)))
+		field := make([]float64, d.NumLocal())
+		for range rounds { // grow the mailboxes to their steady size
+			must(d.Exchange(c, field))
+		}
+		must(c.Barrier())
+		if c.Rank() == 0 {
+			runtime.ReadMemStats(&before)
+		}
+		must(c.Barrier())
+		for range rounds {
+			must(d.Exchange(c, field))
+		}
+		must(c.Barrier())
+		if c.Rank() == 0 {
+			runtime.ReadMemStats(&after)
+		}
+	})
+	if got := after.Mallocs - before.Mallocs; got > uint64(budget.Load()) {
+		t.Errorf("%d exchanges on %d ranks allocated %d times, budget %d", rounds, p, got, budget.Load())
+	}
 }
 
 func TestDistOperatorMatchesSerial(t *testing.T) {

@@ -69,18 +69,18 @@ func (c *Comm) Barrier() error {
 	return nil
 }
 
-// Bcast broadcasts root's payload to every rank using a binomial tree and
-// returns the payload on every rank. Non-root callers pass nil (their
-// argument is ignored). Payloads are shared by reference: receivers must not
-// mutate a broadcast slice.
-func (c *Comm) Bcast(root int, payload any) (any, error) {
+// Bcast broadcasts root's v to every rank using a binomial tree and returns
+// it on every rank. Non-root callers pass nil (their argument is ignored).
+// Every rank owns its result: on root it is v itself, elsewhere a copy no
+// other rank holds; root may overwrite v once Bcast returns.
+func (c *Comm) Bcast(root int, v []float64) ([]float64, error) {
 	if err := c.checkRank(root); err != nil {
 		return nil, err
 	}
 	tag := c.nextCollTag()
 	n := c.Size()
 	if n == 1 {
-		return payload, nil
+		return v, nil
 	}
 	// Work in root-relative rank space so any root uses the same tree.
 	vr := (c.rank - root + n) % n
@@ -95,7 +95,7 @@ func (c *Comm) Bcast(root int, payload any) (any, error) {
 		if err != nil {
 			return nil, err
 		}
-		payload = p
+		v = p
 	}
 	// Forward to children.
 	lowbit := 1
@@ -113,12 +113,12 @@ func (c *Comm) Bcast(root int, payload any) (any, error) {
 	for mask := lowbit >> 1; mask >= 1; mask >>= 1 {
 		child := vr + mask
 		if child < n {
-			if err := c.sendInternal((child+root)%n, tag, payload); err != nil {
+			if err := c.sendInternal((child+root)%n, tag, v); err != nil {
 				return nil, err
 			}
 		}
 	}
-	return payload, nil
+	return v, nil
 }
 
 // AllreduceFloat64 combines every rank's contribution with op and returns
@@ -183,7 +183,8 @@ func (c *Comm) AllreduceFloat64(contrib []float64, op Op) ([]float64, error) {
 	}
 	switch {
 	case folded && r%2 == 0:
-		return c.recvFloat64(r+1, tag)
+		v, _, err := c.recvInternal(r+1, tag)
+		return v, err
 	case folded:
 		if err := p.send(r - 1); err != nil {
 			return nil, err
@@ -203,22 +204,17 @@ type partial struct {
 	owned bool
 }
 
-// send delivers acc to dest while keeping it: an engine that moves
-// payloads by reference gets a copy, which the receiver then owns.
+// send delivers a copy of acc to dest; the rank keeps acc.
 func (p *partial) send(dest int) error {
-	payload := p.acc
-	if !p.c.eng.sendCopies(p.c.worldRank(dest)) {
-		payload = slices.Clone(payload)
-	}
-	return p.c.sendInternal(dest, p.tag, payload)
+	return p.c.sendInternal(dest, p.tag, p.acc)
 }
 
 // combine receives src's partial result and folds it with acc in rank
 // order, op(lower, higher). The received operand is this rank's alone —
-// freshly decoded, or a copy its sender gave away — so when it is the
-// lower operand it absorbs the result without a copy.
+// every send copies — so when it is the lower operand it absorbs the
+// result without a copy.
 func (p *partial) combine(src int) error {
-	theirs, err := p.c.recvFloat64(src, p.tag)
+	theirs, _, err := p.c.recvInternal(src, p.tag)
 	if err != nil {
 		return err
 	}
@@ -244,11 +240,25 @@ func (c *Comm) AllreduceScalar(x float64, op Op) (float64, error) {
 	return v[0], nil
 }
 
-// Alltoall exchanges parts[i] of every rank with rank i; returns the slice
-// of payloads received, indexed by source rank.
+// Alltoall sends parts[i] of every rank to rank i and returns the parts
+// received, indexed by source rank. Every part must be a []float64; each
+// returned element is a []float64 the caller owns: a copy no other rank
+// holds, or, at the caller's own rank, its own part itself (as Bcast's
+// root gets v back). The caller may overwrite its other parts once
+// Alltoall returns.
+//
+// The parts are typed []any, not [][]float64, only because the benchmark
+// module (benchmark/spmd.go) calls Alltoall with []any and asserts the
+// results back to []float64; a part of any other type fails with
+// ErrTypeMatch before anything is sent.
 func (c *Comm) Alltoall(parts []any) ([]any, error) {
 	if len(parts) != c.Size() {
 		return nil, fmt.Errorf("%w: alltoall with %d parts for %d ranks", ErrCountMatch, len(parts), c.Size())
+	}
+	for i, p := range parts {
+		if _, ok := p.([]float64); !ok {
+			return nil, fmt.Errorf("%w: alltoall part %d is %T, want []float64", ErrTypeMatch, i, p)
+		}
 	}
 	tag := c.nextCollTag()
 	out := make([]any, c.Size())
@@ -257,7 +267,7 @@ func (c *Comm) Alltoall(parts []any) ([]any, error) {
 		if i == c.rank {
 			continue
 		}
-		if err := c.sendInternal(i, tag, parts[i]); err != nil {
+		if err := c.sendInternal(i, tag, parts[i].([]float64)); err != nil {
 			return nil, err
 		}
 	}

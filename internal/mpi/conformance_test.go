@@ -2,12 +2,13 @@ package mpi
 
 // Cross-backend MPI conformance suite: one table of semantic checks —
 // point-to-point matching, send-before-receive exchanges, every collective,
-// communicator management, payload edge cases — executed identically over
-// the goroutine backend (Run) and the process backend (RunOver) on each
-// transport scheme. The process backend must be indistinguishable from
-// the goroutine backend at this interface; a check that needs a backend
-// special case is a bug in the backend, not in the check. Mirrors the
-// transport conformance pattern from the zero-alloc shm PR.
+// communicator management, payload edge cases, the copy-on-send ownership
+// rule — executed identically over the goroutine backend (Run) and the
+// process backend (RunOver) on each transport scheme. The process backend
+// must be indistinguishable from the goroutine backend at this interface;
+// a check that needs a backend special case is a bug in the backend, not
+// in the check. Mirrors the transport conformance pattern from the
+// zero-alloc shm PR.
 //
 // Rank bodies run on non-test goroutines, so they report with t.Errorf
 // (never t.Fatal) and use panics only for unreachable states.
@@ -16,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"reflect"
 	"slices"
 	"sync/atomic"
 	"testing"
@@ -84,7 +84,7 @@ func TestConformanceSendRecvTagMatching(t *testing.T) {
 		}
 		for src := c.Size() - 1; src >= 1; src-- {
 			for _, tag := range tags {
-				got, st, err := c.RecvFloat64(src, tag)
+				got, st, err := c.Recv(src, tag)
 				if err != nil {
 					t.Errorf("recv (%d,%d): %v", src, tag, err)
 					continue
@@ -104,7 +104,7 @@ func TestConformanceWildcards(t *testing.T) {
 	eachBackend(t, 4, func(t *testing.T, c *Comm) {
 		const tag = 3
 		if c.Rank() != 0 {
-			if err := c.Send(0, tag, []int{c.Rank()}); err != nil {
+			if err := c.Send(0, tag, []float64{float64(c.Rank())}); err != nil {
 				t.Errorf("send: %v", err)
 			}
 			if err := c.Send(0, 100+c.Rank(), nil); err != nil {
@@ -120,7 +120,7 @@ func TestConformanceWildcards(t *testing.T) {
 				t.Errorf("recv anysource: %v", err)
 				return
 			}
-			if p.([]int)[0] != st.Source || seen[st.Source] {
+			if p[0] != float64(st.Source) || seen[st.Source] {
 				t.Errorf("anysource payload %v from %d (seen %v)", p, st.Source, seen)
 			}
 			seen[st.Source] = true
@@ -132,7 +132,7 @@ func TestConformanceWildcards(t *testing.T) {
 				t.Errorf("recv anytag: %v", err)
 				return
 			}
-			if st.Tag != 100+src || p != nil {
+			if st.Tag != 100+src || len(p) != 0 {
 				t.Errorf("anytag from %d: payload %v tag %d, want tag %d", src, p, st.Tag, 100+src)
 			}
 		}
@@ -160,7 +160,7 @@ func TestConformanceOutOfOrderTags(t *testing.T) {
 				val float64
 			}{{3, 30}, {5, 50}, {5, 51}}
 			for _, w := range want {
-				got, _, err := c.RecvFloat64(1, w.tag)
+				got, _, err := c.Recv(1, w.tag)
 				if err != nil {
 					t.Errorf("recv tag %d: %v", w.tag, err)
 					return
@@ -183,7 +183,7 @@ func TestConformanceSendrecvExchange(t *testing.T) {
 			t.Errorf("send: %v", err)
 			return
 		}
-		p, st, err := c.RecvFloat64(peer, 8)
+		p, st, err := c.Recv(peer, 8)
 		if err != nil {
 			t.Errorf("recv: %v", err)
 			return
@@ -219,7 +219,7 @@ func TestConformanceBarrierStaggered(t *testing.T) {
 func TestConformanceBcastAllRoots(t *testing.T) {
 	eachBackend(t, 4, func(t *testing.T, c *Comm) {
 		for root := 0; root < c.Size(); root++ {
-			var in any
+			var in []float64
 			if c.Rank() == root {
 				in = []float64{float64(root), 1.5}
 			}
@@ -228,21 +228,8 @@ func TestConformanceBcastAllRoots(t *testing.T) {
 				t.Errorf("bcast root %d: %v", root, err)
 				return
 			}
-			if v := out.([]float64); v[0] != float64(root) || v[1] != 1.5 {
-				t.Errorf("bcast root %d on rank %d = %v", root, c.Rank(), v)
-			}
-			// []int payloads cross backends too.
-			var ints any
-			if c.Rank() == root {
-				ints = []int{root, -root}
-			}
-			got, err := c.Bcast(root, ints)
-			if err != nil {
-				t.Errorf("bcast ints root %d: %v", root, err)
-				return
-			}
-			if v := got.([]int); v[0] != root || v[1] != -root {
-				t.Errorf("bcast ints root %d = %v", root, v)
+			if len(out) != 2 || out[0] != float64(root) || out[1] != 1.5 {
+				t.Errorf("bcast root %d on rank %d = %v", root, c.Rank(), out)
 			}
 		}
 	})
@@ -271,10 +258,10 @@ func TestConformanceReduceAllreduceOps(t *testing.T) {
 
 // scatterv delivers parts[i] from root to rank i as one Alltoall in which
 // only root sends anything non-empty; other callers pass nil parts.
-func scatterv[T any](c *Comm, root int, parts [][]T) ([]T, error) {
+func scatterv(c *Comm, root int, parts [][]float64) ([]float64, error) {
 	send := make([]any, c.Size())
 	for i := range send {
-		send[i] = []T{}
+		send[i] = []float64{}
 		if c.Rank() == root {
 			send[i] = parts[i]
 		}
@@ -283,24 +270,24 @@ func scatterv[T any](c *Comm, root int, parts [][]T) ([]T, error) {
 	if err != nil {
 		return nil, err
 	}
-	return got[root].([]T), nil
+	return got[root].([]float64), nil
 }
 
 // gatherv concatenates every rank's chunk at root in rank order, as one
 // Alltoall whose only non-empty parts go to root; other ranks get nil.
-func gatherv[T any](c *Comm, root int, chunk []T) ([]T, error) {
+func gatherv(c *Comm, root int, chunk []float64) ([]float64, error) {
 	send := make([]any, c.Size())
 	for i := range send {
-		send[i] = []T{}
+		send[i] = []float64{}
 	}
 	send[root] = chunk
 	got, err := c.Alltoall(send)
 	if err != nil || c.Rank() != root {
 		return nil, err
 	}
-	var all []T
+	var all []float64
 	for _, p := range got {
-		all = append(all, p.([]T)...)
+		all = append(all, p.([]float64)...)
 	}
 	return all, nil
 }
@@ -368,29 +355,34 @@ func TestConformanceGathervScatterv(t *testing.T) {
 }
 
 func TestConformanceGatherScatterAny(t *testing.T) {
-	// The other wire kind, []int, scattered from and gathered at a
-	// non-zero root of an odd-sized communicator.
+	// Special values scattered from and gathered at a non-zero root of an
+	// odd-sized communicator, compared bit for bit: −0, ±Inf and a NaN
+	// whose payload must survive.
+	nan := math.Float64frombits(0x7ff8_0000_dead_0001)
+	special := func(i int) []float64 {
+		return []float64{float64(i), math.Copysign(0, -1), math.Inf(1 - 2*(i%2)), nan}
+	}
 	eachBackend(t, 3, func(t *testing.T, c *Comm) {
 		n, r := c.Size(), c.Rank()
-		var parts [][]int
+		var parts [][]float64
 		if r == 1 {
-			parts = make([][]int, n)
+			parts = make([][]float64, n)
 			for i := range parts {
-				parts[i] = []int{i, -i << 40}
+				parts[i] = special(i)
 			}
 		}
 		got, err := scatterv(c, 1, parts)
-		if err != nil || len(got) != 2 || got[0] != r || got[1] != -r<<40 {
+		if err != nil || !bitsEqual(got, special(r)) {
 			t.Errorf("scatter = %v, %v", got, err)
 			return
 		}
-		all, err := gatherv(c, 1, []int{got[0] + 100})
+		all, err := gatherv(c, 1, got)
 		if err != nil {
 			t.Errorf("gather: %v", err)
 			return
 		}
-		if r == 1 && !slices.Equal(all, []int{100, 101, 102}) {
-			t.Errorf("gathered %v, want [100 101 102]", all)
+		if want := slices.Concat(special(0), special(1), special(2)); r == 1 && !bitsEqual(all, want) {
+			t.Errorf("gathered %v, want %v", all, want)
 		} else if r != 1 && all != nil {
 			t.Errorf("non-root gather = %v, want nil", all)
 		}
@@ -403,7 +395,7 @@ func TestConformanceAllgatherAlltoall(t *testing.T) {
 		// Allgather is the Alltoall that sends every rank the same part.
 		same := make([]any, n)
 		for j := range same {
-			same[j] = []int{r, r * r}
+			same[j] = []float64{float64(r), float64(r * r)}
 		}
 		all, err := c.Alltoall(same)
 		if err != nil {
@@ -411,7 +403,7 @@ func TestConformanceAllgatherAlltoall(t *testing.T) {
 			return
 		}
 		for i := 0; i < n; i++ {
-			if v := all[i].([]int); v[0] != i || v[1] != i*i {
+			if v := all[i].([]float64); v[0] != float64(i) || v[1] != float64(i*i) {
 				t.Errorf("allgather[%d] = %v", i, v)
 			}
 		}
@@ -493,16 +485,16 @@ func TestConformanceSplitDup(t *testing.T) {
 		}
 		const tag = 21
 		peer := r ^ 1
-		if err := c.Send(peer, tag, []int{0}); err != nil {
+		if err := c.Send(peer, tag, []float64{0}); err != nil {
 			t.Errorf("send parent: %v", err)
 		}
-		if err := dup.Send(peer, tag, []int{1}); err != nil {
+		if err := dup.Send(peer, tag, []float64{1}); err != nil {
 			t.Errorf("send dup: %v", err)
 		}
-		if p, _, err := dup.Recv(peer, tag); err != nil || p.([]int)[0] != 1 {
+		if p, _, err := dup.Recv(peer, tag); err != nil || p[0] != 1 {
 			t.Errorf("dup recv = %v, %v", p, err)
 		}
-		if p, _, err := c.Recv(peer, tag); err != nil || p.([]int)[0] != 0 {
+		if p, _, err := c.Recv(peer, tag); err != nil || p[0] != 0 {
 			t.Errorf("parent recv = %v, %v", p, err)
 		}
 	})
@@ -511,24 +503,27 @@ func TestConformanceSplitDup(t *testing.T) {
 func TestConformanceZeroLength(t *testing.T) {
 	eachBackend(t, 2, func(t *testing.T, c *Comm) {
 		peer := c.Rank() ^ 1
-		// Zero-length and nil payloads are distinct, both legal.
+		// Zero-length and nil payloads are both legal, and both arrive as
+		// an empty, non-nil slice: the receiver always gets a fresh one.
 		if err := c.Send(peer, 1, []float64{}); err != nil {
 			t.Errorf("send empty: %v", err)
 		}
 		if err := c.Send(peer, 2, nil); err != nil {
 			t.Errorf("send nil: %v", err)
 		}
-		got, _, err := c.RecvFloat64(peer, 1)
-		if err != nil || got == nil || len(got) != 0 {
-			t.Errorf("recv empty = %#v, %v", got, err)
-		}
-		p, _, err := c.Recv(peer, 2)
-		if err != nil || p != nil {
-			t.Errorf("recv nil = %#v, %v", p, err)
+		for tag := 1; tag <= 2; tag++ {
+			got, _, err := c.Recv(peer, tag)
+			if err != nil || got == nil || len(got) != 0 {
+				t.Errorf("recv tag %d = %#v, %v", tag, got, err)
+			}
 		}
 		// Zero-length collectives.
-		out, err := c.Bcast(0, map[bool]any{true: []float64{}, false: nil}[c.Rank() == 0])
-		if err != nil || len(out.([]float64)) != 0 {
+		var in []float64
+		if c.Rank() == 0 {
+			in = []float64{}
+		}
+		out, err := c.Bcast(0, in)
+		if err != nil || len(out) != 0 {
 			t.Errorf("bcast empty = %v, %v", out, err)
 		}
 		red, err := c.AllreduceFloat64([]float64{}, Sum)
@@ -559,7 +554,7 @@ func TestConformanceLargePayload(t *testing.T) {
 			t.Errorf("send large: %v", err)
 			return
 		}
-		got, _, err := c.RecvFloat64((r+n-1)%n, 6)
+		got, _, err := c.Recv((r+n-1)%n, 6)
 		if err != nil {
 			t.Errorf("recv large: %v", err)
 			return
@@ -568,48 +563,42 @@ func TestConformanceLargePayload(t *testing.T) {
 		if len(got) != elems || got[0] != float64(prev*elems) || got[elems-1] != float64(prev*elems+elems-1) {
 			t.Errorf("large ring recv corrupted: len %d ends %v,%v", len(got), got[0], got[elems-1])
 		}
-		var in any
+		var in []float64
 		if r == 0 {
 			in = payload
 		}
 		bc, err := c.Bcast(0, in)
-		if v, _ := bc.([]float64); err != nil || len(v) != elems || v[elems-1] != float64(elems-1) {
-			t.Errorf("large bcast: len %d, %v", len(v), err)
+		if err != nil || len(bc) != elems || bc[elems-1] != float64(elems-1) {
+			t.Errorf("large bcast: len %d, %v", len(bc), err)
 		}
 	})
 }
 
 func TestConformanceTypeFidelity(t *testing.T) {
-	// Every payload kind in the wire set round-trips with its Go type and
-	// value intact — by reference in-process, through the codec across
-	// processes. Doubles are compared bit for bit, so a NaN's payload and
-	// the sign of a zero count.
-	payloads := []any{
+	// Every payload round-trips with its length and values intact — as an
+	// in-memory copy in-process, through the codec across processes.
+	// Doubles are compared bit for bit, so a NaN's payload, the sign of a
+	// zero and a subnormal all count.
+	payloads := [][]float64{
 		nil,
-		[]float64{0, math.Copysign(0, -1), 1.5, math.Inf(1), math.Inf(-1), 1 << 40, -(1 << 40)},
-		[]float64{math.NaN(), math.Float64frombits(0x7ff0dead_beef0001)},
-		[]int{0, -1, 1 << 40, -(1 << 40)},
+		{0, math.Copysign(0, -1), 1.5, math.Inf(1), math.Inf(-1), 1 << 53, -(1 << 53)},
+		{math.NaN(), math.Float64frombits(0x7ff0dead_beef0001), math.SmallestNonzeroFloat64, math.MaxFloat64},
 	}
 	eachBackend(t, 2, func(t *testing.T, c *Comm) {
 		peer := c.Rank() ^ 1
 		for i, p := range payloads {
 			if err := c.Send(peer, i, p); err != nil {
-				t.Errorf("send %T: %v", p, err)
+				t.Errorf("send %d: %v", i, err)
 			}
 		}
 		for i, want := range payloads {
 			got, st, err := c.Recv(peer, i)
 			if err != nil {
-				t.Errorf("recv %T: %v", want, err)
+				t.Errorf("recv %d: %v", i, err)
 				continue
 			}
-			same := reflect.DeepEqual(got, want)
-			if w, ok := want.([]float64); ok {
-				g, _ := got.([]float64)
-				same = bitsEqual(g, w)
-			}
-			if !same {
-				t.Errorf("payload %d: got %#v (%T), want %#v (%T)", i, got, got, want, want)
+			if !bitsEqual(got, want) {
+				t.Errorf("payload %d: got %v, want %v", i, got, want)
 			}
 			if st.Tag != i {
 				t.Errorf("payload %d: tag %d", i, st.Tag)
@@ -618,51 +607,148 @@ func TestConformanceTypeFidelity(t *testing.T) {
 	})
 }
 
-// TestOffWireKinds has one row per payload kind only the goroutine
-// backend carries: it delivers each by reference, and every process
-// backend refuses it at send with ErrPayloadType instead of delivering
-// something else — and the cohort carries on.
-func TestOffWireKinds(t *testing.T) {
-	kinds := []struct {
-		name string
-		p    any
-	}{
-		{"[]byte", []byte{1, 2}},
-		{"[]complex128", []complex128{complex(1, -2)}},
-		{"int", 7},
-		{"float64", 2.5},
-		{"string", "r0"},
-		{"bool", true},
-		{"[]any", []any{[]float64{1}}},
-	}
-	for _, b := range confBackends() {
-		t.Run(b.name, func(t *testing.T) {
-			b.run(t, 2, func(c *Comm) {
-				for tag, k := range kinds {
-					switch {
-					case c.Rank() == 0 && b.name == "goroutine":
-						if err := c.Send(1, tag, k.p); err != nil {
-							t.Errorf("%s: send = %v", k.name, err)
-						}
-					case c.Rank() == 0:
-						if err := c.Send(1, tag, k.p); !errors.Is(err, ErrPayloadType) {
-							t.Errorf("%s: send = %v, want ErrPayloadType", k.name, err)
-						}
-					case b.name == "goroutine":
-						got, _, err := c.Recv(0, tag)
-						sent := reflect.ValueOf(k.p)
-						if err != nil || !reflect.DeepEqual(got, k.p) ||
-							sent.Kind() == reflect.Slice && reflect.ValueOf(got).UnsafePointer() != sent.UnsafePointer() {
-							t.Errorf("%s: recv = %#v, %v; want the sent value by reference", k.name, got, err)
-						}
-					}
+// TestConformanceOwnership holds every backend to the one ownership rule:
+// a send copies, and each rank owns what it receives. Senders overwrite
+// what they sent the moment Send, Bcast or Alltoall returns, receivers
+// overwrite what they got, and a barrier orders every overwrite before
+// every check, so a payload shared between ranks shows up as a wrong value
+// (and under -race as a race). Split's float64 triples carry colors and
+// keys up to ±2⁵³ exactly and refuse anything past that on every rank.
+func TestConformanceOwnership(t *testing.T) {
+	eachBackend(t, 3, func(t *testing.T, c *Comm) {
+		n, r := c.Size(), c.Rank()
+		fr := float64(r)
+		spoil := func(v []float64, x float64) {
+			for i := range v {
+				v[i] = x
+			}
+		}
+		barrier := func(what string) bool {
+			if err := c.Barrier(); err != nil {
+				t.Errorf("barrier after %s: %v", what, err)
+				return false
+			}
+			return true
+		}
+
+		// Send: overwrite at once; the receiver still sees the sent values.
+		v := []float64{fr, fr + 0.5}
+		if err := c.Send((r+1)%n, 1, v); err != nil {
+			t.Errorf("send: %v", err)
+			return
+		}
+		spoil(v, math.NaN())
+		if !barrier("send") {
+			return
+		}
+		prev := float64((r + n - 1) % n)
+		if got, _, err := c.Recv((r+n-1)%n, 1); err != nil || !slices.Equal(got, []float64{prev, prev + 0.5}) {
+			t.Errorf("rank %d recv = %v, %v; want the values as sent", r, got, err)
+		}
+
+		// Bcast: the root overwrites its v, every rank overwrites its
+		// result; each result is still its own.
+		for root := 0; root < n; root++ {
+			var in []float64
+			if r == root {
+				in = []float64{float64(root), 7}
+			}
+			out, err := c.Bcast(root, in)
+			if err != nil {
+				t.Errorf("root %d: bcast: %v", root, err)
+				return
+			}
+			if !slices.Equal(out, []float64{float64(root), 7}) {
+				t.Errorf("root %d: rank %d bcast = %v", root, r, out)
+			}
+			if r == root {
+				spoil(in, math.NaN())
+			} else {
+				spoil(out, -1-fr)
+			}
+			if !barrier("bcast") {
+				return
+			}
+			if r != root && !slices.Equal(out, []float64{-1 - fr, -1 - fr}) {
+				t.Errorf("root %d: rank %d result %v after the barrier, want its own overwrite", root, r, out)
+			}
+		}
+
+		// Alltoall: every rank overwrites the parts it sent to the others,
+		// then what it received; what each rank received is its alone. Its
+		// own part comes back as itself.
+		parts := make([]any, n)
+		for j := range parts {
+			parts[j] = []float64{float64(10*r + j)}
+		}
+		got, err := c.Alltoall(parts)
+		if err != nil {
+			t.Errorf("alltoall: %v", err)
+			return
+		}
+		if &got[r].([]float64)[0] != &parts[r].([]float64)[0] {
+			t.Errorf("rank %d: alltoall returned a copy of its own part", r)
+		}
+		for j := range parts {
+			if j != r {
+				spoil(parts[j].([]float64), math.NaN())
+			}
+		}
+		if !barrier("alltoall") {
+			return
+		}
+		for i, p := range got {
+			if v := p.([]float64); len(v) != 1 || v[0] != float64(10*i+r) {
+				t.Errorf("rank %d alltoall[%d] = %v, want [%d]", r, i, v, 10*i+r)
+			}
+			spoil(p.([]float64), -1-fr)
+		}
+		if !barrier("alltoall overwrite") {
+			return
+		}
+		for i, p := range got {
+			if v := p.([]float64); v[0] != -1-fr {
+				t.Errorf("rank %d alltoall[%d] = %v after the barrier, want its own overwrite", r, i, v)
+			}
+		}
+
+		// Split at the edge of what a float64 carries exactly: colors ±2⁵³,
+		// keys counting down from 2⁵³ so the order reverses.
+		const edge = 1 << 53
+		color := edge
+		if r == 1 {
+			color = -edge
+		}
+		sub, err := c.Split(color, edge-r)
+		if err != nil {
+			t.Errorf("split at ±2⁵³: %v", err)
+			return
+		}
+		if want := map[int][2]int{0: {2, 1}, 1: {1, 0}, 2: {2, 0}}[r]; sub.Size() != want[0] || sub.Rank() != want[1] {
+			t.Errorf("rank %d: sub (size %d, rank %d), want %v", r, sub.Size(), sub.Rank(), want)
+		}
+		// One past the edge, on one rank at a time, as color and as key:
+		// every rank fails alike, and the cohort carries on.
+		for bad := 0; bad < n; bad++ {
+			for _, past := range []int{edge + 1, -edge - 1} {
+				color, key := 0, r
+				if r == bad && bad%2 == 0 {
+					color = past
+				} else if r == bad {
+					key = past
 				}
-				if err := c.Barrier(); err != nil {
-					t.Errorf("barrier after the refused sends: %v", err)
+				if _, err := c.Split(color, key); !errors.Is(err, ErrSplitRange) {
+					t.Errorf("rank %d: split with rank %d at %d = %v, want ErrSplitRange", r, bad, past, err)
 				}
-			})
-		})
-	}
+			}
+		}
+		if sum, err := c.AllreduceScalar(1, Sum); err != nil || sum != float64(n) {
+			t.Errorf("allreduce after the refused splits = %v, %v", sum, err)
+		}
+		if dup, err := c.Split(0, r); err != nil || dup.Rank() != r || dup.Size() != n {
+			t.Errorf("split after the refused splits = %v, %v", dup, err)
+		}
+	})
 }
 
 // TestAllreduceResultOwned holds Allreduce to its ownership rule: each rank
@@ -728,12 +814,12 @@ func TestCollTagWindowWraparound(t *testing.T) {
 				}
 			case 1:
 				root := i % c.Size()
-				var in any
+				var in []float64
 				if c.Rank() == root {
-					in = []int{i}
+					in = []float64{float64(i)}
 				}
 				got, err := c.Bcast(root, in)
-				if err != nil || got.([]int)[0] != i {
+				if err != nil || got[0] != float64(i) {
 					t.Errorf("round %d bcast = %v, %v", i, got, err)
 					return
 				}

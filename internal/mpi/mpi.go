@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -27,6 +28,9 @@ var (
 	ErrTypeMatch   = errors.New("mpi: message payload type mismatch")
 	ErrCountMatch  = errors.New("mpi: message length mismatch")
 	ErrCommRevoked = errors.New("mpi: communicator revoked")
+	// ErrSplitRange reports a Split color or key that a float64 cannot
+	// carry exactly: one with |x| > 2⁵³.
+	ErrSplitRange = errors.New("mpi: split color or key out of range")
 )
 
 // RankDeadError reports that a cohort peer died: its connection to this
@@ -48,15 +52,17 @@ func (e *RankDeadError) Unwrap() error { return e.Err }
 
 // engine is the rank-addressed point-to-point substrate a communicator
 // runs on. One engine value serves one rank: send addresses peers by world
-// rank, and recv takes from the owning rank's mailbox.
+// rank, and recv takes from the owning rank's mailbox. Every engine keeps
+// one ownership rule: send copies the payload before it returns, so the
+// sender may reuse it at once and the receiver owns what it takes.
 // The collective algorithms in collectives.go are written purely against
 // Comm's send/recv internals, so they run unchanged over every engine:
 // the goroutine backend (goEngine, one address space) and the process
 // backend (procWorld, frames over the multiplexed transport).
 type engine interface {
-	// send delivers e to world rank dest. e.source is the sender's rank in
-	// the communicator the message belongs to; e.tag is the effective
-	// (context-folded) tag.
+	// send delivers a copy of e to world rank dest. e.source is the
+	// sender's rank in the communicator the message belongs to; e.tag is
+	// the effective (context-folded) tag.
 	send(dest int, e envelope) error
 	// recv blocks until a message matching (source, efftag) is in this
 	// rank's mailbox and removes it. Wildcards follow mailbox.take.
@@ -64,18 +70,22 @@ type engine interface {
 	// allocCtx returns a fresh communicator context offset, unique across
 	// the whole world for the lifetime of the job.
 	allocCtx() (int, error)
-	// sendCopies reports whether send to world rank dest has serialized
-	// the payload by the time it returns, so the sender may go on mutating
-	// it. When false the payload moves by reference: once sent it belongs
-	// to the receiver, and the sender must not touch it again.
-	sendCopies(dest int) bool
 }
 
 // envelope is a single in-flight message.
 type envelope struct {
 	source  int
 	tag     int
-	payload any
+	payload []float64
+}
+
+// clone is the copy an engine makes of a payload it delivers in memory: a
+// fresh slice, never nil, as the wire decoder also returns. (The
+// make-then-copy form compiles to one allocation that skips zeroing.)
+func clone(v []float64) []float64 {
+	out := make([]float64, len(v))
+	copy(out, v)
+	return out
 }
 
 // mailbox is one rank's incoming message queue with MPI matching semantics:
@@ -185,13 +195,16 @@ type world struct {
 }
 
 // goEngine is one rank's handle on a goroutine-backend world. Delivery is
-// a mailbox append; payloads move by reference.
+// a mailbox append of a copy of the payload.
 type goEngine struct {
 	w    *world
 	self int // my world rank
 }
 
-func (g *goEngine) send(dest int, e envelope) error { return g.w.boxes[dest].put(e) }
+func (g *goEngine) send(dest int, e envelope) error {
+	e.payload = clone(e.payload)
+	return g.w.boxes[dest].put(e)
+}
 
 func (g *goEngine) recv(source, efftag int) (envelope, error) {
 	return g.w.boxes[g.self].take(source, efftag)
@@ -200,8 +213,6 @@ func (g *goEngine) recv(source, efftag int) (envelope, error) {
 func (g *goEngine) allocCtx() (int, error) {
 	return int(atomic.AddInt64(&g.w.ctxCounter, 1)) * ctxStride, nil
 }
-
-func (g *goEngine) sendCopies(int) bool { return false }
 
 // ctxStride separates the effective-tag ranges of distinct communicator
 // contexts. Every tag used on a communicator (user tags < internalTagBase,
@@ -247,29 +258,28 @@ func (c *Comm) checkTag(tag int) error {
 // communicators over the same ranks never cross-deliver.
 func (c *Comm) efftag(tag int) int { return tag + c.ctxTag }
 
-// Send delivers payload to rank dest with the given tag. On the goroutine
-// backend payload slices are transferred by reference; on the process
-// backend they are serialized over the transport. Either way receivers
-// must treat received slices as read-only or copy them, exactly as a real
-// MPI program treats its receive buffer as owned after MPI_Recv returns.
-func (c *Comm) Send(dest, tag int, payload any) error {
+// Send delivers a copy of v to rank dest with the given tag. The copy is
+// made before Send returns, on every backend, so the caller may overwrite
+// v at once; the receiver owns the slice Recv gives it.
+func (c *Comm) Send(dest, tag int, v []float64) error {
 	if err := c.checkRank(dest); err != nil {
 		return err
 	}
 	if err := c.checkTag(tag); err != nil {
 		return err
 	}
-	return c.sendInternal(dest, tag, payload)
+	return c.sendInternal(dest, tag, v)
 }
 
 // sendInternal bypasses the user tag range check for collective traffic.
-func (c *Comm) sendInternal(dest, tag int, payload any) error {
-	return c.eng.send(c.worldRank(dest), envelope{source: c.rank, tag: c.efftag(tag), payload: payload})
+func (c *Comm) sendInternal(dest, tag int, v []float64) error {
+	return c.eng.send(c.worldRank(dest), envelope{source: c.rank, tag: c.efftag(tag), payload: v})
 }
 
 // Recv blocks until a message matching (source, tag) arrives and returns its
-// payload. source may be AnySource and tag may be AnyTag.
-func (c *Comm) Recv(source, tag int) (any, Status, error) {
+// payload, which the caller owns. source may be AnySource and tag may be
+// AnyTag.
+func (c *Comm) Recv(source, tag int) ([]float64, Status, error) {
 	if err := c.checkRecv(source, tag); err != nil {
 		return nil, Status{}, err
 	}
@@ -290,7 +300,7 @@ func (c *Comm) checkRecv(source, tag int) error {
 	return nil
 }
 
-func (c *Comm) recvInternal(source, tag int) (any, Status, error) {
+func (c *Comm) recvInternal(source, tag int) ([]float64, Status, error) {
 	et := tag
 	if tag != AnyTag {
 		et = c.efftag(tag)
@@ -301,33 +311,6 @@ func (c *Comm) recvInternal(source, tag int) (any, Status, error) {
 	}
 	userTag := e.tag - c.ctxTag
 	return e.payload, Status{Source: e.source, Tag: userTag}, nil
-}
-
-// RecvFloat64 receives a []float64 payload, enforcing the payload type.
-func (c *Comm) RecvFloat64(source, tag int) ([]float64, Status, error) {
-	p, st, err := c.Recv(source, tag)
-	if err != nil {
-		return nil, st, err
-	}
-	v, err := asFloat64s(p)
-	return v, st, err
-}
-
-// recvFloat64 is recvInternal for the []float64 a collective expects.
-func (c *Comm) recvFloat64(source, tag int) ([]float64, error) {
-	p, _, err := c.recvInternal(source, tag)
-	if err != nil {
-		return nil, err
-	}
-	return asFloat64s(p)
-}
-
-func asFloat64s(p any) ([]float64, error) {
-	v, ok := p.([]float64)
-	if !ok {
-		return nil, fmt.Errorf("%w: got %T, want []float64", ErrTypeMatch, p)
-	}
-	return v, nil
 }
 
 // Run starts an SPMD "job" of n ranks over a fresh world communicator and
@@ -379,32 +362,40 @@ func Run(n int, body func(c *Comm)) {
 // that rank.
 const Undefined = -1
 
-// Split is collective over c.
+// Split is collective over c. A color or key with |x| > 2⁵³ fails it with
+// ErrSplitRange on every rank.
 func (c *Comm) Split(color, key int) (*Comm, error) {
-	// The exchange uses flat []int payloads — [color, key, rank] triples —
-	// so the same code serializes over the process backend's wire codec.
-	mine := []int{color, key, c.rank}
+	// The exchange carries [color, key, rank] triples as float64, the one
+	// payload kind. An out-of-range color or key is never sent: its rank
+	// sends a NaN color instead, so rank 0 fails the Split for everyone and
+	// no rank is left waiting.
+	mine := []float64{float64(color), float64(key), float64(c.rank)}
+	if !splitExact(color) || !splitExact(key) {
+		mine[0] = math.NaN()
+	}
 
-	// Gather all (color,key,rank) triples at rank 0; rank 0 allocates a
-	// fresh communication context from the world and broadcasts the plan
-	// as [ctx, c0,k0,r0, c1,k1,r1, ...].
-	var all []int // 3 ints per member, indexed by arrival
-	var ctx int
+	// Gather all triples at rank 0; rank 0 allocates a fresh communication
+	// context from the world and broadcasts the plan as
+	// [ctx, c0,k0,r0, c1,k1,r1, ...], with ctx NaN when a triple is marked.
+	var plan []float64
 	if c.rank == 0 {
-		all = make([]int, 0, 3*c.Size())
-		all = append(all, mine...)
+		plan = make([]float64, 1, 1+3*c.Size())
+		plan = append(plan, mine...)
 		for i := 1; i < c.Size(); i++ {
 			p, _, err := c.recvInternal(AnySource, c.splitTag())
 			if err != nil {
 				return nil, err
 			}
-			all = append(all, p.([]int)...)
+			plan = append(plan, p...)
 		}
-		var err error
-		if ctx, err = c.eng.allocCtx(); err != nil {
-			return nil, err
+		plan[0] = math.NaN()
+		if !slices.ContainsFunc(plan[1:], math.IsNaN) {
+			ctx, err := c.eng.allocCtx()
+			if err != nil {
+				return nil, err
+			}
+			plan[0] = float64(ctx)
 		}
-		plan := append([]int{ctx}, all...)
 		for i := 1; i < c.Size(); i++ {
 			if err := c.sendInternal(i, c.splitTag(), plan); err != nil {
 				return nil, err
@@ -414,13 +405,15 @@ func (c *Comm) Split(color, key int) (*Comm, error) {
 		if err := c.sendInternal(0, c.splitTag(), mine); err != nil {
 			return nil, err
 		}
-		p, _, err := c.recvInternal(0, c.splitTag())
-		if err != nil {
+		var err error
+		if plan, _, err = c.recvInternal(0, c.splitTag()); err != nil {
 			return nil, err
 		}
-		plan := p.([]int)
-		ctx, all = plan[0], plan[1:]
 	}
+	if math.IsNaN(plan[0]) {
+		return nil, fmt.Errorf("%w: color %d, key %d on rank %d", ErrSplitRange, color, key, c.rank)
+	}
+	ctx, all := int(plan[0]), plan[1:]
 
 	if color == Undefined {
 		return nil, nil
@@ -429,7 +422,7 @@ func (c *Comm) Split(color, key int) (*Comm, error) {
 	type entry struct{ Color, Key, Rank int }
 	var members []entry
 	for i := 0; i+2 < len(all); i += 3 {
-		e := entry{all[i], all[i+1], all[i+2]}
+		e := entry{int(all[i]), int(all[i+1]), int(all[i+2])}
 		if e.Color == color {
 			members = append(members, e)
 		}
@@ -447,6 +440,9 @@ func (c *Comm) Split(color, key int) (*Comm, error) {
 	}
 	return &Comm{eng: c.eng, rank: myNew, group: group, ctxTag: ctx}, nil
 }
+
+// splitExact reports whether x survives the round trip through float64.
+func splitExact(x int) bool { return -1<<53 <= int64(x) && int64(x) <= 1<<53 }
 
 // splitTag is the internal tag used by Split traffic; efftag folds in the
 // per-communicator context so concurrent Splits on different communicators

@@ -39,7 +39,7 @@ func TestSendRecvBasic(t *testing.T) {
 				t.Errorf("send: %v", err)
 			}
 		} else {
-			v, st, err := c.RecvFloat64(0, 7)
+			v, st, err := c.Recv(0, 7)
 			if err != nil {
 				t.Errorf("recv: %v", err)
 				return
@@ -70,7 +70,7 @@ func TestRecvWildcardSource(t *testing.T) {
 				t.Errorf("saw sources %v, want 3 distinct", seen)
 			}
 		} else {
-			if err := c.Send(0, 1, c.Rank()); err != nil {
+			if err := c.Send(0, 1, []float64{float64(c.Rank())}); err != nil {
 				t.Errorf("send: %v", err)
 			}
 		}
@@ -81,7 +81,7 @@ func TestRecvWildcardTag(t *testing.T) {
 	Run(2, func(c *Comm) {
 		if c.Rank() == 0 {
 			for _, tag := range []int{5, 9} {
-				if err := c.Send(1, tag, tag); err != nil {
+				if err := c.Send(1, tag, []float64{float64(tag)}); err != nil {
 					t.Errorf("send: %v", err)
 				}
 			}
@@ -93,7 +93,7 @@ func TestRecvWildcardTag(t *testing.T) {
 					t.Errorf("recv: %v", err)
 					return
 				}
-				if p.(int) != st.Tag {
+				if p[0] != float64(st.Tag) {
 					t.Errorf("payload %v under tag %d", p, st.Tag)
 				}
 				got[st.Tag] = true
@@ -112,7 +112,7 @@ func TestNonOvertaking(t *testing.T) {
 		const n = 100
 		if c.Rank() == 0 {
 			for i := 0; i < n; i++ {
-				if err := c.Send(1, 3, i); err != nil {
+				if err := c.Send(1, 3, []float64{float64(i)}); err != nil {
 					t.Errorf("send: %v", err)
 				}
 			}
@@ -123,7 +123,7 @@ func TestNonOvertaking(t *testing.T) {
 					t.Errorf("recv: %v", err)
 					return
 				}
-				if p.(int) != i {
+				if p[0] != float64(i) {
 					t.Errorf("message %d arrived out of order (got %v)", i, p)
 					return
 				}
@@ -136,19 +136,19 @@ func TestTagSelectivity(t *testing.T) {
 	Run(2, func(c *Comm) {
 		if c.Rank() == 0 {
 			// Send tag 2 first, then tag 1; receiver asks for tag 1 first.
-			if err := c.Send(1, 2, "second"); err != nil {
+			if err := c.Send(1, 2, []float64{2}); err != nil {
 				t.Errorf("send: %v", err)
 			}
-			if err := c.Send(1, 1, "first"); err != nil {
+			if err := c.Send(1, 1, []float64{1}); err != nil {
 				t.Errorf("send: %v", err)
 			}
 		} else {
 			p1, _, err := c.Recv(0, 1)
-			if err != nil || p1.(string) != "first" {
+			if err != nil || p1[0] != 1 {
 				t.Errorf("tag-1 recv = %v, %v", p1, err)
 			}
 			p2, _, err := c.Recv(0, 2)
-			if err != nil || p2.(string) != "second" {
+			if err != nil || p2[0] != 2 {
 				t.Errorf("tag-2 recv = %v, %v", p2, err)
 			}
 		}
@@ -169,15 +169,19 @@ func TestSendErrors(t *testing.T) {
 	})
 }
 
-func TestRecvTypeMismatch(t *testing.T) {
+// Alltoall's parts are []any; one that is not a []float64 fails the call
+// before anything is sent, so the next collective still lines up.
+func TestAlltoallTypeMismatch(t *testing.T) {
 	Run(2, func(c *Comm) {
-		if c.Rank() == 0 {
-			c.Send(1, 0, "not floats")
-		} else {
-			_, _, err := c.RecvFloat64(0, 0)
-			if !errors.Is(err, ErrTypeMatch) {
-				t.Errorf("err = %v, want ErrTypeMatch", err)
+		for _, bad := range []any{nil, []int{1}, 2.5} {
+			if _, err := c.Alltoall([]any{[]float64{1}, bad}); !errors.Is(err, ErrTypeMatch) {
+				t.Errorf("part %#v: err = %v, want ErrTypeMatch", bad, err)
 			}
+		}
+		mine := []float64{float64(c.Rank())}
+		got, err := c.Alltoall([]any{mine, mine})
+		if err != nil || got[1].([]float64)[0] != 1 {
+			t.Errorf("alltoall after the refused calls = %v, %v", got, err)
 		}
 	})
 }
@@ -187,7 +191,7 @@ func TestRecvTypeMismatch(t *testing.T) {
 func TestSendrecvExchange(t *testing.T) {
 	Run(2, func(c *Comm) {
 		other := 1 - c.Rank()
-		if err := c.Send(other, 4, []int{c.Rank() * 10}); err != nil {
+		if err := c.Send(other, 4, []float64{float64(c.Rank() * 10)}); err != nil {
 			t.Errorf("send: %v", err)
 			return
 		}
@@ -196,7 +200,7 @@ func TestSendrecvExchange(t *testing.T) {
 			t.Errorf("recv: %v", err)
 			return
 		}
-		if p.([]int)[0] != other*10 || st.Source != other {
+		if p[0] != float64(other*10) || st.Source != other {
 			t.Errorf("rank %d got %v from %d", c.Rank(), p, st.Source)
 		}
 	})
@@ -236,7 +240,7 @@ func TestBcastAllRootsAllSizes(t *testing.T) {
 					return
 				}
 				want := []float64{float64(root), 2, 3}
-				if !reflect.DeepEqual(out.([]float64), want) {
+				if !reflect.DeepEqual(out, want) {
 					t.Errorf("n=%d root=%d rank=%d: got %v", n, root, c.Rank(), out)
 				}
 			})
@@ -319,13 +323,14 @@ func TestGatherScatterRoundTrip(t *testing.T) {
 func TestAllgather(t *testing.T) {
 	// Allgather is the Alltoall that sends every rank the same part.
 	Run(3, func(c *Comm) {
-		parts, err := c.Alltoall([]any{c.Rank() * 2, c.Rank() * 2, c.Rank() * 2})
+		mine := []float64{float64(c.Rank() * 2)}
+		parts, err := c.Alltoall([]any{mine, mine, mine})
 		if err != nil {
 			t.Errorf("allgather: %v", err)
 			return
 		}
 		for i, p := range parts {
-			if p.(int) != i*2 {
+			if p.([]float64)[0] != float64(i*2) {
 				t.Errorf("parts[%d] = %v", i, p)
 			}
 		}
@@ -337,7 +342,7 @@ func TestAlltoall(t *testing.T) {
 	Run(n, func(c *Comm) {
 		parts := make([]any, n)
 		for i := range parts {
-			parts[i] = c.Rank()*100 + i
+			parts[i] = []float64{float64(c.Rank()*100 + i)}
 		}
 		got, err := c.Alltoall(parts)
 		if err != nil {
@@ -345,7 +350,7 @@ func TestAlltoall(t *testing.T) {
 			return
 		}
 		for i, p := range got {
-			if p.(int) != i*100+c.Rank() {
+			if p.([]float64)[0] != float64(i*100+c.Rank()) {
 				t.Errorf("rank %d got[%d] = %v, want %d", c.Rank(), i, p, i*100+c.Rank())
 			}
 		}
@@ -430,16 +435,16 @@ func TestDupIsolatesTraffic(t *testing.T) {
 		}
 		if c.Rank() == 0 {
 			// Same tag on both communicators; payloads differ.
-			c.Send(1, 5, "parent")
-			dup.Send(1, 5, "dup")
+			c.Send(1, 5, []float64{1})
+			dup.Send(1, 5, []float64{2})
 		} else {
 			// Receive from dup first: must not see the parent's message.
 			p, _, err := dup.Recv(0, 5)
-			if err != nil || p.(string) != "dup" {
+			if err != nil || p[0] != 2 {
 				t.Errorf("dup recv = %v, %v", p, err)
 			}
 			p, _, err = c.Recv(0, 5)
-			if err != nil || p.(string) != "parent" {
+			if err != nil || p[0] != 1 {
 				t.Errorf("parent recv = %v, %v", p, err)
 			}
 		}
@@ -456,7 +461,7 @@ func TestCollectivesBackToBackDoNotInterleave(t *testing.T) {
 				return
 			}
 			out, err := c.Bcast(i%4, []float64{float64(i)})
-			if err != nil || out.([]float64)[0] != float64(i) {
+			if err != nil || out[0] != float64(i) {
 				t.Errorf("iter %d bcast = %v, %v", i, out, err)
 				return
 			}

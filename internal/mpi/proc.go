@@ -53,19 +53,18 @@ type procWorld struct {
 // backends complete sends synchronously.
 type writeDrainer interface{ DrainWrites() }
 
+// send encodes e into a pooled frame for a peer — the frame is the copy —
+// or clones the payload into this rank's own mailbox for a self-send.
 func (p *procWorld) send(dest int, e envelope) error {
 	if dest == p.rank {
 		cProcSelfSends.Inc()
+		e.payload = clone(e.payload)
 		return p.box.put(e)
 	}
 	conn := p.peers[dest]
 	bufp := wireBufs.Get().(*[]byte)
-	buf, err := encodeMsg((*bufp)[:0], e)
-	if err != nil {
-		wireBufs.Put(bufp)
-		return err
-	}
-	err = conn.Send(buf)
+	buf := encodeMsg((*bufp)[:0], e)
+	err := conn.Send(buf)
 	*bufp = buf[:0]
 	wireBufs.Put(bufp)
 	if err != nil {
@@ -81,10 +80,6 @@ func (p *procWorld) send(dest int, e envelope) error {
 	cProcSendBytes.Add(uint64(len(buf)))
 	return nil
 }
-
-// sendCopies: a peer send encodes the payload into the frame before it
-// returns; a self-send is a mailbox append by reference.
-func (p *procWorld) sendCopies(dest int) bool { return dest != p.rank }
 
 func (p *procWorld) recv(source, efftag int) (envelope, error) {
 	return p.box.take(source, efftag)
