@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"io"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -36,8 +37,10 @@ import (
 // and on the direct-connect GetPort path (one gated sharded-counter
 // increment). Dark, metrics on (the shipping default), metrics + tracing;
 // the default must stay within 5% of dark remotely and at ~0% on GetPort.
-// The effect is small against TCP noise: compare with -count 10 and
-// benchstat -col /cfg rather than from one run.
+// The configurations alternate inside one sub-benchmark per path and size
+// (the interleaved estimator; one op is one round of every configuration),
+// and "<cfg>/dark" is the median of the per-round ratios, because machine
+// drift between back-to-back runs exceeds the effect.
 // ---------------------------------------------------------------------------
 
 func BenchmarkE10_Observability(b *testing.B) {
@@ -51,23 +54,49 @@ func BenchmarkE10_Observability(b *testing.B) {
 	}
 	defer configure(true, false) // the shipping defaults
 
-	for _, n := range []int{1, 4096} {
-		xs := make([]float64, n)
-		for _, cfg := range configs {
-			b.Run(fmt.Sprintf("remote/floats=%d/cfg=%s", n, cfg.name), func(b *testing.B) {
-				c, _ := serveSum(b, transport.TCP{}, "127.0.0.1:0")
+	// run alternates the first n configurations, each side making calls
+	// calls of fn under its own; GetPort is batched so that the clock
+	// reads around a side do not swamp it.
+	run := func(b *testing.B, n, calls int, fn func() error) {
+		var names []string
+		var sides []func() error
+		for _, cfg := range configs[:n] {
+			names = append(names, cfg.name)
+			sides = append(sides, func() error {
 				configure(cfg.metrics, cfg.tracing)
-				benchCalls(b, func() error { return invokeSum(c.Invoke, xs) })
+				for range calls {
+					if err := fn(); err != nil {
+						return err
+					}
+				}
+				return nil
 			})
 		}
+		iv := newInterleaved(b, names, sides...)
+		b.ReportAllocs()
+		if err := iv.round(); err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for range b.N {
+			if err := iv.round(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		iv.report(b, float64(calls), "ns/call")
 	}
-	for _, cfg := range configs[:2] {
-		b.Run("getport/cfg="+cfg.name, func(b *testing.B) {
-			_, svc := wireOp(b, framework.Options{}, true)
-			configure(cfg.metrics, cfg.tracing)
-			benchCalls(b, func() error { return getRelease(svc) })
+	for _, n := range []int{1, 4096} {
+		xs := make([]float64, n)
+		b.Run(fmt.Sprintf("remote/floats=%d", n), func(b *testing.B) {
+			c, _ := serveSum(b, transport.TCP{}, "127.0.0.1:0")
+			run(b, 3, 1, func() error { return invokeSum(c.Invoke, xs) })
 		})
 	}
+	b.Run("getport", func(b *testing.B) {
+		_, svc := wireOp(b, framework.Options{}, true)
+		run(b, 2, 256, func() error { return getRelease(svc) })
+	})
 }
 
 // ---------------------------------------------------------------------------
@@ -581,7 +610,10 @@ func BenchmarkE14_SwapWindow(b *testing.B) {
 			for !stop.Load() {
 				port, err := u.svc.GetPort("add")
 				if errors.Is(err, cca.ErrPortQuiescing) {
+					// Back off as the error asks: a tight retry loop holds
+					// the swapper and the port's holders off the CPU.
 					sheds.Add(1)
+					runtime.Gosched()
 					continue
 				}
 				if err != nil {

@@ -11,17 +11,20 @@ package repro
 //	go test -run '^$' -bench 'E1_|E4_' .                   selected experiments
 //	go test -run '^$' -bench Ablation .                    the design-choice ablations
 //	go test -run '^$' -short -bench . -benchtime 1x .      smoke: one iteration, small E13
-//	go test -run '^$' -bench E10_ -count 10 . > e10.txt && benchstat -col /cfg e10.txt
+//	go test -run '^$' -bench 'E5_|E10_' -count 5 -cpu 1,2 . the interleaved ratios
 //
 // Where a ratio between rows is the claim, the rows differ in one
-// key=value name element (cfg=, mode=, client=, wiring=, fabric=, impl=,
-// fastpath=, …) that benchstat -col can put side by side; -cpu 1,2 adds
-// the multi-core rows. Rows that are not times (p50/p99, hit %, sheds,
-// iterations) are b.ReportMetric values with their own unit; E13–E15 fail
-// the run when the property they guard does not hold.
+// key=value name element (mode=, client=, fabric=, impl=, fastpath=, …)
+// that benchstat -col can put side by side; -cpu 1,2 adds the multi-core
+// rows. E5 and E10 instead alternate their sides inside one row (the
+// interleaved estimator) and report the median per-round ratio, because
+// on a shared machine the drift between back-to-back rows exceeds the
+// effect. Rows that are not times (p50/p99, hit %, sheds, iterations,
+// ratios) are b.ReportMetric values with their own unit; E5 and E13–E15
+// fail the run when the property they guard does not hold.
 
 import (
-	"cmp"
+	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -253,6 +256,72 @@ func benchRanks(b *testing.B, run func(func(*mpi.Comm)), setup func(c *mpi.Comm)
 func quantile(lat []time.Duration, p float64) time.Duration {
 	slices.Sort(lat)
 	return lat[int(p*float64(len(lat)-1))]
+}
+
+// interleaved is the paired estimator of E5 and E10. It times the sides
+// of one comparison in rounds, each side once per round, and rotates
+// which side goes first from round to round, so drift of the machine
+// during the run (the session swing) falls on every side alike and
+// cancels in the per-round ratios that report takes.
+type interleaved struct {
+	names  []string
+	sides  []func() error
+	ns     [][]float64 // ns[side][round]
+	rounds int
+}
+
+// newInterleaved sizes the samples for a warm-up round and b.N more, so
+// recording them allocates nothing that B/op would count.
+func newInterleaved(b *testing.B, names []string, sides ...func() error) *interleaved {
+	iv := &interleaved{names: names, sides: sides, ns: make([][]float64, len(sides))}
+	for s := range iv.ns {
+		iv.ns[s] = make([]float64, 0, b.N+1)
+	}
+	return iv
+}
+
+// round runs and times every side once, starting at side rounds mod
+// len(sides).
+func (iv *interleaved) round() error {
+	n := len(iv.sides)
+	for k := range n {
+		s := (iv.rounds + k) % n
+		start := time.Now()
+		if err := iv.sides[s](); err != nil {
+			return fmt.Errorf("%s: %w", iv.names[s], err)
+		}
+		iv.ns[s] = append(iv.ns[s], float64(time.Since(start)))
+	}
+	iv.rounds++
+	return nil
+}
+
+// report skips the first round, a warm-up, and reports over the rest each
+// side's median time divided by div as "<name>-<unit>" and, for every side
+// after the first, the median of its per-round ratio to the first side as
+// "<name>/<first>".
+func (iv *interleaved) report(b *testing.B, div float64, unit string) {
+	median := func(xs []float64) float64 {
+		xs = slices.Clone(xs)
+		slices.Sort(xs)
+		return xs[(len(xs)-1)/2]
+	}
+	base := iv.ns[0][1:]
+	if len(base) == 0 {
+		return
+	}
+	for s, name := range iv.names {
+		ns := iv.ns[s][1:]
+		b.ReportMetric(median(ns)/div, name+"-"+unit)
+		if s == 0 {
+			continue
+		}
+		ratio := make([]float64, len(ns))
+		for i := range ns {
+			ratio[i] = ns[i] / base[i]
+		}
+		b.ReportMetric(median(ratio), name+"/"+iv.names[0])
+	}
 }
 
 // reportQuantiles reports the p50 and p99 of lat in multiples of scale
@@ -531,180 +600,97 @@ func BenchmarkE4_Redistribution(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// E5 — F1 (§2): the full semi-implicit timestep, ports-wired versus a
-// hand-wired monolith, across cohort sizes.
+// E5 — F1 (§2) and claim C1 (§6.2): the full semi-implicit timestep,
+// ports-wired against the same hydro.Stepper driven directly, across cohort
+// sizes. Every rank builds both on one cohort and takes one step of each
+// per op, first side swapped every op, so the session swing falls on both
+// alike; ports/direct is the median of the per-op ratios. The run fails
+// when the two owned fields differ in any bit after an op.
 // ---------------------------------------------------------------------------
 
 func BenchmarkE5_Figure1Pipeline(b *testing.B) {
+	const dt = 0.01
 	for _, p := range []int{1, 2, 4} {
 		for _, grid := range []int{32, 64} {
 			m := mesh.StructuredQuad(grid, grid)
-			b.Run(fmt.Sprintf("p=%d/grid=%d/wiring=ports", p, grid), func(b *testing.B) {
+			b.Run(fmt.Sprintf("p=%d/grid=%d", p, grid), func(b *testing.B) {
+				b.ReportAllocs()
+				var rank0 *interleaved
+				diverged := make([]error, p)
 				benchRanks(b, goroutines(p), func(comm *mpi.Comm) (func() error, error) {
-					flow, err := buildBenchPipeline(comm, m, p)
-					return func() error { _, err := flow.Step(0.01); return err }, err
+					flow, direct, err := benchSides(comm, m, p)
+					if err != nil {
+						return nil, err
+					}
+					iv := newInterleaved(b, []string{"direct", "ports"},
+						func() error { _, err := direct.Step(dt); return err },
+						func() error { _, err := flow.Step(dt); return err })
+					if comm.Rank() == 0 {
+						rank0 = iv
+					}
+					return func() error {
+						if err := iv.round(); err != nil {
+							return err
+						}
+						if err := sameBits(flow.LocalData(), direct.OwnedField()); err != nil && diverged[comm.Rank()] == nil {
+							diverged[comm.Rank()] = fmt.Errorf("rank %d after round %d: ports and direct fields differ: %w", comm.Rank(), iv.rounds, err)
+						}
+						return nil
+					}, nil
 				})
-			})
-			b.Run(fmt.Sprintf("p=%d/grid=%d/wiring=monolith", p, grid), func(b *testing.B) {
-				benchRanks(b, goroutines(p), func(comm *mpi.Comm) (func() error, error) {
-					mono, err := newMonolith(comm, m, p)
-					return func() error { return mono.step(0.01) }, err
-				})
+				if err := errors.Join(diverged...); err != nil {
+					b.Fatalf("%v", err)
+				}
+				if rank0 != nil {
+					rank0.report(b, 1e3, "µs/step")
+				}
 			})
 		}
 	}
 }
 
-func buildBenchPipeline(comm *mpi.Comm, m *mesh.Mesh, p int) (hydro.FlowPort, error) {
-	var compErr error
-	keep := func(c cca.Component, err error) cca.Component {
-		if err != nil {
-			compErr = err
-		}
-		return c
+// benchConfig is E5's physics, shared by both sides. A steady source
+// keeps per-step solve work constant, so the benchmark is not chasing a
+// decaying field.
+var benchConfig = hydro.Config{
+	Nu: 1, Tol: 1e-8, Prec: "jacobi",
+	Source: func(x, y float64) float64 {
+		dx, dy := x-0.3, y-0.6
+		return 4 * math.Exp(-30*(dx*dx+dy*dy))
+	},
+}
+
+// benchSides builds E5's two sides on comm's rank: mesh and flow
+// components wired in a cohort framework, and a Stepper over the mesh
+// component's decomposition with no framework.
+func benchSides(comm *mpi.Comm, m *mesh.Mesh, p int) (*hydro.FlowComponent, *hydro.Stepper, error) {
+	mc, err := hydro.NewMeshComponent(m, "rcb", p, comm.Rank())
+	if err != nil {
+		return nil, nil, err
+	}
+	fc, err := hydro.NewFlowComponent(comm, benchConfig)
+	if err != nil {
+		return nil, nil, err
 	}
 	c := framework.NewCohort(comm, framework.Options{})
-	if err := c.InstallParallel("mesh", func(rank int) cca.Component {
-		return keep(hydro.NewMeshComponent(m, "rcb", p, rank))
-	}); err != nil {
-		return nil, err
+	if err := c.InstallParallel("mesh", func(int) cca.Component { return mc }); err != nil {
+		return nil, nil, err
 	}
-	if err := c.InstallParallel("flow", func(rank int) cca.Component {
-		return keep(hydro.NewFlowComponent(comm, hydro.Config{
-			Nu: 1, Tol: 1e-8, Prec: "jacobi",
-			// A steady source keeps per-step solve work constant, so the
-			// benchmark is not chasing a decaying field.
-			Source: benchSource,
-		}))
-	}); err != nil {
-		return nil, err
-	}
-	if compErr != nil {
-		return nil, compErr
+	if err := c.InstallParallel("flow", func(int) cca.Component { return fc }); err != nil {
+		return nil, nil, err
 	}
 	if _, err := c.ConnectParallel("flow", "mesh", "mesh", "mesh"); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	comp, _ := c.F.Component("flow")
-	return comp.(hydro.FlowPort), nil
+	direct, err := hydro.NewStepper(comm, mc.Decomp(), benchConfig)
+	return fc, direct, err
 }
 
-// monolith replicates the FlowComponent's semi-implicit diffusion step with
-// zero CCA machinery: the baseline quantifying what port wiring costs. It
-// runs the same exported sweep and keeps the same per-step vectors.
-type monolith struct {
-	comm     *mpi.Comm
-	dec      *mesh.Decomposition
-	op       *mesh.DistOperator
-	prec     linalg.Preconditioner
-	upwind   *hydro.Upwind
-	u        []float64
-	source   []float64
-	ustar, x []float64
-	cg       linalg.CGState
-}
-
-func newMonolith(comm *mpi.Comm, m *mesh.Mesh, p int) (*monolith, error) {
-	part := mesh.RCB{}.PartitionNodes(m, p)
-	dec, err := mesh.Decompose(m, part, p, comm.Rank())
-	if err != nil {
-		return nil, err
-	}
-	boundary := map[int]bool{}
-	for _, n := range m.BoundaryNodes() {
-		boundary[n] = true
-	}
-	const dt, nu = 0.01, 1.0
-	var entries []mesh.Entry
-	for i := 0; i < m.NumNodes(); i++ {
-		if boundary[i] {
-			entries = append(entries, mesh.Entry{Row: i, Col: i, Val: 1})
-			continue
-		}
-		deg := 0
-		for _, j := range m.NodeNeighbors(i) {
-			deg++
-			if !boundary[j] {
-				entries = append(entries, mesh.Entry{Row: i, Col: j, Val: -dt * nu})
-			}
-		}
-		entries = append(entries, mesh.Entry{Row: i, Col: i, Val: 1 + dt*nu*float64(deg)})
-	}
-	op, err := mesh.NewDistOperator(dec, comm, entries)
-	if err != nil {
-		return nil, err
-	}
-	diag := op.Local.Diagonal()
-	prec, err := linalg.NewJacobiFromDiag(diag[:dec.NumOwned()])
-	if err != nil {
-		return nil, err
-	}
-	u := make([]float64, dec.NumLocal())
-	src := make([]float64, dec.NumOwned())
-	for li, g := range dec.Owned {
-		c := m.Coords[g]
-		dx, dy := c[0]-0.5, c[1]-0.5
-		if !boundary[g] {
-			u[li] = math.Exp(-50 * (dx*dx + dy*dy)) // same IC as FlowComponent
-			src[li] = benchSource(c[0], c[1])
-		}
-	}
-	mo := &monolith{
-		comm: comm, dec: dec, op: op, prec: prec, u: u, source: src,
-		upwind: hydro.NewUpwind(dec, boundary, [2]float64{}),
-		ustar:  make([]float64, dec.NumOwned()), x: make([]float64, dec.NumOwned()),
-	}
-	return mo, dec.Exchange(comm, u)
-}
-
-// benchSource is the steady forcing shared by the ports and monolith
-// variants of E5.
-func benchSource(x, y float64) float64 {
-	dx, dy := x-0.3, y-0.6
-	return 4 * math.Exp(-30*(dx*dx+dy*dy))
-}
-
-// step mirrors FlowComponent.Step's work exactly — ghost exchange, the
-// (zero-velocity) advection sweep, the implicit solve, and the four-way
-// stats reduction — with no CCA machinery, isolating port-wiring overhead.
-func (mo *monolith) step(dt float64) error {
-	n := mo.dec.NumOwned()
-	if err := mo.dec.Exchange(mo.comm, mo.u); err != nil {
-		return err
-	}
-	if err := mo.upwind.Sweep(dt, mo.u, mo.source, mo.ustar); err != nil {
-		return err
-	}
-	copy(mo.x, mo.u[:n])
-	dot, dotErr := mesh.GlobalDot(mo.comm)
-	_, err := mo.cg.Solve(mo.op, mo.ustar, mo.x, linalg.Options{
-		Tol: 1e-8, Dot: dot, Prec: mo.prec,
-	})
-	if err != nil {
-		return cmp.Or(dotErr(), err)
-	}
-	copy(mo.u[:n], mo.x)
-	if err := mo.dec.Exchange(mo.comm, mo.u); err != nil {
-		return err
-	}
-	// Stats reduction, as FlowComponent does after every step.
-	lmin, lmax, lsum, lsq := math.Inf(1), math.Inf(-1), 0.0, 0.0
-	for _, v := range mo.u[:n] {
-		if v < lmin {
-			lmin = v
-		}
-		if v > lmax {
-			lmax = v
-		}
-		lsum += v
-		lsq += v * v
-	}
-	for _, red := range []struct {
-		v  float64
-		op mpi.Op
-	}{{lmin, mpi.Min}, {lmax, mpi.Max}, {lsum, mpi.Sum}, {lsq, mpi.Sum}} {
-		if _, err := mo.comm.AllreduceScalar(red.v, red.op); err != nil {
-			return err
+// sameBits reports the first index at which got and want differ in any bit.
+func sameBits(got, want []float64) error {
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			return fmt.Errorf("index %d: %v vs %v", i, got[i], want[i])
 		}
 	}
 	return nil

@@ -121,7 +121,10 @@ var (
 	// ErrPortQuiescing is the typed retryable error GetPort sheds while a
 	// provides port is quiesced for checkpoint or swap: the provider is
 	// healthy and will re-admit acquisitions when the window closes, so
-	// callers should back off briefly and retry rather than fail.
+	// callers should back off briefly and retry rather than fail. A
+	// caller that retries at once, without yielding, can hold the window
+	// open: on few cores the spinning callers keep the swapper and the
+	// callers still holding the port from running.
 	ErrPortQuiescing = errors.New("cca: port quiescing (retry shortly)")
 )
 
@@ -174,10 +177,13 @@ type Services interface {
 	GetPort(name string) (Port, error)
 	// GetPorts retrieves every provider connected to the named uses port,
 	// in connection order — the paper's listener list. An unconnected
-	// uses port yields an empty slice ("zero or more invocations").
+	// uses port yields an empty slice ("zero or more invocations"). Each
+	// returned port is one acquisition and needs its own ReleasePort: a
+	// caller that holds k ports calls ReleasePort(name) k times, or the
+	// providers can never be quiesced or swapped.
 	GetPorts(name string) ([]Port, error)
-	// ReleasePort tells the framework the component is done with the
-	// port instance obtained from GetPort.
+	// ReleasePort tells the framework the component is done with one
+	// port instance obtained from GetPort or GetPorts.
 	ReleasePort(name string) error
 	// ProvidesPortNames lists this component's published ports, sorted.
 	ProvidesPortNames() []string

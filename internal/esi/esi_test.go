@@ -6,6 +6,7 @@ import (
 	"os"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/cca"
 	"repro/internal/cca/framework"
@@ -157,7 +158,7 @@ func TestPreconditionersThroughPorts(t *testing.T) {
 	b := manufactured(t, m)
 	iterCounts := map[string]int32{}
 	for _, kind := range []string{"", "jacobi", "ilu0", "sor"} {
-		_, solver := wireSolver(t, "cg", kind, m)
+		f, solver := wireSolver(t, "cg", kind, m)
 		solver.SetTolerance(1e-10)
 		x := make([]float64, m.NRows)
 		iters, err := solver.Solve(b, &x)
@@ -165,6 +166,12 @@ func TestPreconditionersThroughPorts(t *testing.T) {
 			t.Fatalf("prec %q: %v", kind, err)
 		}
 		iterCounts[kind] = iters
+		// The solve released the preconditioner it used, so the port drains.
+		if kind != "" {
+			if err := f.Quiesce("prec", "M", 200*time.Millisecond); err != nil {
+				t.Fatalf("prec %q: quiesce after a solve: %v", kind, err)
+			}
+		}
 	}
 	if iterCounts["ilu0"] >= iterCounts[""] {
 		t.Errorf("ilu0 (%d iters) no better than none (%d)", iterCounts["ilu0"], iterCounts[""])

@@ -12,7 +12,9 @@
 //   - FlowComponent advances a scalar transport equation with an explicit
 //     upwind advection step and a semi-implicit (backward-Euler) diffusion
 //     solve by parallel preconditioned CG over halo-exchanged operators —
-//     the tightly coupled solver pipeline of Figure 1's upper half;
+//     the tightly coupled solver pipeline of Figure 1's upper half. The
+//     step itself is Stepper, which the component runs behind its ports;
+//     E5 drives one directly to price them;
 //   - the flow field is published through a collective DistArray port so
 //     differently distributed tools (visualization, statistics) can attach
 //     dynamically — Figure 1's lower half and the §2.2 scenario of
@@ -43,9 +45,8 @@ const (
 var ErrHydro = errors.New("hydro: invalid configuration")
 
 // MeshPort is the provides-port interface of MeshComponent: each cohort
-// rank sees the global mesh plus its own decomposition.
+// rank sees its own decomposition of the global mesh (Decomp().M).
 type MeshPort interface {
-	Mesh() *mesh.Mesh
 	Decomp() *mesh.Decomposition
 }
 
@@ -69,11 +70,6 @@ func (s Stats) String() string {
 type FlowPort interface {
 	// Step advances one timestep of length dt and returns global stats.
 	Step(dt float64) (Stats, error)
-	// Time reports accumulated simulation time.
-	Time() float64
-	// OwnedField returns this rank's owned chunk of the field (live
-	// storage — read-only for callers).
-	OwnedField() []float64
 }
 
 // MonitorPort is the uses-port interface fanned out to attached monitors
@@ -86,7 +82,6 @@ type MonitorPort interface {
 
 // MeshComponent provides the decomposed mesh to the rest of the cohort.
 type MeshComponent struct {
-	m      *mesh.Mesh
 	decomp *mesh.Decomposition
 }
 
@@ -108,16 +103,13 @@ func NewMeshComponent(m *mesh.Mesh, partitioner string, p, rank int) (*MeshCompo
 	if err != nil {
 		return nil, err
 	}
-	return &MeshComponent{m: m, decomp: d}, nil
+	return &MeshComponent{decomp: d}, nil
 }
 
 // SetServices implements cca.Component.
 func (mc *MeshComponent) SetServices(svc cca.Services) error {
 	return svc.AddProvidesPort(mc, cca.PortInfo{Name: "mesh", Type: TypeMesh})
 }
-
-// Mesh implements MeshPort.
-func (mc *MeshComponent) Mesh() *mesh.Mesh { return mc.m }
 
 // Decomp implements MeshPort.
 func (mc *MeshComponent) Decomp() *mesh.Decomposition { return mc.decomp }
@@ -144,29 +136,27 @@ type Config struct {
 	Source func(x, y float64) float64
 }
 
-// FlowComponent is one cohort member of the parallel flow solver.
+// checkConfig validates cfg and fills in its defaults.
+func checkConfig(cfg Config) (Config, error) {
+	if cfg.Nu <= 0 {
+		return Config{}, fmt.Errorf("%w: Nu=%v", ErrHydro, cfg.Nu)
+	}
+	if cfg.Tol == 0 {
+		cfg.Tol = 1e-8
+	}
+	if cfg.Prec != "" && cfg.Prec != "jacobi" {
+		return Config{}, fmt.Errorf("%w: parallel preconditioner %q (want \"\" or \"jacobi\")", ErrHydro, cfg.Prec)
+	}
+	return cfg, nil
+}
+
+// FlowComponent is one cohort member of the parallel flow solver: a
+// Stepper behind its ports.
 type FlowComponent struct {
 	cfg  Config
 	comm *mpi.Comm
 	svc  cca.Services
-
-	dec      *mesh.Decomposition
-	boundary map[int]bool
-	upwind   *Upwind
-	u        []float64 // owned+ghost field
-	source   []float64 // per-owned-node steady source (nil when unused)
-	time     float64
-	step     int
-
-	// Per-step vectors, kept so a step allocates none: the advected
-	// field, the solve's iterate, and the CG recurrence's own vectors.
-	ustar, x []float64
-	cg       linalg.CGState
-
-	// cached semi-implicit operator per dt value
-	cachedDT float64
-	op       *mesh.DistOperator
-	prec     linalg.Preconditioner
+	st   *Stepper // built from the mesh port on first use
 }
 
 var (
@@ -177,14 +167,9 @@ var (
 
 // NewFlowComponent creates one cohort member over comm.
 func NewFlowComponent(comm *mpi.Comm, cfg Config) (*FlowComponent, error) {
-	if cfg.Nu <= 0 {
-		return nil, fmt.Errorf("%w: Nu=%v", ErrHydro, cfg.Nu)
-	}
-	if cfg.Tol == 0 {
-		cfg.Tol = 1e-8
-	}
-	if cfg.Prec != "" && cfg.Prec != "jacobi" {
-		return nil, fmt.Errorf("%w: parallel preconditioner %q (want \"\" or \"jacobi\")", ErrHydro, cfg.Prec)
+	cfg, err := checkConfig(cfg)
+	if err != nil {
+		return nil, err
 	}
 	return &FlowComponent{cfg: cfg, comm: comm}, nil
 }
@@ -210,9 +195,9 @@ func (fc *FlowComponent) RequiredFlavor() cca.Flavor {
 	return cca.FlavorInProcess | cca.FlavorCollective
 }
 
-// init fetches the mesh port and initializes the field; idempotent.
+// init fetches the mesh port and builds the stepper; idempotent.
 func (fc *FlowComponent) init() error {
-	if fc.dec != nil {
+	if fc.st != nil {
 		return nil
 	}
 	port, err := fc.svc.GetPort("mesh")
@@ -224,146 +209,198 @@ func (fc *FlowComponent) init() error {
 	if !ok {
 		return fmt.Errorf("%w: mesh port is %T", ErrHydro, port)
 	}
-	fc.dec = mp.Decomp()
-	m := mp.Mesh()
-	fc.boundary = map[int]bool{}
-	for _, n := range m.BoundaryNodes() {
-		fc.boundary[n] = true
+	fc.st, err = NewStepper(fc.comm, mp.Decomp(), fc.cfg)
+	return err
+}
+
+// Step implements FlowPort: one Stepper step, then the monitor fan-out.
+func (fc *FlowComponent) Step(dt float64) (Stats, error) {
+	if err := fc.init(); err != nil {
+		return Stats{}, err
 	}
-	fc.upwind = NewUpwind(fc.dec, fc.boundary, fc.cfg.Vel)
-	fc.ustar = make([]float64, fc.dec.NumOwned())
-	fc.x = make([]float64, fc.dec.NumOwned())
-	ic := fc.cfg.InitialCondition
+	stats, err := fc.st.Step(dt)
+	if err != nil {
+		return Stats{}, err
+	}
+
+	// Monitor fan-out: zero or more attached monitors, invoked on every
+	// cohort rank with identical global stats. Each returned port is one
+	// acquisition, released before the step returns so a monitor can be
+	// quiesced or swapped between steps.
+	monitors, err := fc.svc.GetPorts("monitor")
+	if err == nil {
+		for _, mp := range monitors {
+			if mon, ok := mp.(MonitorPort); ok {
+				mon.Observe(stats.Step, stats)
+			}
+			_ = fc.svc.ReleasePort("monitor")
+		}
+	}
+	return stats, nil
+}
+
+// Stepper is one cohort rank's Figure 1 timestep with no component
+// machinery: explicit upwind advection, the semi-implicit diffusion solve
+// by preconditioned CG over halo-exchanged operators, and the globally
+// reduced statistics. FlowComponent runs one behind its ports; E5 runs
+// one directly beside it to price the ports (claim C1).
+type Stepper struct {
+	cfg  Config
+	comm *mpi.Comm
+
+	dec      *mesh.Decomposition
+	boundary map[int]bool
+	upwind   *Upwind
+	u        []float64 // owned+ghost field
+	source   []float64 // per-owned-node steady source (nil when unused)
+	time     float64
+	step     int
+
+	// Per-step vectors, kept so a step allocates none: the advected
+	// field, the solve's iterate, and the CG recurrence's own vectors.
+	ustar, x []float64
+	cg       linalg.CGState
+
+	// cached semi-implicit operator per dt value
+	cachedDT float64
+	op       *mesh.DistOperator
+	prec     linalg.Preconditioner
+}
+
+// NewStepper builds comm's rank of the stepper over its decomposition dec
+// of the mesh dec.M: the field set from cfg.InitialCondition on interior
+// nodes (boundary nodes held at 0) with its ghosts exchanged, and the
+// steady source. It communicates, so every rank of comm calls it.
+func NewStepper(comm *mpi.Comm, dec *mesh.Decomposition, cfg Config) (*Stepper, error) {
+	cfg, err := checkConfig(cfg)
+	if err != nil {
+		return nil, err
+	}
+	m := dec.M
+	s := &Stepper{cfg: cfg, comm: comm, dec: dec, boundary: map[int]bool{}}
+	for _, n := range m.BoundaryNodes() {
+		s.boundary[n] = true
+	}
+	s.upwind = NewUpwind(dec, s.boundary, cfg.Vel)
+	s.ustar = make([]float64, dec.NumOwned())
+	s.x = make([]float64, dec.NumOwned())
+	ic := cfg.InitialCondition
 	if ic == nil {
 		ic = func(x, y float64) float64 {
 			dx, dy := x-0.5, y-0.5
 			return math.Exp(-50 * (dx*dx + dy*dy))
 		}
 	}
-	fc.u = make([]float64, fc.dec.NumLocal())
-	for li, g := range fc.dec.Owned {
-		if fc.boundary[g] {
+	s.u = make([]float64, dec.NumLocal())
+	if cfg.Source != nil {
+		s.source = make([]float64, dec.NumOwned())
+	}
+	for li, g := range dec.Owned {
+		if s.boundary[g] {
 			continue
 		}
 		c := m.Coords[g]
-		fc.u[li] = ic(c[0], c[1])
-	}
-	if fc.cfg.Source != nil {
-		fc.source = make([]float64, fc.dec.NumOwned())
-		for li, g := range fc.dec.Owned {
-			if fc.boundary[g] {
-				continue
-			}
-			c := m.Coords[g]
-			fc.source[li] = fc.cfg.Source(c[0], c[1])
+		s.u[li] = ic(c[0], c[1])
+		if s.source != nil {
+			s.source[li] = cfg.Source(c[0], c[1])
 		}
 	}
-	return fc.dec.Exchange(fc.comm, fc.u)
+	if err := dec.Exchange(comm, s.u); err != nil {
+		return nil, err
+	}
+	return s, nil
 }
 
 // semiImplicitEntries assembles I + dt·ν·L with exact identity rows on
 // boundary nodes and interior couplings restricted to interior neighbours
 // (Dirichlet elimination, keeping the operator SPD).
-func (fc *FlowComponent) semiImplicitEntries(dt float64) []mesh.Entry {
-	m := fc.dec.M
+func (s *Stepper) semiImplicitEntries(dt float64) []mesh.Entry {
+	m := s.dec.M
 	var out []mesh.Entry
 	for i := 0; i < m.NumNodes(); i++ {
-		if fc.boundary[i] {
+		if s.boundary[i] {
 			out = append(out, mesh.Entry{Row: i, Col: i, Val: 1})
 			continue
 		}
 		deg := 0
 		for _, j := range m.NodeNeighbors(i) {
 			deg++
-			if !fc.boundary[j] {
-				out = append(out, mesh.Entry{Row: i, Col: j, Val: -dt * fc.cfg.Nu})
+			if !s.boundary[j] {
+				out = append(out, mesh.Entry{Row: i, Col: j, Val: -dt * s.cfg.Nu})
 			}
 		}
-		out = append(out, mesh.Entry{Row: i, Col: i, Val: 1 + dt*fc.cfg.Nu*float64(deg)})
+		out = append(out, mesh.Entry{Row: i, Col: i, Val: 1 + dt*s.cfg.Nu*float64(deg)})
 	}
 	return out
 }
 
 // ensureOperator (re)builds the cached distributed operator for dt.
-func (fc *FlowComponent) ensureOperator(dt float64) error {
-	if fc.op != nil && fc.cachedDT == dt {
+func (s *Stepper) ensureOperator(dt float64) error {
+	if s.op != nil && s.cachedDT == dt {
 		return nil
 	}
-	op, err := mesh.NewDistOperator(fc.dec, fc.comm, fc.semiImplicitEntries(dt))
+	op, err := mesh.NewDistOperator(s.dec, s.comm, s.semiImplicitEntries(dt))
 	if err != nil {
 		return err
 	}
-	fc.op = op
-	fc.cachedDT = dt
-	fc.prec = linalg.IdentityPrec{}
-	if fc.cfg.Prec == "jacobi" {
-		diag := fc.op.Local.Diagonal()
-		p, err := linalg.NewJacobiFromDiag(diag[:fc.dec.NumOwned()])
+	s.op = op
+	s.cachedDT = dt
+	s.prec = linalg.IdentityPrec{}
+	if s.cfg.Prec == "jacobi" {
+		diag := s.op.Local.Diagonal()
+		p, err := linalg.NewJacobiFromDiag(diag[:s.dec.NumOwned()])
 		if err != nil {
 			return err
 		}
-		fc.prec = p
+		s.prec = p
 	}
 	return nil
 }
 
-// Step implements FlowPort: explicit upwind advection, then the implicit
-// diffusion solve, then globally reduced statistics and monitor fan-out.
-func (fc *FlowComponent) Step(dt float64) (Stats, error) {
+// Step advances one timestep of length dt — explicit upwind advection,
+// then the implicit diffusion solve — and returns the globally reduced
+// statistics. Every rank of the cohort calls it.
+func (s *Stepper) Step(dt float64) (Stats, error) {
 	if dt <= 0 {
 		return Stats{}, fmt.Errorf("%w: dt=%v", ErrHydro, dt)
 	}
-	if err := fc.init(); err != nil {
+	if err := s.ensureOperator(dt); err != nil {
 		return Stats{}, err
 	}
-	if err := fc.ensureOperator(dt); err != nil {
-		return Stats{}, err
-	}
-	nOwned := fc.dec.NumOwned()
+	nOwned := s.dec.NumOwned()
 
 	// Explicit advection: ghost refresh, then edge-upwind update.
-	if err := fc.dec.Exchange(fc.comm, fc.u); err != nil {
+	if err := s.dec.Exchange(s.comm, s.u); err != nil {
 		return Stats{}, err
 	}
-	if err := fc.upwind.Sweep(dt, fc.u, fc.source, fc.ustar); err != nil {
+	if err := s.upwind.Sweep(dt, s.u, s.source, s.ustar); err != nil {
 		return Stats{}, err
 	}
 
 	// Implicit diffusion: (I + dt ν L) u' = u*.
-	copy(fc.x, fc.u[:nOwned]) // warm start from previous field
-	dot, dotErr := mesh.GlobalDot(fc.comm)
-	res, err := fc.cg.Solve(fc.op, fc.ustar, fc.x, linalg.Options{
-		Tol:  fc.cfg.Tol,
+	copy(s.x, s.u[:nOwned]) // warm start from previous field
+	dot, dotErr := mesh.GlobalDot(s.comm)
+	res, err := s.cg.Solve(s.op, s.ustar, s.x, linalg.Options{
+		Tol:  s.cfg.Tol,
 		Dot:  dot,
-		Prec: fc.prec,
+		Prec: s.prec,
 	})
 	if err != nil {
 		return Stats{}, fmt.Errorf("hydro: diffusion solve: %w", cmp.Or(dotErr(), err))
 	}
-	copy(fc.u[:nOwned], fc.x)
-	if err := fc.dec.Exchange(fc.comm, fc.u); err != nil {
+	copy(s.u[:nOwned], s.x)
+	if err := s.dec.Exchange(s.comm, s.u); err != nil {
 		return Stats{}, err
 	}
 
-	fc.step++
-	fc.time += dt
-	stats, err := fc.reduceStats(res.Iterations)
-	if err != nil {
-		return Stats{}, err
-	}
-
-	// Monitor fan-out: zero or more attached monitors, invoked on every
-	// cohort rank with identical global stats.
-	monitors, err := fc.svc.GetPorts("monitor")
-	if err == nil {
-		for _, mp := range monitors {
-			if mon, ok := mp.(MonitorPort); ok {
-				mon.Observe(fc.step, stats)
-			}
-		}
-	}
-	return stats, nil
+	s.step++
+	s.time += dt
+	return s.reduceStats(res.Iterations)
 }
+
+// OwnedField returns this rank's owned chunk of the field (live storage —
+// read-only for callers).
+func (s *Stepper) OwnedField() []float64 { return s.u[:s.dec.NumOwned()] }
 
 // Upwind is the explicit edge-upwind advection step over one rank's owned
 // nodes, with its stencil built once: per owned node the boundary flag,
@@ -451,10 +488,9 @@ func (w *Upwind) Sweep(dt float64, u, source, ustar []float64) error {
 }
 
 // reduceStats computes globally reduced field statistics.
-func (fc *FlowComponent) reduceStats(iters int) (Stats, error) {
-	nOwned := fc.dec.NumOwned()
+func (s *Stepper) reduceStats(iters int) (Stats, error) {
 	lmin, lmax, lsum, lsq := math.Inf(1), math.Inf(-1), 0.0, 0.0
-	for _, v := range fc.u[:nOwned] {
+	for _, v := range s.OwnedField() {
 		if v < lmin {
 			lmin = v
 		}
@@ -464,56 +500,52 @@ func (fc *FlowComponent) reduceStats(iters int) (Stats, error) {
 		lsum += v
 		lsq += v * v
 	}
-	gmin, err := fc.comm.AllreduceScalar(lmin, mpi.Min)
+	gmin, err := s.comm.AllreduceScalar(lmin, mpi.Min)
 	if err != nil {
 		return Stats{}, err
 	}
-	gmax, err := fc.comm.AllreduceScalar(lmax, mpi.Max)
+	gmax, err := s.comm.AllreduceScalar(lmax, mpi.Max)
 	if err != nil {
 		return Stats{}, err
 	}
-	gsum, err := fc.comm.AllreduceScalar(lsum, mpi.Sum)
+	gsum, err := s.comm.AllreduceScalar(lsum, mpi.Sum)
 	if err != nil {
 		return Stats{}, err
 	}
-	gsq, err := fc.comm.AllreduceScalar(lsq, mpi.Sum)
+	gsq, err := s.comm.AllreduceScalar(lsq, mpi.Sum)
 	if err != nil {
 		return Stats{}, err
 	}
-	n := float64(fc.dec.M.NumNodes())
+	n := float64(s.dec.M.NumNodes())
 	return Stats{
-		Step: fc.step, Time: fc.time,
+		Step: s.step, Time: s.time,
 		Min: gmin, Max: gmax, Mean: gsum / n, Norm2: math.Sqrt(gsq),
 		SolveIters: iters,
 	}, nil
-}
-
-// Time implements FlowPort.
-func (fc *FlowComponent) Time() float64 { return fc.time }
-
-// OwnedField implements FlowPort.
-func (fc *FlowComponent) OwnedField() []float64 {
-	if fc.dec == nil {
-		return nil
-	}
-	return fc.u[:fc.dec.NumOwned()]
 }
 
 // Side implements collective.DistArrayPort: the field is distributed per
 // the mesh decomposition, expressed as an irregular data map over global
 // node ids in each rank's owned order.
 func (fc *FlowComponent) Side() collective.Side {
-	if fc.dec == nil {
+	if fc.st == nil {
 		// Before init the side is unknown; publish an empty map so early
 		// introspection fails loudly at connect time rather than silently.
 		return collective.Side{}
 	}
-	side, err := SideOf(fc.dec)
+	side, err := SideOf(fc.st.dec)
 	if err != nil {
 		return collective.Side{}
 	}
 	return side
 }
 
-// LocalData implements collective.DistArrayPort.
-func (fc *FlowComponent) LocalData() []float64 { return fc.OwnedField() }
+// LocalData implements collective.DistArrayPort: this rank's owned chunk
+// of the field (live storage — read-only for callers), nil before the
+// first step.
+func (fc *FlowComponent) LocalData() []float64 {
+	if fc.st == nil {
+		return nil
+	}
+	return fc.st.OwnedField()
+}

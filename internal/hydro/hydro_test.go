@@ -5,6 +5,7 @@ import (
 	"math"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/cca"
 	"repro/internal/cca/framework"
@@ -12,13 +13,15 @@ import (
 	"repro/internal/mpi"
 )
 
-// buildPipeline wires mesh -> flow on each cohort rank and returns the flow
-// port. Uses the cohort framework so port registrations are verified
-// consistent across ranks.
-func buildPipeline(t *testing.T, comm *mpi.Comm, m *mesh.Mesh, cfg Config) FlowPort {
+// wirePipeline wires mesh -> flow on each cohort rank, as instances
+// "mesh"+suffix and "flow"+suffix (two pipelines in one test world take
+// different suffixes), and returns the cohort and the flow component. Uses
+// the cohort framework so port registrations are verified consistent
+// across ranks.
+func wirePipeline(t *testing.T, comm *mpi.Comm, m *mesh.Mesh, cfg Config, suffix string) (*framework.Cohort, *FlowComponent) {
 	t.Helper()
 	c := framework.NewCohort(comm, framework.Options{})
-	err := c.InstallParallel("mesh", func(rank int) cca.Component {
+	err := c.InstallParallel("mesh"+suffix, func(rank int) cca.Component {
 		mc, err := NewMeshComponent(m, "rcb", comm.Size(), rank)
 		if err != nil {
 			t.Errorf("mesh: %v", err)
@@ -29,7 +32,7 @@ func buildPipeline(t *testing.T, comm *mpi.Comm, m *mesh.Mesh, cfg Config) FlowP
 	if err != nil {
 		t.Fatalf("install mesh: %v", err)
 	}
-	err = c.InstallParallel("flow", func(rank int) cca.Component {
+	err = c.InstallParallel("flow"+suffix, func(rank int) cca.Component {
 		fc, err := NewFlowComponent(comm, cfg)
 		if err != nil {
 			t.Errorf("flow: %v", err)
@@ -40,20 +43,20 @@ func buildPipeline(t *testing.T, comm *mpi.Comm, m *mesh.Mesh, cfg Config) FlowP
 	if err != nil {
 		t.Fatalf("install flow: %v", err)
 	}
-	if err := c.VerifyPorts("flow"); err != nil {
+	if err := c.VerifyPorts("flow" + suffix); err != nil {
 		t.Fatalf("verify: %v", err)
 	}
-	if _, err := c.ConnectParallel("flow", "mesh", "mesh", "mesh"); err != nil {
+	if _, err := c.ConnectParallel("flow"+suffix, "mesh", "mesh"+suffix, "mesh"); err != nil {
 		t.Fatalf("connect: %v", err)
 	}
-	comp, _ := c.F.Component("flow")
-	return comp.(FlowPort)
+	comp, _ := c.F.Component("flow" + suffix)
+	return c, comp.(*FlowComponent)
 }
 
 func TestDiffusionDecaysAndStaysBounded(t *testing.T) {
 	m := mesh.StructuredQuad(12, 12)
 	mpi.Run(2, func(comm *mpi.Comm) {
-		flow := buildPipeline(t, comm, m, Config{Nu: 1, Tol: 1e-10})
+		_, flow := wirePipeline(t, comm, m, Config{Nu: 1, Tol: 1e-10}, "")
 		var prev Stats
 		for i := 0; i < 5; i++ {
 			st, err := flow.Step(0.05)
@@ -74,10 +77,20 @@ func TestDiffusionDecaysAndStaysBounded(t *testing.T) {
 			}
 			prev = st
 		}
-		if math.Abs(flow.Time()-0.25) > 1e-12 {
-			t.Errorf("time = %v", flow.Time())
+		if math.Abs(prev.Time-0.25) > 1e-12 {
+			t.Errorf("time = %v", prev.Time)
 		}
 	})
+}
+
+// globalField gathers flow's field in global node order: each rank
+// contributes its owned values, so the sum is the whole field.
+func globalField(comm *mpi.Comm, flow *FlowComponent) ([]float64, error) {
+	local := make([]float64, flow.st.dec.M.NumNodes())
+	for li, g := range flow.st.dec.Owned {
+		local[g] = flow.st.u[li]
+	}
+	return comm.AllreduceFloat64(local, mpi.Sum)
 }
 
 func TestParallelMatchesSerial(t *testing.T) {
@@ -86,40 +99,33 @@ func TestParallelMatchesSerial(t *testing.T) {
 	const steps = 3
 	const dt = 0.01
 
-	// Serial reference (1 rank).
-	serialField := make([]float64, m.NumNodes())
-	mpi.Run(1, func(comm *mpi.Comm) {
-		flow := buildPipeline(t, comm, m, cfg)
-		for i := 0; i < steps; i++ {
-			if _, err := flow.Step(dt); err != nil {
-				t.Errorf("serial step: %v", err)
-				return
-			}
-		}
-		fc := flow.(*FlowComponent)
-		for li, g := range fc.dec.Owned {
-			serialField[g] = fc.u[li]
-		}
-	})
-
-	for _, p := range []int{2, 3, 4} {
-		parField := make([]float64, m.NumNodes())
+	var serial []float64 // the 1-rank field is the reference
+	for _, p := range []int{1, 2, 3, 4} {
+		var field []float64
 		mpi.Run(p, func(comm *mpi.Comm) {
-			flow := buildPipeline(t, comm, m, cfg)
+			_, flow := wirePipeline(t, comm, m, cfg, "")
 			for i := 0; i < steps; i++ {
 				if _, err := flow.Step(dt); err != nil {
 					t.Errorf("p=%d step: %v", p, err)
 					return
 				}
 			}
-			fc := flow.(*FlowComponent)
-			for li, g := range fc.dec.Owned {
-				parField[g] = fc.u[li]
+			f, err := globalField(comm, flow)
+			if err != nil {
+				t.Errorf("p=%d gather: %v", p, err)
+			} else if comm.Rank() == 0 {
+				field = f
 			}
 		})
-		for i := range serialField {
-			if math.Abs(parField[i]-serialField[i]) > 1e-8 {
-				t.Fatalf("p=%d: node %d: parallel %v vs serial %v", p, i, parField[i], serialField[i])
+		if t.Failed() {
+			return
+		}
+		if p == 1 {
+			serial = field
+		}
+		for i := range serial {
+			if math.Abs(field[i]-serial[i]) > 1e-8 {
+				t.Fatalf("p=%d: node %d: parallel %v vs serial %v", p, i, field[i], serial[i])
 			}
 		}
 	}
@@ -131,25 +137,18 @@ func TestPureDiffusionSymmetryPreserved(t *testing.T) {
 	const n = 10
 	m := mesh.StructuredQuad(n, n)
 	mpi.Run(2, func(comm *mpi.Comm) {
-		flow := buildPipeline(t, comm, m, Config{Nu: 1, Tol: 1e-12})
+		_, flow := wirePipeline(t, comm, m, Config{Nu: 1, Tol: 1e-12}, "")
 		for i := 0; i < 3; i++ {
 			if _, err := flow.Step(0.02); err != nil {
 				t.Errorf("step: %v", err)
 				return
 			}
 		}
-		fc := flow.(*FlowComponent)
-		field := make([]float64, m.NumNodes())
-		local := make([]float64, m.NumNodes())
-		for li, g := range fc.dec.Owned {
-			local[g] = fc.u[li]
-		}
-		sum, err := comm.AllreduceFloat64(local, mpi.Sum)
+		field, err := globalField(comm, flow)
 		if err != nil {
 			t.Errorf("gather: %v", err)
 			return
 		}
-		copy(field, sum)
 		if comm.Rank() != 0 {
 			return
 		}
@@ -170,11 +169,11 @@ func TestAdvectionMovesBump(t *testing.T) {
 	// Strong +x advection must shift the field's center of mass right.
 	m := mesh.StructuredQuad(16, 16)
 	mpi.Run(2, func(comm *mpi.Comm) {
-		flow := buildPipeline(t, comm, m, Config{Nu: 0.05, Vel: [2]float64{4, 0}, Tol: 1e-10})
+		_, flow := wirePipeline(t, comm, m, Config{Nu: 0.05, Vel: [2]float64{4, 0}, Tol: 1e-10}, "")
 		centerX := func(fc *FlowComponent) float64 {
 			var sxw, sw float64
-			for li, g := range fc.dec.Owned {
-				w := fc.u[li]
+			for li, g := range fc.st.dec.Owned {
+				w := fc.st.u[li]
 				sxw += w * m.Coords[g][0]
 				sw += w
 			}
@@ -188,75 +187,58 @@ func TestAdvectionMovesBump(t *testing.T) {
 			}
 			return gx / gw
 		}
-		fc := flow.(*FlowComponent)
 		if _, err := flow.Step(0.005); err != nil {
 			t.Errorf("step: %v", err)
 			return
 		}
-		x0 := centerX(fc)
+		x0 := centerX(flow)
 		for i := 0; i < 10; i++ {
 			if _, err := flow.Step(0.005); err != nil {
 				t.Errorf("step: %v", err)
 				return
 			}
 		}
-		x1 := centerX(fc)
+		x1 := centerX(flow)
 		if x1 <= x0 {
 			t.Errorf("center of mass did not advect: %v -> %v", x0, x1)
 		}
 	})
 }
 
+// TestMonitorFanOut: every step reaches each connected monitor once, and
+// releases it, so after the steps each monitor's port drains.
 func TestMonitorFanOut(t *testing.T) {
 	m := mesh.StructuredQuad(6, 6)
 	mpi.Run(2, func(comm *mpi.Comm) {
-		c := framework.NewCohort(comm, framework.Options{})
-		if err := c.InstallParallel("mesh", func(rank int) cca.Component {
-			mc, _ := NewMeshComponent(m, "greedy", comm.Size(), rank)
-			return mc
-		}); err != nil {
-			t.Errorf("install: %v", err)
-			return
-		}
-		if err := c.InstallParallel("flow", func(rank int) cca.Component {
-			fc, _ := NewFlowComponent(comm, Config{Nu: 1})
-			return fc
-		}); err != nil {
-			t.Errorf("install: %v", err)
-			return
-		}
+		c, flow := wirePipeline(t, comm, m, Config{Nu: 1}, "")
 		// Two monitors: fan-out must reach both.
 		recorders := []*recordingMonitor{{}, {}}
+		names := []string{"mon1", "mon2"}
 		for i, r := range recorders {
-			name := []string{"mon1", "mon2"}[i]
-			r := r
-			if err := c.InstallParallel(name, func(rank int) cca.Component { return r }); err != nil {
-				t.Errorf("install %s: %v", name, err)
+			if err := c.InstallParallel(names[i], func(rank int) cca.Component { return r }); err != nil {
+				t.Errorf("install %s: %v", names[i], err)
+				return
+			}
+			if _, err := c.ConnectParallel("flow", "monitor", names[i], "monitor"); err != nil {
+				t.Errorf("connect: %v", err)
 				return
 			}
 		}
-		if _, err := c.ConnectParallel("flow", "mesh", "mesh", "mesh"); err != nil {
-			t.Errorf("connect: %v", err)
-			return
-		}
-		if _, err := c.ConnectParallel("flow", "monitor", "mon1", "monitor"); err != nil {
-			t.Errorf("connect: %v", err)
-			return
-		}
-		if _, err := c.ConnectParallel("flow", "monitor", "mon2", "monitor"); err != nil {
-			t.Errorf("connect: %v", err)
-			return
-		}
-		comp, _ := c.F.Component("flow")
-		if _, err := comp.(FlowPort).Step(0.01); err != nil {
-			t.Errorf("step: %v", err)
-			return
+		const steps = 3
+		for range steps {
+			if _, err := flow.Step(0.01); err != nil {
+				t.Errorf("step: %v", err)
+				return
+			}
 		}
 		// Each rank's flow member notified its local member of each
-		// monitor exactly once (fan-out of one call to two listeners).
+		// monitor once per step (fan-out of one call to two listeners).
 		for i, r := range recorders {
-			if got := r.count(); got != 1 {
-				t.Errorf("monitor %d observed %d times, want 1", i, got)
+			if got := r.count(); got != steps {
+				t.Errorf("monitor %d observed %d times, want %d", i, got, steps)
+			}
+			if err := c.F.Quiesce(names[i], "monitor", 200*time.Millisecond); err != nil {
+				t.Errorf("rank %d: quiesce %s after %d steps: %v", comm.Rank(), names[i], steps, err)
 			}
 		}
 	})
@@ -297,47 +279,23 @@ func TestConfigValidation(t *testing.T) {
 func TestStepErrors(t *testing.T) {
 	m := mesh.StructuredQuad(4, 4)
 	mpi.Run(1, func(comm *mpi.Comm) {
-		flow := buildPipeline(t, comm, m, Config{Nu: 1})
+		_, flow := wirePipeline(t, comm, m, Config{Nu: 1}, "")
 		if _, err := flow.Step(-1); !errors.Is(err, ErrHydro) {
 			t.Errorf("dt err = %v", err)
 		}
 		// CFL violation with absurd velocity.
-		flow2 := buildPipeline2(t, comm, m, Config{Nu: 1, Vel: [2]float64{1e6, 0}})
+		_, flow2 := wirePipeline(t, comm, m, Config{Nu: 1, Vel: [2]float64{1e6, 0}}, "2")
 		if _, err := flow2.Step(0.1); !errors.Is(err, ErrHydro) {
 			t.Errorf("cfl err = %v", err)
 		}
 	})
 }
 
-// buildPipeline2 is buildPipeline with distinct instance names so two
-// pipelines can coexist in one test world.
-func buildPipeline2(t *testing.T, comm *mpi.Comm, m *mesh.Mesh, cfg Config) FlowPort {
-	t.Helper()
-	c := framework.NewCohort(comm, framework.Options{})
-	if err := c.InstallParallel("mesh2", func(rank int) cca.Component {
-		mc, _ := NewMeshComponent(m, "rcb", comm.Size(), rank)
-		return mc
-	}); err != nil {
-		t.Fatalf("install: %v", err)
-	}
-	if err := c.InstallParallel("flow2", func(rank int) cca.Component {
-		fc, _ := NewFlowComponent(comm, cfg)
-		return fc
-	}); err != nil {
-		t.Fatalf("install: %v", err)
-	}
-	if _, err := c.ConnectParallel("flow2", "mesh", "mesh2", "mesh"); err != nil {
-		t.Fatalf("connect: %v", err)
-	}
-	comp, _ := c.F.Component("flow2")
-	return comp.(FlowPort)
-}
-
 func TestFlowWithJacobiPrecFewerIters(t *testing.T) {
 	m := mesh.StructuredQuad(20, 20)
 	mpi.Run(2, func(comm *mpi.Comm) {
-		plain := buildPipeline(t, comm, m, Config{Nu: 2, Tol: 1e-10})
-		jac := buildPipeline2(t, comm, m, Config{Nu: 2, Tol: 1e-10, Prec: "jacobi"})
+		_, plain := wirePipeline(t, comm, m, Config{Nu: 2, Tol: 1e-10}, "")
+		_, jac := wirePipeline(t, comm, m, Config{Nu: 2, Tol: 1e-10, Prec: "jacobi"}, "2")
 		sp, err := plain.Step(0.5)
 		if err != nil {
 			t.Errorf("plain: %v", err)
@@ -380,14 +338,14 @@ func TestSteadyStateWithSource(t *testing.T) {
 	// nonzero steady state: successive step differences shrink toward 0.
 	m := mesh.StructuredQuad(10, 10)
 	mpi.Run(2, func(comm *mpi.Comm) {
-		flow := buildPipeline(t, comm, m, Config{
+		_, flow := wirePipeline(t, comm, m, Config{
 			Nu: 1, Tol: 1e-12,
 			InitialCondition: func(x, y float64) float64 { return 0 },
 			Source: func(x, y float64) float64 {
 				dx, dy := x-0.5, y-0.5
 				return 10 * math.Exp(-20*(dx*dx+dy*dy))
 			},
-		})
+		}, "")
 		// The graph Laplacian's smallest eigenvalue is O(1/n²), so the
 		// diffusive time constant is ~6 here; the implicit scheme is
 		// unconditionally stable, allowing large steps to reach it.
@@ -410,4 +368,58 @@ func TestSteadyStateWithSource(t *testing.T) {
 			t.Errorf("not converging to steady state: first diff %v, last %v", diffs[1], diffs[len(diffs)-1])
 		}
 	})
+}
+
+// TestStepperMatchesPorts holds claim C1 bit for bit: the ports-wired
+// FlowComponent and a Stepper driven directly on the same cohort, stepped
+// alternately, agree in every Stats field and every owned field value at
+// every step — on 1, 2 and 3 ranks, with advection and a source on.
+func TestStepperMatchesPorts(t *testing.T) {
+	m := mesh.StructuredQuad(16, 16)
+	cfg := Config{
+		Nu: 0.5, Vel: [2]float64{1, 0.5}, Prec: "jacobi",
+		Source: func(x, y float64) float64 { return math.Exp(-30 * ((x-0.3)*(x-0.3) + (y-0.6)*(y-0.6))) },
+	}
+	const dt, steps = 0.01, 6
+	for _, p := range []int{1, 2, 3} {
+		mpi.Run(p, func(comm *mpi.Comm) {
+			_, flow := wirePipeline(t, comm, m, cfg, "")
+			dec, _ := upwindSetup(t, m, p, comm.Rank())
+			direct, err := NewStepper(comm, dec, cfg)
+			if err != nil {
+				t.Errorf("p=%d: stepper: %v", p, err)
+				return
+			}
+			for i := 1; i <= steps; i++ {
+				got, err := flow.Step(dt)
+				if err != nil {
+					t.Errorf("p=%d step %d: ports: %v", p, i, err)
+					return
+				}
+				want, err := direct.Step(dt)
+				if err != nil {
+					t.Errorf("p=%d step %d: direct: %v", p, i, err)
+					return
+				}
+				if statsBits(got) != statsBits(want) {
+					t.Errorf("p=%d rank %d step %d: ports %v, direct %v", p, comm.Rank(), i, got, want)
+					return
+				}
+				gf, wf := flow.LocalData(), direct.OwnedField()
+				for li := range wf {
+					if math.Float64bits(gf[li]) != math.Float64bits(wf[li]) {
+						t.Errorf("p=%d rank %d step %d node %d: ports %v, direct %v", p, comm.Rank(), i, dec.Owned[li], gf[li], wf[li])
+						return
+					}
+				}
+			}
+		})
+	}
+}
+
+// statsBits is s with every float64 replaced by its bits, so == compares
+// bit for bit.
+func statsBits(s Stats) [7]uint64 {
+	return [7]uint64{uint64(s.Step), math.Float64bits(s.Time), math.Float64bits(s.Min),
+		math.Float64bits(s.Max), math.Float64bits(s.Mean), math.Float64bits(s.Norm2), uint64(s.SolveIters)}
 }

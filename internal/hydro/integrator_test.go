@@ -14,34 +14,13 @@ import (
 // wireIntegrator assembles mesh -> flow -> integrator on every rank.
 func wireIntegrator(t *testing.T, comm *mpi.Comm, m *mesh.Mesh, steps int, dt float64) *IntegratorComponent {
 	t.Helper()
-	c := framework.NewCohort(comm, framework.Options{})
-	if err := c.InstallParallel("mesh", func(rank int) cca.Component {
-		mc, err := NewMeshComponent(m, "rcb", comm.Size(), rank)
-		if err != nil {
-			t.Errorf("mesh: %v", err)
-		}
-		return mc
-	}); err != nil {
-		t.Fatalf("install mesh: %v", err)
-	}
-	if err := c.InstallParallel("flow", func(rank int) cca.Component {
-		fc, err := NewFlowComponent(comm, Config{Nu: 1, Tol: 1e-10})
-		if err != nil {
-			t.Errorf("flow: %v", err)
-		}
-		return fc
-	}); err != nil {
-		t.Fatalf("install flow: %v", err)
-	}
+	c, _ := wirePipeline(t, comm, m, Config{Nu: 1, Tol: 1e-10}, "")
 	var integ *IntegratorComponent
 	if err := c.InstallParallel("driver", func(rank int) cca.Component {
 		integ = NewIntegratorComponent(steps, dt)
 		return integ
 	}); err != nil {
 		t.Fatalf("install driver: %v", err)
-	}
-	if _, err := c.ConnectParallel("flow", "mesh", "mesh", "mesh"); err != nil {
-		t.Fatalf("connect: %v", err)
 	}
 	if _, err := c.ConnectParallel("driver", "flow", "flow", "flow"); err != nil {
 		t.Fatalf("connect: %v", err)

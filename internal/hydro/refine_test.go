@@ -24,7 +24,7 @@ func TestMidRunRefinement(t *testing.T) {
 
 	mpi.Run(p, func(comm *mpi.Comm) {
 		// Phase 1: run on the coarse mesh.
-		flowC := buildPipeline(t, comm, coarse, Config{Nu: 1, Tol: 1e-10})
+		_, flowC := wirePipeline(t, comm, coarse, Config{Nu: 1, Tol: 1e-10}, "")
 		var lastCoarse Stats
 		for i := 0; i < 3; i++ {
 			st, err := flowC.Step(dt)
@@ -35,13 +35,8 @@ func TestMidRunRefinement(t *testing.T) {
 			lastCoarse = st
 		}
 
-		// Gather the coarse field globally (sum of disjoint contributions).
-		fcC := flowC.(*FlowComponent)
-		local := make([]float64, coarse.NumNodes())
-		for li, g := range fcC.dec.Owned {
-			local[g] = fcC.u[li]
-		}
-		global, err := comm.AllreduceFloat64(local, mpi.Sum)
+		// Gather the coarse field globally.
+		global, err := globalField(comm, flowC)
 		if err != nil {
 			t.Errorf("gather: %v", err)
 			return
@@ -49,7 +44,7 @@ func TestMidRunRefinement(t *testing.T) {
 
 		// Phase 2: refine, interpolate, continue on the fine mesh.
 		fineField := prolong.Apply(global)
-		flowF := buildPipeline2(t, comm, fine, Config{Nu: 1, Tol: 1e-10, InitialCondition: fieldAt(fine, fineField)})
+		_, flowF := wirePipeline(t, comm, fine, Config{Nu: 1, Tol: 1e-10, InitialCondition: fieldAt(fine, fineField)}, "2")
 		st, err := flowF.Step(dt)
 		if err != nil {
 			t.Errorf("fine step: %v", err)
@@ -95,19 +90,18 @@ func TestInitialFieldExactlyApplied(t *testing.T) {
 		}
 	}
 	mpi.Run(2, func(comm *mpi.Comm) {
-		flow := buildPipeline(t, comm, m, Config{Nu: 1, Tol: 1e-12, InitialCondition: fieldAt(m, field)})
-		fc := flow.(*FlowComponent)
+		_, fc := wirePipeline(t, comm, m, Config{Nu: 1, Tol: 1e-12, InitialCondition: fieldAt(m, field)}, "")
 		if err := fc.init(); err != nil {
 			t.Errorf("init: %v", err)
 			return
 		}
-		for li, g := range fc.dec.Owned {
+		for li, g := range fc.st.dec.Owned {
 			want := field[g]
 			if boundary[g] {
 				want = 0
 			}
-			if math.Abs(fc.u[li]-want) > 1e-15 {
-				t.Errorf("node %d: %v, want %v", g, fc.u[li], want)
+			if math.Abs(fc.st.u[li]-want) > 1e-15 {
+				t.Errorf("node %d: %v, want %v", g, fc.st.u[li], want)
 				return
 			}
 		}

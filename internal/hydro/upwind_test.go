@@ -121,7 +121,7 @@ func TestStepCFLErrorNamesSameNode(t *testing.T) {
 			t.Errorf("rank %d: the map sweep accepted dt·rate > 1", comm.Rank())
 			return
 		}
-		flow := buildPipeline(t, comm, m, Config{Nu: 1, Vel: vel})
+		_, flow := wirePipeline(t, comm, m, Config{Nu: 1, Vel: vel}, "")
 		_, err := flow.Step(dt)
 		if !errors.Is(err, ErrHydro) || err.Error() != want.Error() {
 			t.Errorf("rank %d: Step err = %v, want %v", comm.Rank(), err, want)
@@ -134,10 +134,10 @@ func TestStepCFLErrorNamesSameNode(t *testing.T) {
 func TestStepAllocatesNoVector(t *testing.T) {
 	m := mesh.StructuredQuad(64, 64)
 	mpi.Run(1, func(comm *mpi.Comm) {
-		flow := buildPipeline(t, comm, m, Config{
+		_, flow := wirePipeline(t, comm, m, Config{
 			Nu: 1, Vel: [2]float64{1, 0.5}, Prec: "jacobi",
 			Source: func(x, y float64) float64 { return math.Exp(-30 * ((x-0.3)*(x-0.3) + (y-0.6)*(y-0.6))) },
-		})
+		}, "")
 		const dt, steps = 0.005, 10
 		if _, err := flow.Step(dt); err != nil {
 			t.Fatal(err)
@@ -150,7 +150,7 @@ func TestStepAllocatesNoVector(t *testing.T) {
 			}
 		}
 		runtime.ReadMemStats(&after)
-		n := len(flow.OwnedField())
+		n := len(flow.LocalData())
 		if per := (after.TotalAlloc - before.TotalAlloc) / steps; per >= uint64(8*n) {
 			t.Errorf("a step allocates %d B, a length-%d vector is %d B", per, n, 8*n)
 		}
