@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -175,6 +176,41 @@ func TestPreconditionersThroughPorts(t *testing.T) {
 	}
 	if iterCounts["ilu0"] >= iterCounts[""] {
 		t.Errorf("ilu0 (%d iters) no better than none (%d)", iterCounts["ilu0"], iterCounts[""])
+	}
+}
+
+// TestSolveDuringPreconditionerQuiesceSheds: a solve while the connected
+// preconditioner is quiesced returns the typed retryable shed and leaves
+// the solution vector alone, rather than run unpreconditioned; once the
+// window closes the same solve takes the preconditioned iteration count.
+func TestSolveDuringPreconditionerQuiesceSheds(t *testing.T) {
+	m := linalg.Poisson2D(24, 24)
+	b := manufactured(t, m)
+	f, solver := wireSolver(t, "cg", "ilu0", m)
+	solver.SetTolerance(1e-10)
+	x := make([]float64, m.NRows)
+	want, err := solver.Solve(b, &x) // 27 iterations; 50 unpreconditioned
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Quiesce("prec", "M", 200*time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	x = make([]float64, m.NRows)
+	x[0] = 42
+	if iters, err := solver.Solve(b, &x); !errors.Is(err, cca.ErrPortQuiescing) {
+		t.Fatalf("solve with M quiesced: %d iterations, err %v; want cca.ErrPortQuiescing", iters, err)
+	}
+	if x[0] != 42 || slices.ContainsFunc(x[1:], func(v float64) bool { return v != 0 }) {
+		t.Error("a shed solve wrote the solution vector")
+	}
+	if err := f.Resume("prec", "M"); err != nil {
+		t.Fatal(err)
+	}
+	x = make([]float64, m.NRows)
+	got, err := solver.Solve(b, &x)
+	if err != nil || got != want {
+		t.Errorf("solve after the quiesce: %d iterations, err %v; want %d as before it", got, err, want)
 	}
 }
 

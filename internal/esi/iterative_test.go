@@ -121,7 +121,15 @@ func TestIterativeCheckpointResumesIdentically(t *testing.T) {
 	if second.Iterations() != 5 {
 		t.Fatalf("restored iteration count = %d, want 5", second.Iterations())
 	}
+	// Residual is ‖r‖ from the solver's cached rᵀr, which the checkpoint
+	// does not carry: Restore takes it again, to the same bits.
+	if g, w := second.Residual(), first.Residual(); math.Float64bits(g) != math.Float64bits(w) {
+		t.Errorf("restored residual %v, checkpointed %v (not bit-identical)", g, w)
+	}
 	stepToConvergence(t, second)
+	if g, w := second.Residual(), ref.Residual(); math.Float64bits(g) != math.Float64bits(w) {
+		t.Errorf("final residual: resumed %v, uninterrupted %v (not bit-identical)", g, w)
+	}
 
 	want, got := ref.Solution(), second.Solution()
 	if ref.Iterations() != second.Iterations() {

@@ -226,7 +226,11 @@ func (fc *FlowComponent) Step(dt float64) (Stats, error) {
 	// Monitor fan-out: zero or more attached monitors, invoked on every
 	// cohort rank with identical global stats. Each returned port is one
 	// acquisition, released before the step returns so a monitor can be
-	// quiesced or swapped between steps.
+	// quiesced or swapped between steps. A step taken while a monitor is
+	// quiesced observes none: "zero or more invocations" is the listener
+	// contract, and the step itself must not wait on or fail for an
+	// observer (unlike a solver's preconditioner, whose absence would
+	// change the answer).
 	monitors, err := fc.svc.GetPorts("monitor")
 	if err == nil {
 		for _, mp := range monitors {
@@ -359,7 +363,9 @@ func (s *Stepper) ensureOperator(dt float64) error {
 
 // Step advances one timestep of length dt — explicit upwind advection,
 // then the implicit diffusion solve — and returns the globally reduced
-// statistics. Every rank of the cohort calls it.
+// statistics. Every rank of the cohort calls it. A step that takes iters
+// CG iterations makes 1 + 2·iters + 2 allreduces and 2 + iters halo
+// exchanges: one per operator apply, and the refresh that ends the step.
 func (s *Stepper) Step(dt float64) (Stats, error) {
 	if dt <= 0 {
 		return Stats{}, fmt.Errorf("%w: dt=%v", ErrHydro, dt)
@@ -369,20 +375,20 @@ func (s *Stepper) Step(dt float64) (Stats, error) {
 	}
 	nOwned := s.dec.NumOwned()
 
-	// Explicit advection: ghost refresh, then edge-upwind update.
-	if err := s.dec.Exchange(s.comm, s.u); err != nil {
-		return Stats{}, err
-	}
+	// Explicit advection: edge-upwind update. The ghosts are current:
+	// NewStepper and the end of every step exchange them, and nothing
+	// writes the field in between.
 	if err := s.upwind.Sweep(dt, s.u, s.source, s.ustar); err != nil {
 		return Stats{}, err
 	}
 
 	// Implicit diffusion: (I + dt ν L) u' = u*.
 	copy(s.x, s.u[:nOwned]) // warm start from previous field
-	dot, dotErr := mesh.GlobalDot(s.comm)
+	dot, dots, dotErr := mesh.GlobalDot(s.comm)
 	res, err := s.cg.Solve(s.op, s.ustar, s.x, linalg.Options{
 		Tol:  s.cfg.Tol,
 		Dot:  dot,
+		Dots: dots,
 		Prec: s.prec,
 	})
 	if err != nil {
@@ -487,7 +493,9 @@ func (w *Upwind) Sweep(dt float64, u, source, ustar []float64) error {
 	return nil
 }
 
-// reduceStats computes globally reduced field statistics.
+// reduceStats computes globally reduced field statistics in two
+// reductions: Max over (−min, max), since min = −max(−·) exactly, and Sum
+// over (sum, sum of squares).
 func (s *Stepper) reduceStats(iters int) (Stats, error) {
 	lmin, lmax, lsum, lsq := math.Inf(1), math.Inf(-1), 0.0, 0.0
 	for _, v := range s.OwnedField() {
@@ -500,26 +508,18 @@ func (s *Stepper) reduceStats(iters int) (Stats, error) {
 		lsum += v
 		lsq += v * v
 	}
-	gmin, err := s.comm.AllreduceScalar(lmin, mpi.Min)
+	ext, err := s.comm.AllreduceFloat64([]float64{-lmin, lmax}, mpi.Max)
 	if err != nil {
 		return Stats{}, err
 	}
-	gmax, err := s.comm.AllreduceScalar(lmax, mpi.Max)
-	if err != nil {
-		return Stats{}, err
-	}
-	gsum, err := s.comm.AllreduceScalar(lsum, mpi.Sum)
-	if err != nil {
-		return Stats{}, err
-	}
-	gsq, err := s.comm.AllreduceScalar(lsq, mpi.Sum)
+	sums, err := s.comm.AllreduceFloat64([]float64{lsum, lsq}, mpi.Sum)
 	if err != nil {
 		return Stats{}, err
 	}
 	n := float64(s.dec.M.NumNodes())
 	return Stats{
 		Step: s.step, Time: s.time,
-		Min: gmin, Max: gmax, Mean: gsum / n, Norm2: math.Sqrt(gsq),
+		Min: -ext[0], Max: ext[1], Mean: sums[0] / n, Norm2: math.Sqrt(sums[1]),
 		SolveIters: iters,
 	}, nil
 }

@@ -3,6 +3,7 @@ package hydro
 import (
 	"errors"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -422,4 +423,99 @@ func TestStepperMatchesPorts(t *testing.T) {
 func statsBits(s Stats) [7]uint64 {
 	return [7]uint64{uint64(s.Step), math.Float64bits(s.Time), math.Float64bits(s.Min),
 		math.Float64bits(s.Max), math.Float64bits(s.Mean), math.Float64bits(s.Norm2), uint64(s.SolveIters)}
+}
+
+// eachStep builds a Stepper on each of p goroutine ranks (advection, a
+// source and Jacobi on) and calls check after NewStepper (step 0) and
+// after each of six steps; check returns false to stop the rank.
+func eachStep(t *testing.T, p int, check func(comm *mpi.Comm, s *Stepper, step int, st Stats) bool) {
+	t.Helper()
+	m := mesh.StructuredQuad(16, 16)
+	cfg := Config{
+		Nu: 0.5, Vel: [2]float64{1, 0.5}, Prec: "jacobi",
+		Source: func(x, y float64) float64 { return math.Exp(-30 * ((x-0.3)*(x-0.3) + (y-0.6)*(y-0.6))) },
+	}
+	mpi.Run(p, func(comm *mpi.Comm) {
+		dec, _ := upwindSetup(t, m, p, comm.Rank())
+		s, err := NewStepper(comm, dec, cfg)
+		if err != nil {
+			t.Errorf("p=%d: stepper: %v", p, err)
+			return
+		}
+		if !check(comm, s, 0, Stats{}) {
+			return
+		}
+		for i := 1; i <= 6; i++ {
+			st, err := s.Step(0.01)
+			if err != nil {
+				t.Errorf("p=%d step %d: %v", p, i, err)
+				return
+			}
+			if !check(comm, s, i, st) {
+				return
+			}
+		}
+	})
+}
+
+// TestFusedStatsMatchScalarReductions: the Stepper reduces its statistics
+// in two calls, Max over (−min, max) and Sum over (sum, sum of squares).
+// On 1–3 ranks every Stats field must equal, bit for bit, the four
+// one-value reductions Min, Max, Sum, Sum of the same owned field.
+func TestFusedStatsMatchScalarReductions(t *testing.T) {
+	for p := 1; p <= 3; p++ {
+		eachStep(t, p, func(comm *mpi.Comm, s *Stepper, step int, st Stats) bool {
+			if step == 0 {
+				return true
+			}
+			lmin, lmax, lsum, lsq := math.Inf(1), math.Inf(-1), 0.0, 0.0
+			for _, v := range s.OwnedField() {
+				lmin, lmax = min(lmin, v), max(lmax, v)
+				lsum += v
+				lsq += v * v
+			}
+			var g [4]float64
+			for i, r := range []struct {
+				x  float64
+				op mpi.Op
+			}{{lmin, mpi.Min}, {lmax, mpi.Max}, {lsum, mpi.Sum}, {lsq, mpi.Sum}} {
+				var err error
+				if g[i], err = comm.AllreduceScalar(r.x, r.op); err != nil {
+					t.Errorf("p=%d: allreduce: %v", p, err)
+					return false
+				}
+			}
+			want := st
+			want.Min, want.Max = g[0], g[1]
+			want.Mean, want.Norm2 = g[2]/float64(s.dec.M.NumNodes()), math.Sqrt(g[3])
+			if statsBits(st) != statsBits(want) {
+				t.Errorf("p=%d rank %d step %d: fused %v, scalar %v", p, comm.Rank(), step, st, want)
+				return false
+			}
+			return true
+		})
+	}
+}
+
+// TestStepLeavesGhostsCurrent: Step does not refresh the ghosts before
+// its advection sweep, because NewStepper and the end of every step
+// leave them current. Hold that: after NewStepper and after every step,
+// a fresh Exchange of the field changes no bit.
+func TestStepLeavesGhostsCurrent(t *testing.T) {
+	for p := 1; p <= 3; p++ {
+		eachStep(t, p, func(comm *mpi.Comm, s *Stepper, step int, _ Stats) bool {
+			fresh := slices.Clone(s.u)
+			if err := s.dec.Exchange(comm, fresh); err != nil {
+				t.Errorf("p=%d step %d: exchange: %v", p, step, err)
+				return false
+			}
+			for li := range fresh {
+				if math.Float64bits(fresh[li]) != math.Float64bits(s.u[li]) {
+					t.Errorf("p=%d rank %d step %d: local %d holds %v, a fresh exchange %v", p, comm.Rank(), step, li, s.u[li], fresh[li])
+					return false
+				}
+			}
+			return true
+		})
+	}
 }

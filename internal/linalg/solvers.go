@@ -51,6 +51,12 @@ func (CG) Solve(a Operator, b, x []float64, opts Options) (Result, error) {
 // Begin reuses R, Z, P and the A·p scratch when their capacity allows, so
 // a caller that keeps one CGState across solves of the same size
 // allocates no vector after the first.
+//
+// Inner products: Begin takes bᵀb, rᵀr and rᵀz in one Options.Dots call,
+// and each Step takes pᵀAp with Dot, then rᵀr and rᵀz in one Dots call
+// after the preconditioner. Residual reads the cached rᵀr. With an SPMD
+// Dots that is one reduction per half-iteration; with the default Dots
+// each product is one Dot call.
 type CGState struct {
 	// B and X are the slices given to Begin (not copies); Step updates X.
 	// R, Z and P are the residual, M⁻¹r and the search direction.
@@ -59,8 +65,12 @@ type CGState struct {
 	RZ, BNorm float64
 	It        int
 
+	rr float64 // rᵀr of the current R
 	ap []float64
 	o  Options
+	// Operand and result scratch for Dots, so a step allocates none.
+	da, db [3][]float64
+	dout   [3]float64
 }
 
 // Solve is CG.Solve on s's vectors: Begin, then Step until the relative
@@ -96,7 +106,7 @@ func resize(v []float64, n int) []float64 {
 }
 
 // Begin starts the recurrence for A x = b from the guess in x:
-// r₀ = b − A·x₀, z₀ = M⁻¹r₀, p₀ = z₀. opts supplies the inner product
+// r₀ = b − A·x₀, z₀ = M⁻¹r₀, p₀ = z₀. opts supplies the inner products
 // and the preconditioner; Tol and MaxIter are the caller's to check.
 func (s *CGState) Begin(a Operator, b, x []float64, opts Options) error {
 	n := a.Rows()
@@ -111,29 +121,34 @@ func (s *CGState) Begin(a Operator, b, x []float64, opts Options) error {
 	for i := range s.R {
 		s.R[i] = b[i] - s.R[i]
 	}
-	s.BNorm = Norm2(s.o.Dot, b)
-	if s.BNorm == 0 {
-		s.BNorm = 1
-	}
 	s.Z = resize(s.Z, n)
 	if err := s.o.Prec.Solve(s.R, s.Z); err != nil {
 		return err
 	}
 	s.P, s.ap = resize(s.P, n), resize(s.ap, n)
 	copy(s.P, s.Z)
-	s.RZ = s.o.Dot(s.R, s.Z)
+	s.da, s.db = [3][]float64{b, s.R, s.R}, [3][]float64{b, s.R, s.Z}
+	s.o.Dots(s.dout[:], s.da[:], s.db[:])
+	s.BNorm, s.rr, s.RZ = math.Sqrt(s.dout[0]), s.dout[1], s.dout[2]
+	if s.BNorm == 0 {
+		s.BNorm = 1
+	}
 	return nil
 }
 
 // Resume readies a state whose exported fields were set directly (from
-// a checkpoint) for Step, with opts' inner product and preconditioner.
+// a checkpoint) for Step, with opts' inner products and preconditioner:
+// it takes rᵀr, the one product the exported fields do not carry, with
+// one Dot.
 func (s *CGState) Resume(opts Options) {
 	s.o = opts.fill(len(s.B))
 	s.ap = resize(s.ap, len(s.B))
+	s.rr = s.o.Dot(s.R, s.R)
 }
 
-// Residual returns ‖r‖/‖b‖, the relative residual of the current iterate.
-func (s *CGState) Residual() float64 { return Norm2(s.o.Dot, s.R) / s.BNorm }
+// Residual returns ‖r‖/‖b‖, the relative residual of the current iterate,
+// from the rᵀr that Begin, Step or Resume took.
+func (s *CGState) Residual() float64 { return math.Sqrt(s.rr) / s.BNorm }
 
 // Step runs one iteration. A zero or NaN pᵀAp is ErrBreakdown, returned
 // before the state changes.
@@ -152,9 +167,10 @@ func (s *CGState) Step(a Operator) error {
 	if err := s.o.Prec.Solve(s.R, s.Z); err != nil {
 		return err
 	}
-	rzNew := s.o.Dot(s.R, s.Z)
-	beta := rzNew / s.RZ
-	s.RZ = rzNew
+	s.da, s.db = [3][]float64{s.R, s.R}, [3][]float64{s.R, s.Z}
+	s.o.Dots(s.dout[:2], s.da[:2], s.db[:2])
+	beta := s.dout[1] / s.RZ
+	s.rr, s.RZ = s.dout[0], s.dout[1]
 	z := s.Z
 	for i := range p {
 		p[i] = z[i] + beta*p[i]

@@ -33,6 +33,12 @@ var (
 // sums local products and reduces across its communicator.
 type Dot func(a, b []float64) float64
 
+// Dots computes several inner products at once: out[i] = a[i]ᵀb[i]. A
+// parallel component supplies one that reduces every pair in a single
+// message round, so products that become ready together cost one
+// reduction instead of one each.
+type Dots func(out []float64, a, b [][]float64)
+
 // VecGrain is the serial-fallback threshold for the parallel vector
 // kernels: vectors shorter than this run the plain serial loops. The
 // elementwise ops are memory-bound (a handful of flops per cache line), so
@@ -131,6 +137,12 @@ type Options struct {
 	// below VecGrain). SPMD components override it with a globally
 	// reduced product.
 	Dot Dot
+	// Dots is the batched inner product CG uses where several products
+	// are ready at once; it must agree with Dot pair by pair. The default
+	// calls Dot once per pair, so a caller that sets only Dot sees exactly
+	// one Dot call per product. SPMD components set it to reduce every
+	// pair in one round.
+	Dots Dots
 	// Prec is the preconditioner (default identity).
 	Prec Preconditioner
 }
@@ -147,6 +159,14 @@ func (o Options) fill(n int) Options {
 	}
 	if o.Dot == nil {
 		o.Dot = DotPar
+	}
+	if o.Dots == nil {
+		dot := o.Dot
+		o.Dots = func(out []float64, a, b [][]float64) {
+			for i := range out {
+				out[i] = dot(a[i], b[i])
+			}
+		}
 	}
 	if o.Prec == nil {
 		o.Prec = IdentityPrec{}

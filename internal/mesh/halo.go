@@ -248,13 +248,34 @@ func (op *DistOperator) Apply(x, y []float64) error {
 	return op.Local.Apply(op.work, y)
 }
 
-// GlobalDot returns a linalg.Dot that sums local products and reduces over
-// comm — the parallel inner product for the Krylov solvers — and a function
-// reporting the first reduction error. A failed reduction (a peer rank
-// died) makes dot return NaN, which the solvers report as a breakdown; a
+// GlobalDot returns the parallel inner products for the Krylov solvers
+// over comm: dot sums a local product and reduces it; dots takes every
+// pair's local product and reduces them all in one AllreduceFloat64. Each
+// element goes through the same combine tree as a one-element reduction,
+// so dots gives dot's bits pair by pair. firstErr reports the first
+// reduction error. A failed reduction (a peer rank died) makes dot, and
+// every element of dots, NaN, which the solvers report as a breakdown; a
 // caller whose solve fails returns firstErr() in its place when non-nil.
-func GlobalDot(comm *mpi.Comm) (dot linalg.Dot, firstErr func() error) {
+func GlobalDot(comm *mpi.Comm) (dot linalg.Dot, dots linalg.Dots, firstErr func() error) {
 	var first error
+	var local []float64
+	dots = func(out []float64, a, b [][]float64) {
+		local = local[:0]
+		for i := range out {
+			local = append(local, linalg.DotPar(a[i], b[i]))
+		}
+		global, err := comm.AllreduceFloat64(local, mpi.Sum)
+		if err != nil {
+			if first == nil {
+				first = err
+			}
+			for i := range out {
+				out[i] = math.NaN()
+			}
+			return
+		}
+		copy(out, global)
+	}
 	dot = func(a, b []float64) float64 {
 		global, err := comm.AllreduceScalar(linalg.DotPar(a, b), mpi.Sum)
 		if err != nil {
@@ -265,5 +286,5 @@ func GlobalDot(comm *mpi.Comm) (dot linalg.Dot, firstErr func() error) {
 		}
 		return global
 	}
-	return dot, func() error { return first }
+	return dot, dots, func() error { return first }
 }

@@ -237,7 +237,7 @@ func TestParallelCGMatchesSerial(t *testing.T) {
 			bl[li] = b[g]
 		}
 		xl := make([]float64, d.NumOwned())
-		dot, _ := GlobalDot(c)
+		dot, _, _ := GlobalDot(c)
 		res, err := (linalg.CG{}).Solve(op, bl, xl, linalg.Options{Tol: 1e-10, Dot: dot})
 		if err != nil {
 			t.Errorf("parallel cg: %v (%v)", err, res)
@@ -273,7 +273,7 @@ func TestGlobalDotRankDeathReturnsTypedError(t *testing.T) {
 			}
 		})
 		<-died
-		dot, dotErr := GlobalDot(c)
+		dot, _, dotErr := GlobalDot(c)
 		x := make([]float64, a.NRows)
 		_, err := (linalg.CG{}).Solve(a, linalg.Ones(a.NRows), x, linalg.Options{Dot: dot})
 		err = cmp.Or(dotErr(), err)
@@ -315,5 +315,83 @@ func TestLocalMatrixRejectsBeyondHalo(t *testing.T) {
 	_, err = d.LocalMatrix([]Entry{{Row: d.Owned[0], Col: far, Val: 1}})
 	if !errors.Is(err, ErrMesh) {
 		t.Errorf("err = %v, want ErrMesh", err)
+	}
+}
+
+// TestFusedDotsCGMatchesDot runs CG on a decomposed Poisson2D over 1–4
+// goroutine ranks twice: through GlobalDot's batched hook, and through
+// its Dot alone. Every element of a batched reduction takes the same
+// combine tree as a scalar one (p = 3 folds a pair first), so the
+// iterate, the iteration count and the residual must agree bit for bit.
+// The hook runs once in Begin and once per iteration, and Dot once per
+// iteration (pᵀAp): 1 + 2·It reductions, against 3 + 3·It unfused. At
+// p = 1 the grid has more than linalg.VecGrain rows, so the local
+// products run in chunks on the worker pool.
+func TestFusedDotsCGMatchesDot(t *testing.T) {
+	const nx, ny = 97, 95
+	m := StructuredQuad(nx-1, ny-1) // node iy·nx + ix, as Poisson2D numbers rows
+	a := linalg.Poisson2D(nx, ny)
+	var entries []Entry
+	for r := 0; r < a.NRows; r++ {
+		for k := a.RowPtr[r]; k < a.RowPtr[r+1]; k++ {
+			entries = append(entries, Entry{r, a.Cols[k], a.Vals[k]})
+		}
+	}
+	b := make([]float64, a.NRows)
+	for i := range b {
+		b[i] = math.Sin(0.37 * float64(i))
+	}
+	for p := 1; p <= 4; p++ {
+		part := RCB{}.PartitionNodes(m, p)
+		mpi.Run(p, func(c *mpi.Comm) {
+			d, err := Decompose(m, part, p, c.Rank())
+			if err != nil {
+				t.Errorf("p=%d: decompose: %v", p, err)
+				return
+			}
+			op, err := NewDistOperator(d, c, entries)
+			if err != nil {
+				t.Errorf("p=%d: dist op: %v", p, err)
+				return
+			}
+			prec, err := linalg.NewJacobiFromDiag(op.Local.Diagonal()[:d.NumOwned()])
+			if err != nil {
+				t.Errorf("p=%d: jacobi: %v", p, err)
+				return
+			}
+			bl := make([]float64, d.NumOwned())
+			for li, g := range d.Owned {
+				bl[li] = b[g]
+			}
+			dot, dots, dotErr := GlobalDot(c)
+			dotCalls, dotsCalls := 0, 0
+			countDot := func(u, v []float64) float64 { dotCalls++; return dot(u, v) }
+			countDots := func(out []float64, u, v [][]float64) { dotsCalls++; dots(out, u, v) }
+
+			xf, xd := make([]float64, d.NumOwned()), make([]float64, d.NumOwned())
+			fused, err := (linalg.CG{}).Solve(op, bl, xf, linalg.Options{Tol: 1e-10, Dot: countDot, Dots: countDots, Prec: prec})
+			if err != nil {
+				t.Errorf("p=%d: fused cg: %v", p, cmp.Or(dotErr(), err))
+				return
+			}
+			plain, err := (linalg.CG{}).Solve(op, bl, xd, linalg.Options{Tol: 1e-10, Dot: dot, Prec: prec})
+			if err != nil {
+				t.Errorf("p=%d: dot-only cg: %v", p, cmp.Or(dotErr(), err))
+				return
+			}
+			if fused.Iterations != plain.Iterations || math.Float64bits(fused.Residual) != math.Float64bits(plain.Residual) {
+				t.Errorf("p=%d rank %d: fused %+v, dot-only %+v", p, c.Rank(), fused, plain)
+			}
+			if dotsCalls != 1+fused.Iterations || dotCalls != fused.Iterations {
+				t.Errorf("p=%d: %d iterations made %d batched and %d single reductions, want %d and %d",
+					p, fused.Iterations, dotsCalls, dotCalls, 1+fused.Iterations, fused.Iterations)
+			}
+			for li := range xf {
+				if math.Float64bits(xf[li]) != math.Float64bits(xd[li]) {
+					t.Errorf("p=%d rank %d: x[%d] fused %v, dot-only %v", p, c.Rank(), d.Owned[li], xf[li], xd[li])
+					return
+				}
+			}
+		})
 	}
 }

@@ -230,8 +230,12 @@ func (p *partial) combine(src int) error {
 	return err
 }
 
-// AllreduceScalar reduces a single float64 across ranks; the workhorse of
-// dot products and residual norms in the solver components.
+// AllreduceScalar reduces a single float64 across ranks. Every call is one
+// round of messages, and on small frames the round, not the payload, is
+// the cost: values that are ready together belong in one AllreduceFloat64
+// (mesh.GlobalDot's batched inner products, hydro's statistics), which
+// reduces each element through the same combine tree, so bit for bit as
+// separate scalar calls would.
 func (c *Comm) AllreduceScalar(x float64, op Op) (float64, error) {
 	v, err := c.AllreduceFloat64([]float64{x}, op)
 	if err != nil {
